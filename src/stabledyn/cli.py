@@ -188,13 +188,22 @@ def _field_for_analysis(args, system):
         if system == benchmarks.TWO_TANKS:
             raise ConfigError("the mixing tanks have no analytic split; train a model")
         return benchmarks.split_target_fn(system), None
+    fld = _load_field_arg(args)
+    return (lambda x, u: field_mod.eval_target(fld, x, u)), fld
+
+
+def _load_field_arg(args) -> field_mod.StructuredField:
+    """The --field checkpoint; a missing, unreadable or malformed file is a
+    config error."""
     if not args.field:
         raise ConfigError("--field CHECKPOINT is required unless --oracle is set")
     try:
-        fld = field_mod.load_field(args.field)
-    except OSError as err:
-        raise ConfigError(f"cannot load field checkpoint: {err}")
-    return (lambda x, u: field_mod.eval_target(fld, x, u)), fld
+        return field_mod.load_field(args.field)
+    # json.JSONDecodeError is a ValueError; TypeError is a document of the
+    # wrong shape, such as a list where an object belongs
+    except (OSError, KeyError, ValueError, TypeError) as err:
+        raise ConfigError(f"cannot load field checkpoint {args.field!r}: "
+                          f"{type(err).__name__}: {err}")
 
 
 def cmd_simulate(args) -> int:
@@ -213,9 +222,7 @@ def cmd_simulate(args) -> int:
         rhs = benchmarks.rhs_fn(system)
         tag = "oracle"
     else:
-        if not args.field:
-            raise ConfigError("--field CHECKPOINT is required unless --oracle is set")
-        fld = field_mod.load_field(args.field)
+        fld = _load_field_arg(args)
         rhs = lambda x, u: field_mod.eval_velocity(fld, x, u)
         tag = "model"
 
@@ -245,19 +252,15 @@ def cmd_equilibria(args) -> int:
         raise ConfigError(f"--control needs {q} comma-separated values")
     box = benchmarks.default_model(system).domain
 
-    vel = _velocity_fn(args, system, fld)
     rows = []
     if d == 1:
-        if args.oracle:
-            # rhs roots coincide with the split's but stay finite everywhere
-            res_fn = lambda x: -float(benchmarks.system_rhs(system, None, [x], u)[0])
-        else:
-            res_fn = lambda x: float(x - target_fn(np.array([x]), u)[0])
-        roots = analysis.find_equilibria_1d(res_fn, box[0], n_scan=args.scan)
-        for r in roots:
-            stab = analysis.classify_stability(lambda xv: np.atleast_1d(vel(xv, u)), [r])
-            rows.append((r, stab, abs(res_fn(r))))
+        # every scalar-state system has one control, so u is a one-point sweep
+        residual_of, velocity_of = _scalar_fns(args, system, target_fn, fld)
+        diagram = analysis.bifurcation_sweep(residual_of, velocity_of, u, box[0],
+                                             n_scan=args.scan)
+        rows = [(p.x_star[0], p.stability, p.residual_norm) for p in diagram.points]
     else:
+        vel = _velocity_fn(args, system, fld)
         if args.oracle:
             res_fn = lambda x: -np.asarray(benchmarks.system_rhs(system, None, x, u))
         else:
@@ -267,10 +270,15 @@ def cmd_equilibria(args) -> int:
             stab = analysis.classify_stability(lambda xv: np.atleast_1d(vel(xv, u)), r)
             rows.append((*r, stab, float(np.linalg.norm(res_fn(r)))))
 
+    doc = {"system": system, "control": u.tolist(),
+           "equilibria": [list(map(_jsonable, row)) for row in rows]}
+    failed_note = ""
+    if d > 1:
+        doc["failed_starts"] = failed
+        failed_note = f" ({failed} Newton starts failed)"
     path = out / f"{system}-equilibria.json"
-    _json_dump(path, {"system": system, "control": u.tolist(),
-                      "equilibria": [list(map(_jsonable, row)) for row in rows]})
-    print(f"found {len(rows)} equilibria; wrote {path}")
+    _json_dump(path, doc)
+    print(f"found {len(rows)} equilibria{failed_note}; wrote {path}")
     return EXIT_OK
 
 
@@ -282,6 +290,23 @@ def _velocity_fn(args, system, fld):
     if args.oracle or fld is None:
         return lambda x, u: benchmarks.system_rhs(system, None, np.atleast_1d(x), u)
     return lambda x, u: field_mod.eval_velocity(fld, np.atleast_1d(x), u)
+
+
+def _scalar_fns(args, system, target_fn, fld):
+    """``(residual_of, velocity_of)`` for a scalar-state system, in the
+    batched form analysis.bifurcation_sweep takes: ``residual_of(c)(x)`` on
+    equal-length 1-d arrays of controls and states."""
+    if args.oracle:
+        # the true rhs has the same zeros as the split residual but stays
+        # finite where the split blows up
+        residual_of = lambda c: (
+            lambda x: -benchmarks.system_rhs(system, None, x[:, None], c[:, None])[:, 0]
+        )
+    else:
+        residual_of = lambda c: (lambda x: x - target_fn(x[:, None], c[:, None])[:, 0])
+    vel = _velocity_fn(args, system, fld)
+    velocity_of = lambda c: (lambda x: vel(x[:, None], c[:, None])[:, 0])
+    return residual_of, velocity_of
 
 
 def cmd_bifurcate(args) -> int:
@@ -297,17 +322,7 @@ def cmd_bifurcate(args) -> int:
     grid = np.linspace(lo_u, hi_u, args.points)
     interval = benchmarks.default_model(system).domain[0]
 
-    if args.oracle:
-        # the true rhs has the same zeros as the split residual but stays
-        # finite where the split blows up
-        residual_of = lambda c: (
-            lambda x: -float(benchmarks.system_rhs(system, None, [x], [c])[0])
-        )
-    else:
-        residual_of = lambda c: (lambda x: float(x - target_fn(np.array([x]), np.array([c]))[0]))
-    vel = _velocity_fn(args, system, fld)
-    velocity_of = lambda c: (lambda x: float(np.atleast_1d(vel([x], np.array([c])))[0]))
-
+    residual_of, velocity_of = _scalar_fns(args, system, target_fn, fld)
     diagram = analysis.bifurcation_sweep(residual_of, velocity_of, grid, interval,
                                          n_scan=args.scan)
     rows = analysis.sweep_to_rows(diagram)
@@ -479,6 +494,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except benchmarks.UndefinedSplit as err:
+        print(f"config error: {err}; the analytic split cannot serve this run, "
+              f"use a trained --field instead of --oracle", file=sys.stderr)
         return EXIT_CONFIG
     except (NonFiniteError, training.TrainingDiverged) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

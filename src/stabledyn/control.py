@@ -255,12 +255,20 @@ def linear_minnorm(prob: LinearControlProblem) -> np.ndarray:
 
 
 def ridge_solve(prob: LinearControlProblem) -> np.ndarray:
-    """(G^T G + lam I)^-1 G^T x_ref for lam > 0."""
+    """(G^T G + lam I)^-1 G^T x_ref for lam > 0.
+
+    Solved through the SVD with Tikhonov filter factors s / (s^2 + lam)
+    rather than the normal equations, which square the condition number of
+    G. Singular values below the pseudoinverse's own cutoff (1e-15 of the
+    largest) are dropped, so lam -> 0 approaches linear_minnorm.
+    """
     if prob.lam <= 0:
         raise ValueError("ridge regularization needs lam > 0")
-    G = prob.G
-    q = G.shape[1]
-    return np.linalg.solve(G.T @ G + prob.lam * np.eye(q), G.T @ prob.x_ref)
+    U, s, Vt = np.linalg.svd(prob.G, full_matrices=False)
+    large = s > 1e-15 * np.max(s, initial=0.0)
+    filt = np.zeros_like(s)
+    filt[large] = s[large] / (s[large] ** 2 + prob.lam)
+    return Vt.T @ (filt * (U.T @ prob.x_ref))
 
 
 @dataclass

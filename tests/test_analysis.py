@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from stabledyn.analysis import (
+    _BLOCK_ROWS,
     MARGINAL,
     STABLE,
     UNSTABLE,
@@ -201,6 +204,116 @@ class TestBifurcationSweep:
         rows = sweep_to_rows(diagram)
         assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
         assert all(r[-1] in (STABLE, UNSTABLE, MARGINAL) for r in rows)
+
+
+def reference_sweep(residual_of, velocity_of, controls, interval, n_scan=400,
+                    tol=1e-10, dedup=1e-6):
+    """Per-control scan plus bisection with one scalar residual call per x:
+    the reference the batched engine must reproduce. Returns (counts, roots,
+    stability labels, tipping points), roots and labels flat in control
+    then state order."""
+    xs = np.linspace(interval[0], interval[1], n_scan + 1)
+    counts, all_roots, labels = [], [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in controls:
+            res, vel = residual_of(c), velocity_of(c)
+            vals = [float(res(x)) for x in xs]
+            roots = [x for x, v in zip(xs, vals) if v == 0.0]
+            for i in range(n_scan):
+                a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
+                if fa == 0.0 or fb == 0.0 or np.sign(fa) == np.sign(fb):
+                    continue
+                for _ in range(200):
+                    m = 0.5 * (a + b)
+                    fm = float(res(m))
+                    if fm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(m)):
+                        break
+                    if np.sign(fm) == np.sign(fa):
+                        a, fa = m, fm
+                    else:
+                        b, fb = m, fm
+                m = 0.5 * (a + b)
+                if abs(float(res(m))) <= tol:
+                    roots.append(m)
+            roots.sort()
+            kept = []
+            for r in roots:
+                if not kept or abs(r - kept[-1]) > dedup:
+                    kept.append(r)
+            counts.append(len(kept))
+            all_roots.extend(kept)
+            labels.extend(
+                classify_stability(lambda xv: np.atleast_1d(vel(xv[0])), [r]) for r in kept
+            )
+    tipping = [float(0.5 * (controls[i] + controls[i + 1]))
+               for i in range(len(controls) - 1) if counts[i] != counts[i + 1]]
+    return counts, all_roots, labels, tipping
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("residual_of, velocity_of, grid, interval", [
+        (hysteresis_rhs_residual, hysteresis_velocity, np.linspace(-1, 1, 401), (-2, 2)),
+        (budworm_residual, budworm_velocity, np.linspace(4.45, 11.99, 401), (0.1, 10.0)),
+    ], ids=["hysteresis", "budworm"])
+    def test_matches_scalar_reference(self, residual_of, velocity_of, grid, interval):
+        counts, roots, labels, tipping = reference_sweep(residual_of, velocity_of,
+                                                         grid, interval)
+        diagram = bifurcation_sweep(residual_of, velocity_of, grid, interval)
+        assert diagram.counts.tolist() == counts
+        assert [p.stability for p in diagram.points] == labels
+        assert diagram.tipping_points == tipping
+        got = np.array([p.x_star[0] for p in diagram.points])
+        assert np.max(np.abs(got - np.array(roots))) <= 1e-12
+        assert [p.u[0] for p in diagram.points] == np.repeat(grid, counts).tolist()
+
+    @pytest.mark.parametrize("residual_of, velocity_of", [
+        (lambda c: (lambda x: x - c), lambda c: (lambda x: c - x)),
+        (hysteresis_rhs_residual, hysteresis_velocity),
+    ], ids=["one-root", "up-to-three-roots"])
+    def test_calls_bounded_by_scan_blocks_and_bisection_depth(self, residual_of, velocity_of):
+        grid = np.linspace(-1, 1, 401)
+        n_scan = 400
+        res_rows, vel_rows = [], []
+
+        def counted(fn_of, rows):
+            def of(c):
+                fn = fn_of(c)
+
+                def call(x):
+                    rows.append(len(x))
+                    return fn(x)
+
+                return call
+
+            return of
+
+        diagram = bifurcation_sweep(counted(residual_of, res_rows),
+                                    counted(velocity_of, vel_rows), grid, (-2, 2),
+                                    n_scan=n_scan)
+        scan_blocks = math.ceil(len(grid) / (_BLOCK_ROWS // (n_scan + 1)))
+        assert len(diagram.points) <= _BLOCK_ROWS  # every bracket fits one call
+        # one call per scan block, one per bisection step (at most 200), one
+        # final residual check: independent of how many brackets there are
+        assert len(res_rows) <= scan_blocks + 200 + 1
+        # x, x + h and x - h for every root
+        assert len(vel_rows) == math.ceil(3 * len(diagram.points) / _BLOCK_ROWS)
+        assert max(res_rows + vel_rows) <= _BLOCK_ROWS
+        assert len(diagram.points) >= len(grid)
+
+    def test_split_residual_drops_blowup_cell(self):
+        # x - (x + c)/x^2 has the cubic's roots except x = 0, where it blows
+        # up (c = 0 changes sign across the pole and is 0/0 on the grid point)
+        grid = np.array([-0.2, 0.0, 0.2])
+        split = bifurcation_sweep(hysteresis_split_residual, hysteresis_velocity,
+                                  grid, (-2, 2))
+        cubic = bifurcation_sweep(hysteresis_rhs_residual, hysteresis_velocity,
+                                  grid, (-2, 2))
+        assert split.counts.tolist() == [3, 2, 3]
+        expected = [p for p in cubic.points if abs(p.x_star[0]) > 1e-3]
+        assert [(p.u[0], p.stability) for p in split.points] == \
+            [(p.u[0], p.stability) for p in expected]
+        assert_close([p.x_star[0] for p in split.points],
+                     [p.x_star[0] for p in expected], rtol=1e-9)
 
 
 class TestMetrics:

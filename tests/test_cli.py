@@ -112,6 +112,24 @@ class TestSimulate:
         rc = main(["simulate", "--system", "budworm", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
 
+    def test_missing_checkpoint(self, tmp_path, capsys):
+        rc = main(["simulate", "--system", "budworm", "--field", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path), "--limit", "1"])
+        assert rc == EXIT_CONFIG
+        assert "cannot load field checkpoint" in capsys.readouterr().err
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
+    @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json"])
+    def test_config_error_in_every_command(self, tmp_path, capsys, command, content):
+        path = tmp_path / "field.json"
+        path.write_text(content)
+        rc = main([command, "--system", "budworm", "--field", str(path),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "cannot load field checkpoint" in capsys.readouterr().err
+
 
 class TestEquilibria:
     def test_oracle_hysteresis_roots(self, tmp_path):
@@ -128,6 +146,15 @@ class TestEquilibria:
     def test_tanks_oracle_refused(self, tmp_path):
         rc = main(["equilibria", "--system", "two-tanks", "--oracle", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    def test_toggle_reports_failed_starts(self, tmp_path, capsys):
+        rc = main(["equilibria", "--system", "toggle-switch", "--oracle",
+                   "--control", "5,5,2,2", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        doc = json.loads((tmp_path / "toggle-switch-equilibria.json").read_text())
+        assert len(doc["equilibria"]) == 3
+        assert doc["failed_starts"] == 0
+        assert "0 Newton starts failed" in capsys.readouterr().out
 
 
 class TestBifurcate:
@@ -160,6 +187,13 @@ class TestControl:
         assert len(summary["per_target"]) == 2
         lines = (tmp_path / "budworm-control-trials.csv").read_text().splitlines()
         assert lines[0] == "trial_id,target_id,t,x_0,u_0,phase"
+
+    def test_undefined_oracle_split_is_config_error(self, tmp_path, capsys):
+        # trials start at x = 0, where the hysteresis split is undefined
+        rc = main(["control", "--system", "sym-hysteresis", "--oracle", "--out", str(tmp_path),
+                   "--trials", "1", "--targets", "1"])
+        assert rc == EXIT_CONFIG
+        assert "use a trained --field" in capsys.readouterr().err
 
     def test_reproducible_with_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
