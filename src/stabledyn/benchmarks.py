@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -321,11 +322,25 @@ def save_dataset(prefix, dataset: Dataset, seed: int | None = None) -> dict:
 
 
 def load_dataset(prefix) -> Dataset:
+    """Read a dataset written by `save_dataset`; raises ValueError when the
+    CSV bytes do not match the manifest's content_hash."""
     from .integrate import read_trajectories_csv
 
     with open(f"{prefix}.json") as fh:
         manifest = json.load(fh)
-    trajectories = read_trajectories_csv(f"{prefix}.csv")
+    with open(f"{prefix}.csv", "rb") as fh:
+        # the digest of _git_blob_sha1, taken over the lines as they are
+        # parsed, so no second copy of the file is held
+        digest = hashlib.sha1(b"blob %d\0" % os.fstat(fh.fileno()).st_size)
+
+        def lines():
+            for raw in fh:
+                digest.update(raw)
+                yield raw.decode()
+
+        trajectories = read_trajectories_csv(lines())
+    if digest.hexdigest() != manifest["content_hash"]:
+        raise ValueError(f"{prefix}.csv does not match the content_hash in {prefix}.json")
     return Dataset(
         manifest["system"],
         manifest["params"],
@@ -379,8 +394,12 @@ def default_model(system: str) -> ModelRecipe:
     raise ValueError(f"unknown system {system!r}")
 
 
-def make_untrained_field(system: str, seed: int) -> StructuredField:
-    recipe = default_model(system)
+def make_untrained_field(system: str, seed: int,
+                         recipe: ModelRecipe | None = None) -> StructuredField:
+    """A freshly initialized field for `system`, built from `recipe`
+    (default: `default_model(system)`)."""
+    if recipe is None:
+        recipe = default_model(system)
     d, q = SYSTEM_DIMS[system]
     return StructuredField(
         dim=d,

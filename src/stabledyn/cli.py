@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -56,6 +57,41 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
         if getattr(args, attr) == parser_defaults.get(attr):
             setattr(args, attr, value)
     return args
+
+
+# lowest accepted value of each numeric option that a command may carry
+_INT_MIN = {
+    "seed": 0, "threads": 1, "samples": 2, "epochs": 1, "batch_size": 1, "folds": 2,
+    "limit": 1, "scan": 1, "scan_nd": 1, "points": 1, "k": 1, "targets": 1,
+    "trials": 1, "record_every": 1,
+}
+_FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
+_FLOAT_NONNEGATIVE = ("sigma",)
+
+
+def _check_ranges(args: argparse.Namespace, parser_defaults: dict) -> None:
+    """Reject out-of-range or mistyped numeric options, whether they came
+    from flags or from a --config file. None stands for "not given" only
+    where it is the option's default."""
+    def given(attr):
+        value = getattr(args, attr, None)
+        return not (value is None and parser_defaults.get(attr) is None), value
+
+    for attr, lo in _INT_MIN.items():
+        present, value = given(attr)
+        if present and (isinstance(value, bool) or not isinstance(value, int) or value < lo):
+            raise ConfigError(f"{attr.replace('_', '-')} must be an integer >= {lo}, "
+                              f"got {value!r}")
+    for attr in _FLOAT_POSITIVE + _FLOAT_NONNEGATIVE:
+        present, value = given(attr)
+        if not present:
+            continue
+        strict = attr in _FLOAT_POSITIVE
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value < 0 or (strict and value == 0)):
+            bound = "> 0" if strict else ">= 0"
+            raise ConfigError(f"{attr.replace('_', '-')} must be a finite number {bound}, "
+                              f"got {value!r}")
 
 
 def _outdir(args) -> Path:
@@ -116,8 +152,11 @@ def _load_dataset_arg(args) -> benchmarks.Dataset:
         prefix = prefix.rsplit(".", 1)[0]
     try:
         return benchmarks.load_dataset(prefix)
-    except OSError as err:
-        raise ConfigError(f"cannot load dataset {prefix!r}: {err}")
+    # json.JSONDecodeError and a content-hash mismatch are ValueErrors, a
+    # malformed CSV row a ValueError or IndexError, a missing manifest key a
+    # KeyError and a manifest of the wrong shape a TypeError
+    except (OSError, LookupError, ValueError, TypeError) as err:
+        raise ConfigError(f"cannot load dataset {prefix!r}: {type(err).__name__}: {err}")
 
 
 def _train_config(args, system) -> tuple[training.TrainConfig, int]:
@@ -153,24 +192,10 @@ def cmd_cv(args) -> int:
     system = _check_system(args.system or dataset.system)
     cfg, cv_epochs = _train_config(args, system)
 
-    candidates = []
-    for name, recipe in benchmarks.candidate_models(system):
-        def builder(seed, recipe=recipe):
-            d, q = benchmarks.SYSTEM_DIMS[system]
-            from .nnet import init_params
-
-            return field_mod.StructuredField(
-                dim=d,
-                control_dim=q,
-                decay_spec=recipe.decay_spec,
-                decay_params=init_params(recipe.decay_spec, seed),
-                target_spec=recipe.target_spec,
-                target_params=init_params(recipe.target_spec, seed + 1),
-                featurizer=recipe.featurizer,
-                domain=np.asarray(recipe.domain),
-            )
-
-        candidates.append((name, builder))
+    candidates = [
+        (name, lambda seed, recipe=recipe: benchmarks.make_untrained_field(system, seed, recipe))
+        for name, recipe in benchmarks.candidate_models(system)
+    ]
 
     report = training.cross_validate(
         dataset.trajectories, candidates, cfg, cv_epochs=cv_epochs
@@ -488,6 +513,7 @@ def main(argv=None) -> int:
     }
     try:
         args = _merge_config(args, defaults)
+        _check_ranges(args, defaults)
         if args.system is None and args.command in ("gen-data", "simulate", "equilibria",
                                                     "bifurcate", "control"):
             raise ConfigError("--system is required")

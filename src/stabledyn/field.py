@@ -4,6 +4,13 @@
 state is pulled toward the matching component of `target`, the implicit
 equilibrium map. Scalar benchmarks may featurize the state with cosine
 modes before it enters the target net; the control vector is appended raw.
+
+Every evaluation runs the two nets through `_decay_forward` and
+`_target_forward`. The velocity has one reverse, `velocity_vjp_cached`,
+which replays the caches kept by `velocity_cached`; `velocity_vjp` is a
+checked-input wrapper around that pair, so a caller that needs both value
+and gradient runs each net once. `eval_velocity` is the value alone, and
+keeps no cache.
 """
 
 from __future__ import annotations
@@ -155,44 +162,49 @@ def target_input(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np
     return np.concatenate([feats, u2d], axis=1)
 
 
-def _decay_raw(field: StructuredField, x2d: np.ndarray) -> np.ndarray:
-    y, _ = nnet.forward_cached(field.decay_spec, field.decay_params, x2d,
+def _decay_forward(field: StructuredField, x2d: np.ndarray):
+    """(decay(x), cache) on a batch of states."""
+    return nnet.forward_cached(field.decay_spec, field.decay_params, x2d,
                                layers=field.decay_layers())
-    return y
 
 
-def _target_raw(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np.ndarray:
-    y, _ = nnet.forward_cached(field.target_spec, field.target_params,
+def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):
+    """(target(x,u), cache) on a batch of states and controls."""
+    return nnet.forward_cached(field.target_spec, field.target_params,
                                target_input(field, x2d, u2d),
                                layers=field.target_layers())
-    return y
 
 
 def eval_decay(field: StructuredField, x) -> np.ndarray:
     """decay(x); strictly negative elementwise."""
     x2d, single = nnet._as_batch(x, field.dim, "state")
-    y = _decay_raw(field, x2d)
+    y, _ = _decay_forward(field, x2d)
     return y[0] if single else y
 
 
 def eval_target(field: StructuredField, x, u) -> np.ndarray:
     """target(x,u); the implicit equilibrium map."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    y = _target_raw(field, x2d, u2d)
+    y, _ = _target_forward(field, x2d, u2d)
     return y[0] if single else y
 
 
 def eval_velocity(field: StructuredField, x, u) -> np.ndarray:
     """velocity(x,u) = decay(x) * (x - target(x,u)), elementwise."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    v = _decay_raw(field, x2d) * (x2d - _target_raw(field, x2d, u2d))
+    # not velocity_cached: that holds both nets' caches at once, which on a
+    # full-dataset loss pass doubles peak memory; here each is dropped as
+    # soon as its net has run
+    f = _decay_forward(field, x2d)[0]
+    v = f * (x2d - _target_forward(field, x2d, u2d)[0])
     return v[0] if single else v
 
 
 def residual(field: StructuredField, x, u) -> np.ndarray:
     """x - target(x,u); zero exactly at implicit equilibria."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    r = x2d - _target_raw(field, x2d, u2d)
+    g, _ = _target_forward(field, x2d, u2d)
+    r = x2d - g
     return r[0] if single else r
 
 
@@ -217,13 +229,37 @@ def target_vjp(field: StructuredField, x, u, cotangent):
     """
     x2d, u2d, single = _batch_xu(field, x, u)
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-    gin = target_input(field, x2d, u2d)
-    _, cache = nnet.forward_cached(field.target_spec, field.target_params, gin)
+    _, cache = _target_forward(field, x2d, u2d)
     pgrad, gin_grad = nnet.backward_from_cache(field.target_spec, cache, c2d)
     gx, gu = _target_input_vjp(field, x2d, gin_grad)
     if single:
         return pgrad, gx[0], gu[0]
     return pgrad, gx, gu
+
+
+def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):
+    """Batched velocity plus the caches needed to replay the reverse pass.
+
+    Hot path for unrolled solvers: no dim re-validation, 2-d arrays only.
+    """
+    f, f_cache = _decay_forward(field, x2d)
+    g, g_cache = _target_forward(field, x2d, u2d)
+    diff = x2d - g
+    return f * diff, (x2d, f, diff, f_cache, g_cache)
+
+
+def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
+    """Reverse pass over a `velocity_cached` evaluation.
+
+    Returns (flat_param_grad, x_grad, u_grad); the flat gradient covers decay
+    params then target params, summed over the batch, and the state/control
+    grads are per row.
+    """
+    x2d, f, diff, f_cache, g_cache = cache
+    fgrad, fx = nnet.backward_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
+    ggrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
+    gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
+    return np.concatenate([fgrad, ggrad]), cotangent2d * f + fx + gx_t, gu
 
 
 def velocity_vjp(field: StructuredField, x, u, cotangent):
@@ -233,52 +269,12 @@ def velocity_vjp(field: StructuredField, x, u, cotangent):
     """
     x2d, u2d, single = _batch_xu(field, x, u)
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-
-    f, f_cache = nnet.forward_cached(field.decay_spec, field.decay_params, x2d)
-    gin = target_input(field, x2d, u2d)
-    g, g_cache = nnet.forward_cached(field.target_spec, field.target_params, gin)
-    diff = x2d - g
-
-    fgrad, fx = nnet.backward_from_cache(field.decay_spec, f_cache, c2d * diff)
-    ggrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, -(c2d * f))
-    gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
-    gx = c2d * f + fx + gx_t
+    _, cache = velocity_cached(field, x2d, u2d)
+    pgrad, gx, gu = velocity_vjp_cached(field, cache, c2d)
+    fgrad, ggrad = np.split(pgrad, [field.decay_params.size])
     if single:
         return fgrad, ggrad, gx[0], gu[0]
     return fgrad, ggrad, gx, gu
-
-
-def velocity_param_vjp(field: StructuredField, x2d, u2d, cotangent2d) -> np.ndarray:
-    """Flat gradient (decay params then target params) of <cot, velocity>."""
-    fgrad, ggrad, _, _ = velocity_vjp(field, x2d, u2d, cotangent2d)
-    return np.concatenate([fgrad, ggrad])
-
-
-def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):
-    """Batched velocity plus the caches needed to replay the reverse pass.
-
-    Hot path for unrolled solvers: no dim re-validation, 2-d arrays only.
-    """
-    f, f_cache = nnet.forward_cached(field.decay_spec, field.decay_params, x2d,
-                                     layers=field.decay_layers())
-    g, g_cache = nnet.forward_cached(field.target_spec, field.target_params,
-                                     target_input(field, x2d, u2d),
-                                     layers=field.target_layers())
-    diff = x2d - g
-    return f * diff, (x2d, f, diff, f_cache, g_cache)
-
-
-def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
-    """Reverse pass over a `velocity_cached` evaluation.
-
-    Returns (flat_param_grad, x_grad); the flat gradient covers decay params
-    then target params, summed over the batch.
-    """
-    x2d, f, diff, f_cache, g_cache = cache
-    fgrad, fx = nnet.backward_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
-    ggrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
-    gx_t, _ = _target_input_vjp(field, x2d, gin_grad)
-    return np.concatenate([fgrad, ggrad]), cotangent2d * f + fx + gx_t
 
 
 # --- checkpointing -----------------------------------------------------------

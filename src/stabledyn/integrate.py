@@ -12,6 +12,8 @@ doubles printed with 17 significant digits (lossless round trip).
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +116,6 @@ def rk4_solve(rhs, x0, u, grid: TimeGrid, traj_id: int = 0, system: str = "") ->
     return Trajectory(grid.times(), states, u, traj_id=traj_id, system=system)
 
 
-def field_rhs_batch(field: StructuredField):
-    """Batched rhs closure for rk4_solve_batch over a StructuredField."""
-    from .field import eval_velocity
-
-    return lambda x, u: eval_velocity(field, x, u)
-
-
 def rk4_solve_unrolled_grad(
     field: StructuredField,
     x0: np.ndarray,
@@ -164,19 +159,19 @@ def rk4_solve_unrolled_grad(
         dk3 = (h / 3.0) * lam
         dk4 = (h / 6.0) * lam
         dxn = lam.copy()
-        pg, dy = velocity_vjp_cached(field, c4, dk4)
+        pg, dy, _ = velocity_vjp_cached(field, c4, dk4)
         pgrad += pg
         dxn += dy
         dk3 += h * dy
-        pg, dy = velocity_vjp_cached(field, c3, dk3)
+        pg, dy, _ = velocity_vjp_cached(field, c3, dk3)
         pgrad += pg
         dxn += dy
         dk2 += (0.5 * h) * dy
-        pg, dy = velocity_vjp_cached(field, c2, dk2)
+        pg, dy, _ = velocity_vjp_cached(field, c2, dk2)
         pgrad += pg
         dxn += dy
         dk1 += (0.5 * h) * dy
-        pg, dy = velocity_vjp_cached(field, c1, dk1)
+        pg, dy, _ = velocity_vjp_cached(field, c1, dk1)
         pgrad += pg
         dxn += dy
         lam = dxn + cotangents[:, n]
@@ -247,14 +242,17 @@ def write_trajectories_csv(path, trajectories: list[Trajectory]) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
-def read_trajectories_csv(path) -> list[Trajectory]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+def read_trajectories_csv(source) -> list[Trajectory]:
+    """Trajectories from a CSV path, or from an iterable of its text lines."""
+    is_path = isinstance(source, (str, os.PathLike))
+    with open(source) if is_path else contextlib.nullcontext(source) as fh:
+        lines = iter(fh)
+        header = next(lines, "").strip().split(",")
         d = sum(1 for c in header if c.startswith("x_"))
         q = sum(1 for c in header if c.startswith("u_"))
         groups: dict[int, list[list[float]]] = {}
         order: list[int] = []
-        for line in fh:
+        for line in lines:
             cells = line.rstrip("\n").split(",")
             tid = int(cells[0])
             if tid not in groups:

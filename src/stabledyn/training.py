@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import nnet
-from .field import StructuredField, eval_velocity, velocity_param_vjp
+from .field import StructuredField, eval_velocity, velocity_cached, velocity_vjp_cached
 from .integrate import TimeGrid, Trajectory, finite_diff, rk4_solve_batch, rk4_solve_unrolled_grad
 
 TRAJ_MATCHING = "traj-matching"
@@ -87,10 +87,11 @@ class GradMatchingObjective:
 
     def loss_and_grad(self, field: StructuredField, idxs=None):
         x, u, d = self._gather(idxs)
-        res = d - eval_velocity(field, x, u)
+        v, cache = velocity_cached(field, x, u)
+        res = d - v
         loss = float(np.mean(np.sum(res * res, axis=1)))
         cot = (-2.0 / len(x)) * res
-        return loss, velocity_param_vjp(field, x, u, cot)
+        return loss, velocity_vjp_cached(field, cache, cot)[0]
 
 
 class TrajMatchingObjective:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stabledyn import benchmarks, training
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
@@ -11,6 +12,7 @@ from stabledyn.benchmarks import (
     save_dataset,
 )
 from stabledyn.cli import EXIT_CONFIG, EXIT_OK, main
+from stabledyn.nnet import init_params
 
 
 @pytest.fixture()
@@ -86,7 +88,77 @@ class TestTrain:
             (b / "sym-hysteresis-field.json").read_bytes()
 
 
+def _edit_state(prefix):
+    csv = prefix.with_suffix(".csv")
+    lines = csv.read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[2] = repr(float(cells[2]) + 0.1)
+    lines[3] = ",".join(cells)
+    csv.write_text("".join(lines))
+
+
+def _edit_manifest(edit):
+    def corrupt(prefix):
+        path = prefix.with_suffix(".json")
+        path.write_text(edit(path.read_text()))
+    return corrupt
+
+
+def _append_rehashed(row):
+    def corrupt(prefix):
+        csv = prefix.with_suffix(".csv")
+        csv.write_text(csv.read_text() + row)
+        manifest = json.loads(prefix.with_suffix(".json").read_text())
+        manifest["content_hash"] = benchmarks._git_blob_sha1(csv.read_bytes())
+        prefix.with_suffix(".json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+class TestDatasetIntegrity:
+    @pytest.mark.parametrize("corrupt,reason", [
+        (_edit_state, "content_hash"),
+        (_edit_manifest(lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "system"})), "KeyError"),
+        (_edit_manifest(lambda text: text[:-5]), "JSONDecodeError"),
+        (_append_rehashed("7,not-a-number\n"), "ValueError"),
+        (_append_rehashed("99\n"), "IndexError"),
+    ], ids=["hash-mismatch", "no-system", "invalid-json", "malformed-row", "short-row"])
+    def test_config_error(self, tiny_dataset, tmp_path, capsys, corrupt, reason):
+        corrupt(tiny_dataset)
+        rc = main(["train", "--data", str(tiny_dataset), "--out", str(tmp_path),
+                   "--epochs", "1"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot load dataset" in err and reason in err
+
+
 class TestCv:
+    def test_candidate_builders_match_make_untrained_field(self, tiny_dataset, tmp_path,
+                                                           monkeypatch):
+        seen = []
+
+        def capture(trajectories, candidates, config, cv_epochs=None):
+            seen.extend(candidates)
+            return training.CvReport([], "default", None)
+
+        monkeypatch.setattr(training, "cross_validate", capture)
+        assert main(["cv", "--data", str(tiny_dataset), "--out", str(tmp_path)]) == EXIT_OK
+        recipes = benchmarks.candidate_models(SYM_HYSTERESIS)
+        assert [name for name, _ in seen] == [name for name, _ in recipes]
+        for (_, builder), (_, recipe) in zip(seen, recipes):
+            for seed in (0, 7):
+                built = builder(seed)
+                ref = benchmarks.make_untrained_field(SYM_HYSTERESIS, seed, recipe)
+                assert built.decay_spec == recipe.decay_spec
+                assert built.target_spec == recipe.target_spec
+                assert np.array_equal(built.decay_params, ref.decay_params)
+                assert np.array_equal(built.target_params, ref.target_params)
+                assert np.array_equal(built.decay_params, init_params(recipe.decay_spec, seed))
+                assert np.array_equal(built.target_params,
+                                      init_params(recipe.target_spec, seed + 1))
+                assert built.featurizer == ref.featurizer
+                assert np.array_equal(built.domain, ref.domain)
+
     def test_cv_emits_fold_table(self, tiny_dataset, tmp_path):
         rc = main(["cv", "--system", "sym-hysteresis", "--data", str(tiny_dataset),
                    "--out", str(tmp_path), "--epochs", "1", "--folds", "3",
@@ -205,6 +277,49 @@ class TestControl:
                          "--seed", "9"]) == EXIT_OK
         assert (a / "budworm-control-trials.csv").read_bytes() == \
             (b / "budworm-control-trials.csv").read_bytes()
+
+
+OUT_OF_RANGE = [
+    ("train", "epochs", 0),
+    ("train", "batch-size", 0),
+    ("train", "lr", -1),
+    ("train", "folds", 1),
+    ("gen-data", "samples", 1),
+    ("gen-data", "seed", -1),
+    ("simulate", "horizon", -1),
+    ("control", "record-every", 0),
+    ("control", "targets", 0),
+    ("control", "k", 0),
+    ("control", "sigma", -0.5),
+    ("bifurcate", "points", 0),
+    ("bifurcate", "scan", 0),
+]
+
+
+class TestNumericRanges:
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    @pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE)
+    def test_config_error(self, tmp_path, capsys, source, command, flag, value):
+        argv = [command, "--system", "budworm", "--oracle", "--out", str(tmp_path)]
+        if command in ("train", "gen-data"):
+            argv.remove("--oracle")
+        if source == "argv":
+            argv += [f"--{flag}", str(value)]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({flag: value}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["3", 2.0, True, None])
+    def test_mistyped_config_value(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"points": value}))
+        rc = main(["bifurcate", "--system", "budworm", "--oracle", "--out", str(tmp_path),
+                   "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert "points must be" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -15,7 +15,9 @@ from stabledyn.field import (
     field_to_dict,
     residual,
     target_vjp,
+    velocity_cached,
     velocity_vjp,
+    velocity_vjp_cached,
 )
 from stabledyn.nnet import MlpSpec, init_params, param_count
 from util import assert_close, central_diff_grad, make_constant_field, make_field
@@ -200,6 +202,29 @@ class TestGradients:
                 rtol=1e-4,
                 label="u",
             )
+
+
+class TestSinglePath:
+    """eval_velocity and velocity_vjp agree bit for bit with the cached
+    forward/reverse pair that the training objectives use."""
+
+    @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])
+    def test_wrappers_equal_cached_pair(self, featurizer, dim, q):
+        fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=23)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1.5, 1.5, size=(7, dim))
+        u = rng.uniform(-1, 1, size=(7, q))
+        w = rng.normal(size=(7, dim))
+        # batched, and single inputs as the squeezed one-row batch
+        for xs, us, ws, rows in ((x, u, w, slice(None)), (x[0], u[0], w[0], 0)):
+            v, cache = velocity_cached(fld, np.atleast_2d(xs), np.atleast_2d(us))
+            pgrad, xgrad, ugrad = velocity_vjp_cached(fld, cache, np.atleast_2d(ws))
+            assert np.array_equal(eval_velocity(fld, xs, us), v[rows])
+            fgrad, ggrad, xg, ug = velocity_vjp(fld, xs, us, ws)
+            assert len(fgrad) == len(fld.decay_params)
+            assert np.array_equal(np.concatenate([fgrad, ggrad]), pgrad)
+            assert np.array_equal(xg, xgrad[rows])
+            assert np.array_equal(ug, ugrad[rows])
 
 
 class TestCheckpoint:

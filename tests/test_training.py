@@ -33,6 +33,24 @@ def field_generated_trajectories(fld, n_traj=6, n_samples=9, horizon=0.5, seed=0
 
 
 class TestGradMatchingLoss:
+    def test_batch_runs_each_net_once(self, monkeypatch):
+        from stabledyn import nnet
+
+        fld = make_field(dim=2, control_dim=2, seed=3)
+        objective = GradMatchingObjective(field_generated_trajectories(fld, n_traj=4))
+        specs = []
+        forward = nnet.forward_cached
+
+        def counted(spec, *args, **kwargs):
+            specs.append(spec)
+            return forward(spec, *args, **kwargs)
+
+        monkeypatch.setattr(nnet, "forward_cached", counted)
+        loss, grad = objective.loss_and_grad(fld)
+        assert sorted(map(id, specs)) == sorted(map(id, (fld.decay_spec, fld.target_spec)))
+        assert loss == objective.loss(fld)
+        assert grad.shape == fld.params.shape
+
     def test_exactly_zero_at_equilibrium_data(self):
         # constant data at an equilibrium: D is exact (zero) and the oracle
         # field velocity is exactly zero there, so the loss vanishes
