@@ -62,7 +62,7 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
 # lowest accepted value of each numeric option that a command may carry
 _INT_MIN = {
     "seed": 0, "threads": 1, "samples": 2, "epochs": 1, "batch_size": 1, "folds": 2,
-    "limit": 1, "scan": 1, "scan_nd": 1, "points": 1, "k": 1, "targets": 1,
+    "restarts": 1, "limit": 1, "scan": 1, "scan_nd": 1, "points": 1, "k": 1, "targets": 1,
     "trials": 1, "record_every": 1,
 }
 _FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
@@ -168,7 +168,9 @@ def _train_config(args, system) -> tuple[training.TrainConfig, int]:
         cfg = replace(cfg, batch_size=args.batch_size)
     if args.lr is not None:
         cfg = replace(cfg, lr0=args.lr)
-    cfg = replace(cfg, seed=args.seed, folds=args.folds, restarts=args.restarts)
+    cfg = replace(cfg, seed=args.seed, restarts=args.restarts)
+    if hasattr(args, "folds"):  # only cv takes --folds
+        cfg = replace(cfg, folds=args.folds)
     return cfg, cv_epochs
 
 
@@ -177,10 +179,10 @@ def cmd_train(args) -> int:
     dataset = _load_dataset_arg(args)
     system = _check_system(args.system or dataset.system)
     cfg, _ = _train_config(args, system)
-    result = training.train(
-        benchmarks.make_untrained_field(system, args.seed), dataset.trajectories, cfg
+    result, _ = training.train_with_restarts(
+        lambda seed: benchmarks.make_untrained_field(system, seed), dataset.trajectories, cfg
     )
-    field_mod.save_field(out / f"{system}-field.json", result.field, seed=args.seed)
+    field_mod.save_field(out / f"{system}-field.json", result.field, seed=result.seed)
     _json_dump(out / f"{system}-train-report.json", result.report(cfg))
     print(f"best loss {result.best_loss:.6e}; checkpoint {out}/{system}-field.json")
     return EXIT_OK
@@ -458,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--restarts", type=int, default=1,
+                   help="train from this many seeds and keep the best")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("cv", help="k-fold cross validation over architectures")

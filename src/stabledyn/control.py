@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nnet
 from .field import StructuredField, eval_target, target_vjp
 from .integrate import TimeGrid, noise_path
 from .nnet import NonFiniteError
@@ -28,8 +29,7 @@ def smooth_heaviside(x, rate: float):
     """Logistic step 1 / (1 + exp(-rate * x)); rate > 0."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    z = np.asarray(x, dtype=float) * rate
-    return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
+    return nnet._sigmoid(np.asarray(x, dtype=float) * rate)
 
 
 @dataclass(frozen=True)

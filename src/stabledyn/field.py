@@ -6,11 +6,13 @@ equilibrium map. Scalar benchmarks may featurize the state with cosine
 modes before it enters the target net; the control vector is appended raw.
 
 Every evaluation runs the two nets through `_decay_forward` and
-`_target_forward`. The velocity has one reverse, `velocity_vjp_cached`,
-which replays the caches kept by `velocity_cached`; `velocity_vjp` is a
-checked-input wrapper around that pair, so a caller that needs both value
-and gradient runs each net once. `eval_velocity` is the value alone, and
-keeps no cache.
+`_target_forward`. Value-only calls (`eval_decay`, `eval_target`,
+`eval_velocity`, `residual`) take the cache-free, row-blocked
+`nnet.forward`, so they hold at most one block of activations whatever the
+batch size. The velocity has one reverse, `velocity_vjp_cached`, which replays
+the caches kept by `velocity_cached`; `velocity_vjp` is a checked-input
+wrapper around that pair, so a caller that needs both value and gradient
+runs each net once.
 """
 
 from __future__ import annotations
@@ -162,49 +164,46 @@ def target_input(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np
     return np.concatenate([feats, u2d], axis=1)
 
 
-def _decay_forward(field: StructuredField, x2d: np.ndarray):
-    """(decay(x), cache) on a batch of states."""
-    return nnet.forward_cached(field.decay_spec, field.decay_params, x2d,
-                               layers=field.decay_layers())
+def _decay_forward(field: StructuredField, x2d: np.ndarray, cached: bool = False):
+    """decay(x) on a batch of states; with ``cached``, (decay(x), cache)."""
+    run = nnet.forward_cached if cached else nnet.forward
+    return run(field.decay_spec, field.decay_params, x2d, layers=field.decay_layers())
 
 
-def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):
-    """(target(x,u), cache) on a batch of states and controls."""
-    return nnet.forward_cached(field.target_spec, field.target_params,
-                               target_input(field, x2d, u2d),
-                               layers=field.target_layers())
+def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,
+                    cached: bool = False):
+    """target(x,u) on a batch of states and controls; with ``cached``,
+    (target(x,u), cache)."""
+    run = nnet.forward_cached if cached else nnet.forward
+    return run(field.target_spec, field.target_params, target_input(field, x2d, u2d),
+               layers=field.target_layers())
 
 
 def eval_decay(field: StructuredField, x) -> np.ndarray:
     """decay(x); strictly negative elementwise."""
     x2d, single = nnet._as_batch(x, field.dim, "state")
-    y, _ = _decay_forward(field, x2d)
+    y = _decay_forward(field, x2d)
     return y[0] if single else y
 
 
 def eval_target(field: StructuredField, x, u) -> np.ndarray:
     """target(x,u); the implicit equilibrium map."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    y, _ = _target_forward(field, x2d, u2d)
+    y = _target_forward(field, x2d, u2d)
     return y[0] if single else y
 
 
 def eval_velocity(field: StructuredField, x, u) -> np.ndarray:
     """velocity(x,u) = decay(x) * (x - target(x,u)), elementwise."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    # not velocity_cached: that holds both nets' caches at once, which on a
-    # full-dataset loss pass doubles peak memory; here each is dropped as
-    # soon as its net has run
-    f = _decay_forward(field, x2d)[0]
-    v = f * (x2d - _target_forward(field, x2d, u2d)[0])
+    v = _decay_forward(field, x2d) * (x2d - _target_forward(field, x2d, u2d))
     return v[0] if single else v
 
 
 def residual(field: StructuredField, x, u) -> np.ndarray:
     """x - target(x,u); zero exactly at implicit equilibria."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    g, _ = _target_forward(field, x2d, u2d)
-    r = x2d - g
+    r = x2d - _target_forward(field, x2d, u2d)
     return r[0] if single else r
 
 
@@ -229,7 +228,7 @@ def target_vjp(field: StructuredField, x, u, cotangent):
     """
     x2d, u2d, single = _batch_xu(field, x, u)
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-    _, cache = _target_forward(field, x2d, u2d)
+    _, cache = _target_forward(field, x2d, u2d, cached=True)
     pgrad, gin_grad = nnet.backward_from_cache(field.target_spec, cache, c2d)
     gx, gu = _target_input_vjp(field, x2d, gin_grad)
     if single:
@@ -242,8 +241,8 @@ def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):
 
     Hot path for unrolled solvers: no dim re-validation, 2-d arrays only.
     """
-    f, f_cache = _decay_forward(field, x2d)
-    g, g_cache = _target_forward(field, x2d, u2d)
+    f, f_cache = _decay_forward(field, x2d, cached=True)
+    g, g_cache = _target_forward(field, x2d, u2d, cached=True)
     diff = x2d - g
     return f * diff, (x2d, f, diff, f_cache, g_cache)
 

@@ -230,7 +230,7 @@ class TestCriterion5LinearControl:
             eta, rho = control.optimal_gd_step(G)
             res = control.gd_linear(prob, rng.normal(size=q), eta, 60)
             usable = res.errors[1:] > 1e-8 * res.errors[0]
-            ratios = (res.errors[1:] / res.errors[:-1])[usable]
+            ratios = res.errors[1:][usable] / res.errors[:-1][usable]
             assert len(ratios) >= 3
             worst = max(worst, float(np.max(np.abs(ratios - rho))))
         report(5, f"(a) measured gd contraction matches (k^2-1)/(k^2+1) "

@@ -87,6 +87,31 @@ class TestTrain:
         assert (a / "sym-hysteresis-field.json").read_bytes() == \
             (b / "sym-hysteresis-field.json").read_bytes()
 
+    def test_restarts_keep_the_best_seed(self, tiny_dataset, tmp_path, monkeypatch):
+        seeds = []
+        train = training.train
+
+        def recorded(fld, trajectories, config, val_trajectories=None):
+            seeds.append(config.seed)
+            return train(fld, trajectories, config, val_trajectories)
+
+        monkeypatch.setattr(training, "train", recorded)
+        runs = {}
+        for name, extra in (("both", ["--seed", "5", "--restarts", "2"]),
+                            ("first", ["--seed", "5"]), ("second", ["--seed", "1005"])):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["train", "--system", "sym-hysteresis", "--data", str(tiny_dataset),
+                         "--out", str(out), "--epochs", "2", *extra]) == EXIT_OK
+            report = json.loads((out / "sym-hysteresis-train-report.json").read_text())
+            report.pop("wall_time_s")
+            runs[name] = (report, (out / "sym-hysteresis-field.json").read_bytes())
+        # the restart seeds are seed + 1000 r, and the lower best loss wins
+        assert seeds == [5, 1005, 5, 1005]
+        best = min(("first", "second"), key=lambda name: runs[name][0]["best_loss"])
+        assert runs["first"][0]["best_loss"] != runs["second"][0]["best_loss"]
+        assert runs["both"] == runs[best]
+
 
 def _edit_state(prefix):
     csv = prefix.with_suffix(".csv")
@@ -283,7 +308,8 @@ OUT_OF_RANGE = [
     ("train", "epochs", 0),
     ("train", "batch-size", 0),
     ("train", "lr", -1),
-    ("train", "folds", 1),
+    ("train", "restarts", 0),
+    ("cv", "folds", 1),
     ("gen-data", "samples", 1),
     ("gen-data", "seed", -1),
     ("simulate", "horizon", -1),
@@ -301,7 +327,7 @@ class TestNumericRanges:
     @pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE)
     def test_config_error(self, tmp_path, capsys, source, command, flag, value):
         argv = [command, "--system", "budworm", "--oracle", "--out", str(tmp_path)]
-        if command in ("train", "gen-data"):
+        if command in ("train", "cv", "gen-data"):
             argv.remove("--oracle")
         if source == "argv":
             argv += [f"--{flag}", str(value)]

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stabledyn import benchmarks, nnet
 from stabledyn.field import (
     Featurizer,
     StructuredField,
@@ -14,6 +16,7 @@ from stabledyn.field import (
     field_from_dict,
     field_to_dict,
     residual,
+    target_input,
     target_vjp,
     velocity_cached,
     velocity_vjp,
@@ -225,6 +228,44 @@ class TestSinglePath:
             assert np.array_equal(np.concatenate([fgrad, ggrad]), pgrad)
             assert np.array_equal(xg, xgrad[rows])
             assert np.array_equal(ug, ugrad[rows])
+
+    @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])
+    def test_value_calls_equal_cached_pair_across_blocks(self, featurizer, dim, q):
+        fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=29)
+        n = 2 * nnet._BLOCK_ROWS + 1
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.5, 1.5, size=(n, dim))
+        u = rng.uniform(-1, 1, size=(n, q))
+        v, (_, f, diff, _, _) = velocity_cached(fld, x, u)
+        assert np.array_equal(eval_velocity(fld, x, u), v)
+        assert np.array_equal(eval_decay(fld, x), f)
+        assert np.array_equal(residual(fld, x, u), diff)
+        g, _ = nnet.forward_cached(fld.target_spec, fld.target_params,
+                                   target_input(fld, x, u))
+        assert np.array_equal(eval_target(fld, x, u), g)
+
+
+class TestValueOnlyMemory:
+    def test_eval_velocity_peak_is_block_bounded(self):
+        # two-tanks: 2 states, 2 controls, 20-wide nets with 3 hidden layers
+        fld = benchmarks.make_untrained_field("two-tanks", 0)
+        n, dim = 100_000, fld.dim
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.0, 1.0, size=(n, dim))
+        u = rng.uniform(0.0, 1.0, size=(n, fld.control_dim))
+        tracemalloc.start()
+        try:
+            eval_velocity(fld, x, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rows x (target input + four state-wide arrays), plus a few
+        # activation blocks; caching every layer would take rows x width x
+        # layers, 150 MB here
+        width = max(fld.target_spec.layer_sizes)
+        rows_bound = 8 * n * (fld.target_spec.in_dim + 4 * dim)
+        block_bound = 8 * nnet._BLOCK_ROWS * width * 6
+        assert peak <= rows_bound + block_bound
 
 
 class TestCheckpoint:

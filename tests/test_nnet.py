@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stabledyn import nnet
 from stabledyn.nnet import (
     AdamState,
     MlpSpec,
@@ -10,8 +11,11 @@ from stabledyn.nnet import (
     PlateauState,
     adam_init,
     adam_step,
+    backward_from_cache,
     checkpoint_from_dict,
     checkpoint_to_dict,
+    forward,
+    forward_cached,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -153,6 +157,102 @@ class TestBackward:
         pg_sum = sum(mlp_backward(spec, params, x, c)[0] for x, c in zip(xs, cots))
         assert_close(pg, pg_sum, rtol=1e-12)
         assert xg.shape == (5, spec.in_dim)
+
+
+# The expression form of the forward and reverse passes before the in-place
+# rewrite, kept as the bitwise reference for the kernels.
+def _reference_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
+
+
+def _reference_forward(spec, params, x2d):
+    layers = nnet.split_params(spec, params)
+    acts, hidden, a = [x2d], [], x2d
+    for w, b in layers[:-1]:
+        z = a @ w.T + b
+        s = _reference_sigmoid(z)
+        a = z * s
+        hidden.append((z, s))
+        acts.append(a)
+    w, b = layers[-1]
+    z = a @ w.T + b
+    s_out = np.clip(_reference_sigmoid(z), 1e-13, 1.0 - 1e-13)
+    lo, hi = spec.output_bounds
+    return lo + (hi - lo) * s_out, (layers, acts, hidden, s_out)
+
+
+def _reference_backward(spec, cache, cotangent2d):
+    layers, acts, hidden, s_out = cache
+    lo, hi = spec.output_bounds
+    delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
+    grads = []
+    for l in range(len(layers) - 1, -1, -1):
+        w, _ = layers[l]
+        grads[:0] = [(delta.T @ acts[l]).ravel(), delta.sum(axis=0)]
+        da = delta @ w
+        if l > 0:
+            z, s = hidden[l - 1]
+            delta = da * (s + z * (s * (1.0 - s)))
+    return np.concatenate(grads), da
+
+
+B = nnet._BLOCK_ROWS
+TANKS_TARGET = MlpSpec((4, 20, 20, 20, 2), output_bounds=(0.0, 1.0))
+
+
+class TestKernels:
+    """The value-only forward, the cached forward and the reverse pass give
+    the same bits as the expression-form reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, B - 1, B, B + 1, 2 * B + 1, 86_751])
+    def test_forward_equals_cached_forward(self, n):
+        rng = np.random.default_rng(n)
+        params = init_params(TANKS_TARGET, 5) * 2.0
+        x = rng.normal(scale=2.0, size=(n, TANKS_TARGET.in_dim))
+        y, _ = forward_cached(TANKS_TARGET, params, x)
+        assert np.array_equal(forward(TANKS_TARGET, params, x), y)
+        assert np.array_equal(y, _reference_forward(TANKS_TARGET, params, x)[0])
+
+    @pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1, 5 * B - 3])
+    def test_blocks_are_near_equal(self, n, monkeypatch):
+        sizes = []
+        run = nnet._run_layers
+
+        def recorded(spec, layers, x2d, keep):
+            sizes.append(x2d.shape[0])
+            return run(spec, layers, x2d, keep)
+
+        monkeypatch.setattr(nnet, "_run_layers", recorded)
+        forward(TANKS_TARGET, init_params(TANKS_TARGET, 0), np.zeros((n, 4)))
+        assert sum(sizes) == n and len(sizes) == -(-n // B)
+        assert max(sizes) <= B and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 2 or n == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 50, 2550])
+    def test_backward_equals_reference(self, n):
+        rng = np.random.default_rng(10 + n)
+        for spec in (TANKS_TARGET, random_spec(rng), random_spec(rng, max_hidden=3)):
+            params = rng.normal(size=param_count(spec))
+            x = rng.normal(scale=3.0, size=(n, spec.in_dim))
+            cot = rng.normal(size=(n, spec.out_dim))
+            y, cache = forward_cached(spec, params, x)
+            y_ref, ref_cache = _reference_forward(spec, params, x)
+            assert np.array_equal(y, y_ref)
+            for got, want in zip(backward_from_cache(spec, cache, cot),
+                                 _reference_backward(spec, ref_cache, cot)):
+                assert np.array_equal(got, want)
+
+    def test_sigmoid_matches_reference_and_takes_scalars(self):
+        small = np.array([-1e4, -745.0, -709.5, -30.0, -1.0, 0.0, 1e-9, 2.5, 40.0, 1e4])
+        large = np.resize(small, (nnet._INPLACE_MIN // 10 + 1, 10))
+        for z in (small, large):
+            z_before = z.copy()
+            assert np.array_equal(nnet._sigmoid(z), _reference_sigmoid(z))
+            assert np.array_equal(z, z_before)
+        for scalar in (np.float64(0.0), np.float64(-3.0), np.array(2.0)):
+            got = nnet._sigmoid(scalar)
+            assert np.ndim(got) == 0 and got == _reference_sigmoid(scalar)
+        assert nnet._sigmoid(np.float64(0.0)) == 0.5
 
 
 class TestAdam:
