@@ -589,7 +589,9 @@ def _trial_start(system: str) -> np.ndarray:
 
 
 def evaluate_trace(trace, magnitude, window_fraction: float = 0.2):
-    """Per-target nRMSE over the final window_fraction of each target span."""
+    """Per-target nRMSE over the final window_fraction of each target's
+    recorded nodes, and at least over its last one; targets with no recorded
+    node are skipped."""
     from .analysis import nrmse
 
     per_target = []
@@ -598,6 +600,7 @@ def evaluate_trace(trace, magnitude, window_fraction: float = 0.2):
         idx = np.nonzero(mask)[0]
         if len(idx) == 0:
             continue
-        tail = idx[int(np.ceil(len(idx) * (1.0 - window_fraction))):]
+        start = int(np.ceil(len(idx) * (1.0 - window_fraction)))
+        tail = idx[min(start, len(idx) - 1):]
         per_target.append(nrmse(trace.states[tail], ref, magnitude))
     return np.asarray(per_target)

@@ -151,12 +151,16 @@ def _load_dataset_arg(args) -> benchmarks.Dataset:
     if prefix.endswith(".csv") or prefix.endswith(".json"):
         prefix = prefix.rsplit(".", 1)[0]
     try:
-        return benchmarks.load_dataset(prefix)
+        dataset = benchmarks.load_dataset(prefix)
     # json.JSONDecodeError and a content-hash mismatch are ValueErrors, a
     # malformed CSV row a ValueError or IndexError, a missing manifest key a
     # KeyError and a manifest of the wrong shape a TypeError
     except (OSError, LookupError, ValueError, TypeError) as err:
         raise ConfigError(f"cannot load dataset {prefix!r}: {type(err).__name__}: {err}")
+    if args.system is not None and dataset.system != _check_system(args.system):
+        raise ConfigError(f"dataset {prefix!r} is {dataset.system!r} data, "
+                          f"not {args.system!r}")
+    return dataset
 
 
 def _train_config(args, system) -> tuple[training.TrainConfig, int]:
@@ -225,12 +229,17 @@ def _load_field_arg(args) -> field_mod.StructuredField:
     if not args.field:
         raise ConfigError("--field CHECKPOINT is required unless --oracle is set")
     try:
-        return field_mod.load_field(args.field)
+        fld = field_mod.load_field(args.field)
     # json.JSONDecodeError is a ValueError; TypeError is a document of the
     # wrong shape, such as a list where an object belongs
     except (OSError, KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"cannot load field checkpoint {args.field!r}: "
                           f"{type(err).__name__}: {err}")
+    dims = benchmarks.SYSTEM_DIMS[args.system]
+    if (fld.dim, fld.control_dim) != dims:
+        raise ConfigError(f"field checkpoint {args.field!r} has (state, control) dims "
+                          f"{(fld.dim, fld.control_dim)}; {args.system} needs {dims}")
+    return fld
 
 
 def cmd_simulate(args) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnet
-from .field import StructuredField, eval_target, target_vjp
+from .field import StructuredField, eval_target, target_cached, target_vjp
 from .integrate import TimeGrid, noise_path
 from .nnet import NonFiniteError
 
@@ -120,15 +120,17 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x_ref = np.atleast_1d(np.asarray(x_ref, dtype=float))
     if isinstance(target_map, StructuredField):
-        levels = [x]
+        # one cached target pass per level; the reverse replays each cache
+        levels = []
         cur = x
         for _ in range(k):
-            cur = eval_target(target_map, cur, u)
-            levels.append(cur)
-        cot = levels[-1] - x_ref
+            nxt, cache = target_cached(target_map, cur, u)
+            levels.append((cur, cache))
+            cur = nxt
+        cot = cur - x_ref
         ugrad = np.zeros_like(u)
-        for j in range(k, 0, -1):
-            _, xg, ug = target_vjp(target_map, levels[j - 1], u, cot)
+        for x_in, cache in reversed(levels):
+            _, xg, ug = target_vjp(target_map, x_in, u, cot, cache=cache)
             ugrad += ug
             cot = xg
         return ugrad

@@ -9,10 +9,15 @@ Every evaluation runs the two nets through `_decay_forward` and
 `_target_forward`. Value-only calls (`eval_decay`, `eval_target`,
 `eval_velocity`, `residual`) take the cache-free, row-blocked
 `nnet.forward`, so they hold at most one block of activations whatever the
-batch size. The velocity has one reverse, `velocity_vjp_cached`, which replays
-the caches kept by `velocity_cached`; `velocity_vjp` is a checked-input
-wrapper around that pair, so a caller that needs both value and gradient
-runs each net once.
+batch size. Each map a caller differentiates has one cached forward and one
+reverse that replays its cache, so a caller that needs both value and
+gradient runs each net once:
+
+- velocity: `velocity_cached` keeps both nets' caches and
+  `velocity_vjp_cached` replays them; `velocity_vjp` is a checked-input
+  wrapper around that pair.
+- target: `target_cached` keeps the target net's cache and `target_vjp`
+  replays it when given; without one it runs `target_cached` itself.
 """
 
 from __future__ import annotations
@@ -220,16 +225,29 @@ def _target_input_vjp(field: StructuredField, x2d: np.ndarray, gin_grad: np.ndar
     return gx, gu
 
 
-def target_vjp(field: StructuredField, x, u, cotangent):
+def target_cached(field: StructuredField, x, u):
+    """target(x,u), as `eval_target` returns it, plus the cache that
+    `target_vjp` replays for the same (x, u)."""
+    x2d, u2d, single = _batch_xu(field, x, u)
+    g, g_cache = _target_forward(field, x2d, u2d, cached=True)
+    return (g[0] if single else g), (x2d, single, g_cache)
+
+
+def target_vjp(field: StructuredField, x, u, cotangent, cache=None):
     """Reverse-mode grads of <cotangent, target(x,u)>.
 
     Returns (target_param_grad, x_grad, u_grad); param grad summed over the
     batch, state/control grads per row (squeezed for single inputs).
+    ``cache`` is what `target_cached` returned for this same (x, u); it is
+    replayed instead of running the net again, and x and u are then not
+    read, so a cache from other inputs silently gives another point's
+    gradient. Without a cache, the forward runs here through `target_cached`.
     """
-    x2d, u2d, single = _batch_xu(field, x, u)
+    if cache is None:
+        _, cache = target_cached(field, x, u)
+    x2d, single, g_cache = cache
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-    _, cache = _target_forward(field, x2d, u2d, cached=True)
-    pgrad, gin_grad = nnet.backward_from_cache(field.target_spec, cache, c2d)
+    pgrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, c2d)
     gx, gu = _target_input_vjp(field, x2d, gin_grad)
     if single:
         return pgrad, gx[0], gu[0]

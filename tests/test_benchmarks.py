@@ -14,6 +14,7 @@ from stabledyn.benchmarks import (
     default_model,
     default_params,
     default_protocol,
+    evaluate_trace,
     gen_dataset,
     load_dataset,
     make_untrained_field,
@@ -21,6 +22,7 @@ from stabledyn.benchmarks import (
     system_rhs,
     transient_time,
 )
+from stabledyn.control import ControlTrace
 from stabledyn.integrate import TimeGrid, Trajectory, rk4_solve
 from util import assert_close
 
@@ -217,3 +219,30 @@ class TestModelRecipes:
             from stabledyn.field import eval_velocity
 
             assert eval_velocity(fld, np.full(d, 0.5), np.full(q, 0.5)).shape == (d,)
+
+
+class TestEvaluateTrace:
+    @staticmethod
+    def _trace(records_per_target):
+        index = np.repeat(np.arange(len(records_per_target)), records_per_target)
+        states = np.arange(index.size, dtype=float)[:, None]
+        targets = [(float(i), np.array([0.0])) for i in range(len(records_per_target))]
+        return ControlTrace(states[:, 0], states, states, index, targets)
+
+    @pytest.mark.parametrize("n", [5, 6, 10, 11, 23])
+    def test_window_is_the_last_fifth(self, n):
+        # nodes 0..n-1 with x = node; the window starts at ceil(0.8 n)
+        start = int(np.ceil(0.8 * n))
+        expected = np.sqrt(np.mean(np.arange(start, n, dtype=float) ** 2)) / 2.0
+        (got,) = evaluate_trace(self._trace([n]), 2.0)
+        assert got[0] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_short_span_keeps_its_last_node(self, n):
+        (got,) = evaluate_trace(self._trace([n]), 2.0)
+        assert got[0] == (n - 1) / 2.0
+
+    def test_target_without_records_is_skipped(self):
+        trace = self._trace([5])
+        trace.targets.append((5.0, np.array([1.0])))
+        assert evaluate_trace(trace, 1.0).shape == (1, 1)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stabledyn import benchmarks, training
+from stabledyn import benchmarks, field, training
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
@@ -226,6 +226,51 @@ class TestMalformedCheckpoint:
                    "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "cannot load field checkpoint" in capsys.readouterr().err
+
+
+def _checkpoint(tmp_path, system):
+    path = tmp_path / f"{system}-untrained.json"
+    field.save_field(path, benchmarks.make_untrained_field(system, 0))
+    return path
+
+
+class TestWrongSystem:
+    @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
+    def test_checkpoint_for_another_system(self, tmp_path, capsys, command):
+        rc = main([command, "--system", "sym-hysteresis", "--out", str(tmp_path),
+                   "--field", str(_checkpoint(tmp_path, "two-tanks"))])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(2, 2); sym-hysteresis needs (1, 1)" in err
+
+    @pytest.mark.parametrize("command", ["train", "cv", "control"])
+    def test_dataset_for_another_system(self, tiny_dataset, tmp_path, capsys, command):
+        argv = [command, "--data", str(tiny_dataset), "--out", str(tmp_path)]
+        if command == "control":
+            # toggle control reads the dataset for its IQR magnitude
+            argv += ["--system", "toggle-switch",
+                     "--field", str(_checkpoint(tmp_path, "toggle-switch"))]
+        else:
+            argv += ["--system", "budworm", "--epochs", "1"]
+        rc = main(argv)
+        assert rc == EXIT_CONFIG
+        assert "is 'sym-hysteresis' data, not" in capsys.readouterr().err
+
+
+class TestShortTargetWindow:
+    @pytest.mark.parametrize("system,extra,scored", [
+        # 80 steps per target, one record in 20: 4 records each
+        ("two-tanks", ["--t-per-target", "20", "--targets", "2"], 2),
+        # only t = 0 is recorded, so only the first target has a node
+        ("sym-hysteresis", ["--t-per-target", "1", "--targets", "2",
+                            "--record-every", "100000"], 1),
+    ], ids=["four-records", "one-record"])
+    def test_scores_the_last_recorded_node(self, tmp_path, system, extra, scored):
+        rc = main(["control", "--system", system, "--out", str(tmp_path), "--trials", "1",
+                   "--field", str(_checkpoint(tmp_path, system)), *extra])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / f"{system}-control-summary.json").read_text())
+        assert len(summary["per_target"]) == scored
 
 
 class TestEquilibria:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stabledyn import benchmarks, nnet
 from stabledyn.control import (
     ControlPolicyCfg,
     GdResult,
@@ -19,7 +20,16 @@ from stabledyn.control import (
     ridge_solve,
     smooth_heaviside,
 )
-from stabledyn.field import eval_target, eval_velocity, residual
+from stabledyn.field import (
+    _batch_xu,
+    _target_forward,
+    _target_input_vjp,
+    eval_target,
+    eval_velocity,
+    residual,
+    target_cached,
+    target_vjp,
+)
 from stabledyn.integrate import TimeGrid
 from util import assert_close, central_diff_grad, make_constant_field, make_field
 
@@ -118,6 +128,87 @@ class TestControlObjectiveGrad:
             return 0.5 * float(r @ r)
 
         assert_close(grad, central_diff_grad(objective, u), rtol=1e-4, floor=1e-8)
+
+
+def _two_pass_grad(fld, x, u, x_ref, k):
+    """The structured-field gradient as it was computed before each level
+    kept its cache: a value-only pass per level, then a reverse sweep that
+    runs every level's forward again."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x_ref = np.atleast_1d(np.asarray(x_ref, dtype=float))
+    levels = [x]
+    cur = x
+    for _ in range(k):
+        cur = eval_target(fld, cur, u)
+        levels.append(cur)
+    cot = levels[-1] - x_ref
+    ugrad = np.zeros_like(u)
+    for j in range(k, 0, -1):
+        x2d, u2d, single = _batch_xu(fld, levels[j - 1], u)
+        c2d = np.asarray(cot, dtype=float).reshape(x2d.shape[0], fld.dim)
+        _, cache = _target_forward(fld, x2d, u2d, cached=True)
+        _, gin_grad = nnet.backward_from_cache(fld.target_spec, cache, c2d)
+        gx, gu = _target_input_vjp(fld, x2d, gin_grad)
+        ugrad += gu[0]
+        cot = gx[0]
+    return ugrad
+
+
+# a featurized scalar field and the 2-d two-tanks field, each at a state and
+# control inside its domain
+CASES = {
+    "sym-hysteresis": ([0.3], [-0.2], [0.9]),
+    "two-tanks": ([0.4, 0.6], [0.3, 0.7], [0.5, 0.2]),
+}
+
+
+class TestOnePassPerLevel:
+    @pytest.mark.parametrize("system", sorted(CASES))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bitwise_equal_to_two_pass(self, system, k):
+        fld = benchmarks.make_untrained_field(system, 4)
+        x, u, x_ref = (np.array(v) for v in CASES[system])
+        grad = control_objective_grad(fld, x, u, x_ref, k)
+        assert np.any(grad != 0.0)
+        assert np.array_equal(grad, _two_pass_grad(fld, x, u, x_ref, k))
+
+    @pytest.mark.parametrize("system", sorted(CASES))
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_target_net_runs_once_per_level(self, system, k, monkeypatch):
+        fld = benchmarks.make_untrained_field(system, 4)
+        calls = []
+
+        def counting(name, fn):
+            def run(spec, *args, **kwargs):
+                calls.append((name, spec))
+                return fn(spec, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(nnet, "forward", counting("forward", nnet.forward))
+        monkeypatch.setattr(nnet, "forward_cached",
+                            counting("forward_cached", nnet.forward_cached))
+        x, u, x_ref = CASES[system]
+        control_objective_grad(fld, x, u, x_ref, k)
+        assert calls == [("forward_cached", fld.target_spec)] * k
+
+    @pytest.mark.parametrize("system", sorted(CASES))
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_target_vjp_replays_cache_bitwise(self, system, rows):
+        fld = benchmarks.make_untrained_field(system, 4)
+        x, u, _ = (np.array(v) for v in CASES[system])
+        if rows is not None:
+            rng = np.random.default_rng(0)
+            x = x + rng.uniform(-0.1, 0.1, (rows, x.size))
+            u = u + rng.uniform(-0.1, 0.1, (rows, u.size))
+        cot = np.linspace(-1.0, 1.0, np.size(x)).reshape(np.shape(x))
+        value, cache = target_cached(fld, x, u)
+        assert np.array_equal(value, eval_target(fld, x, u))
+        fresh = target_vjp(fld, x, u, cot)
+        replayed = target_vjp(fld, x, u, cot, cache=cache)
+        for a, b in zip(fresh, replayed):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 class TestFeedbackSimulate:
