@@ -66,7 +66,8 @@ def _batched(x, u, d, q):
     if single:
         x = x[None, :]
     if u.ndim == 1:
-        u = np.broadcast_to(u, (x.shape[0], q))
+        # one row; the elementwise right-hand sides broadcast it over x's rows
+        u = u[None, :]
     if x.shape[1] != d or u.shape[1] != q:
         raise ValueError(f"expected state dim {d} and control dim {q}")
     return x, u, single
@@ -562,14 +563,12 @@ def run_control_trial(system: str, target_map, targets: np.ndarray,
     """One trial: steer the true (stochastic) system through the target list."""
     from .control import ControlPolicyCfg, feedback_simulate
 
-    schedule = [(i * recipe.t_per_target, targets[i]) for i in range(len(targets))]
-    total = recipe.t_per_target * len(targets)
-    grid = TimeGrid(0.0, total, int(round(total / recipe.step)))
+    starts, grid = _control_schedule(recipe, len(targets))
     return feedback_simulate(
         plant_rhs=rhs_fn(system, params),
         target_map=target_map,
         policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, constraints=recipe.constraints),
-        targets=schedule,
+        targets=list(zip(starts, targets)),
         x0=_trial_start(system),
         u0=np.asarray(recipe.u0, dtype=float),
         grid=grid,
@@ -577,6 +576,23 @@ def run_control_trial(system: str, target_map, targets: np.ndarray,
         seed=seed,
         record_every=record_every,
     )
+
+
+def _control_schedule(recipe: ControlRecipe, n_targets: int):
+    """Start time of each target and the time grid of a control trial."""
+    starts = [i * recipe.t_per_target for i in range(n_targets)]
+    total = recipe.t_per_target * n_targets
+    return starts, TimeGrid(0.0, total, int(round(total / recipe.step)))
+
+
+def unrecorded_targets(recipe: ControlRecipe, n_targets: int, record_every: int) -> list[int]:
+    """Targets that no recorded node of a `run_control_trial` would belong
+    to, so `evaluate_trace` could not score them."""
+    from .control import active_targets
+
+    starts, grid = _control_schedule(recipe, n_targets)
+    recorded = active_targets(starts, grid.times()[::record_every])
+    return sorted(set(range(n_targets)) - set(recorded.tolist()))
 
 
 def _trial_start(system: str) -> np.ndarray:

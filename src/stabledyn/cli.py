@@ -279,13 +279,16 @@ def cmd_equilibria(args) -> int:
     out = _outdir(args)
     target_fn, fld = _field_for_analysis(args, system)
     d, q = benchmarks.SYSTEM_DIMS[system]
-    u = np.asarray(
-        [float(v) for v in args.control.split(",")] if args.control else
-        benchmarks.default_control_recipe(system).u0,
-        dtype=float,
-    )
-    if u.shape != (q,):
-        raise ConfigError(f"--control needs {q} comma-separated values")
+    if args.control is None:
+        u = np.asarray(benchmarks.default_control_recipe(system).u0, dtype=float)
+    else:
+        try:
+            u = np.array([float(v) for v in str(args.control).split(",")])
+        except ValueError:
+            u = None
+        if u is None or u.shape != (q,) or not np.isfinite(u).all():
+            raise ConfigError(f"--control needs {q} comma-separated finite numbers, "
+                              f"got {args.control!r}")
     box = benchmarks.default_model(system).domain
 
     rows = []
@@ -390,6 +393,11 @@ def cmd_control(args) -> int:
         recipe = replace(recipe, sigma=args.sigma)
     if args.t_per_target is not None:
         recipe = replace(recipe, t_per_target=args.t_per_target)
+
+    unscored = benchmarks.unrecorded_targets(recipe, args.targets, args.record_every)
+    if unscored:
+        raise ConfigError(f"targets {unscored} would get no recorded node, so they could "
+                          f"not be scored; lower --record-every or raise --t-per-target")
 
     if recipe.magnitude_definition == "iqr":
         dataset = _load_dataset_arg(args)

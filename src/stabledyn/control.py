@@ -130,7 +130,7 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
         cot = cur - x_ref
         ugrad = np.zeros_like(u)
         for x_in, cache in reversed(levels):
-            _, xg, ug = target_vjp(target_map, x_in, u, cot, cache=cache)
+            xg, ug = target_vjp(target_map, x_in, u, cot, cache=cache)
             ugrad += ug
             cot = xg
         return ugrad
@@ -162,6 +162,13 @@ class ControlTrace:
     targets: list            # [(t_start, x_ref), ...]
 
 
+def active_targets(starts, times) -> np.ndarray:
+    """Index of the target active at each time in a schedule whose targets
+    start at the ordered ``starts``: the last one started by then, and the
+    first one before any has started."""
+    return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+
+
 def feedback_simulate(
     plant_rhs,
     target_map,
@@ -177,9 +184,9 @@ def feedback_simulate(
     """Steer the plant through a schedule of targets.
 
     ``targets`` is a time-ordered list of (t_start, x_ref); the last target
-    whose start time is <= t is active. The state follows Euler-Maruyama
-    with diffusion ``sigma * sqrt(|x|)`` per coordinate; the control follows
-    du/dt = -eta * grad * gate, noise-free, on the same grid.
+    whose start time is <= t is active (`active_targets`). The state follows
+    Euler-Maruyama with diffusion ``sigma * sqrt(|x|)`` per coordinate; the
+    control follows du/dt = -eta * grad * gate, noise-free, on the same grid.
     """
     if not targets:
         raise ValueError("need at least one target")
@@ -203,7 +210,7 @@ def feedback_simulate(
     out_u = np.empty((n_rec, u.shape[0]))
     out_idx = np.empty(n_rec, dtype=int)
 
-    active = 0
+    active_at = active_targets(starts, times)
     rec = 0
 
     def record(i, t):
@@ -211,24 +218,22 @@ def feedback_simulate(
         out_t[rec] = t
         out_x[rec] = x
         out_u[rec] = u
-        out_idx[rec] = active
+        out_idx[rec] = active_at[i]
         rec += 1
 
     for n in range(grid.n_steps + 1):
         t = times[n]
-        while active + 1 < len(targets) and starts[active + 1] <= t:
-            active += 1
         if n % record_every == 0:
             record(n, t)
         if n == grid.n_steps:
             break
-        grad = control_objective_grad(target_map, x, u, refs[active], policy.k)
+        grad = control_objective_grad(target_map, x, u, refs[active_at[n]], policy.k)
         gate = control_gate(u, policy.constraints)
         drift_x = np.asarray(plant_rhs(x, u), dtype=float)
         diff = sigma * np.sqrt(np.abs(x)) if sigma else 0.0
         x = x + h * drift_x + sqrt_h * diff * noise.increments[n]
         u = u - h * policy.eta * grad * gate
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        if not (np.isfinite(x).all() and np.isfinite(u).all()):
             raise NonFiniteError(f"feedback simulation diverged at t={t:.6g}")
     return ControlTrace(out_t[:rec], out_x[:rec], out_u[:rec], out_idx[:rec], list(targets))
 

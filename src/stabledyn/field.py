@@ -18,6 +18,10 @@ gradient runs each net once:
   wrapper around that pair.
 - target: `target_cached` keeps the target net's cache and `target_vjp`
   replays it when given; without one it runs `target_cached` itself.
+  `target_vjp` returns the input gradients (x_grad, u_grad) only, through
+  `nnet.input_vjp_from_cache`: feedback control and equilibrium Jacobians
+  read nothing else, and training takes the target net's parameter
+  gradient from `velocity_vjp_cached`.
 """
 
 from __future__ import annotations
@@ -60,31 +64,24 @@ class Featurizer:
 def featurize(x, cfg: Featurizer) -> np.ndarray:
     """Feature vector for scalar state(s) x; shape (..., 1 + num_modes)."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    col = arr.reshape(-1, 1)
-    if not cfg.enabled:
-        out = col
-    else:
-        out = np.concatenate([col, np.cos(cfg.frequencies() * (col - cfg.a))], axis=1)
-    if scalar:
-        return out[0]
-    return out.reshape(arr.shape + (out.shape[1],))
+    flat = arr.reshape(-1)
+    out = np.empty((flat.size, cfg.out_dim))
+    out[:, 0] = flat
+    if cfg.enabled:
+        np.cos(cfg.frequencies() * (flat[:, None] - cfg.a), out=out[:, 1:])
+    return out.reshape(arr.shape + (cfg.out_dim,))
 
 
 def featurize_dx(x, cfg: Featurizer) -> np.ndarray:
     """d(features)/dx, same trailing shape as featurize."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    col = arr.reshape(-1, 1)
-    ones = np.ones_like(col)
-    if not cfg.enabled:
-        out = ones
-    else:
+    flat = arr.reshape(-1)
+    out = np.empty((flat.size, cfg.out_dim))
+    out[:, 0] = 1.0
+    if cfg.enabled:
         w = cfg.frequencies()
-        out = np.concatenate([ones, -w * np.sin(w * (col - cfg.a))], axis=1)
-    if scalar:
-        return out[0]
-    return out.reshape(arr.shape + (out.shape[1],))
+        np.multiply(-w, np.sin(w * (flat[:, None] - cfg.a)), out=out[:, 1:])
+    return out.reshape(arr.shape + (cfg.out_dim,))
 
 
 @dataclass
@@ -219,7 +216,7 @@ def _target_input_vjp(field: StructuredField, x2d: np.ndarray, gin_grad: np.ndar
     gu = gin_grad[:, feat_len:]
     if field.featurizer is not None and field.featurizer.enabled:
         dfeat = featurize_dx(x2d[:, 0], field.featurizer)  # (N, feat_len)
-        gx = np.sum(gfeat * dfeat, axis=1, keepdims=True)
+        gx = np.add.reduce(gfeat * dfeat, axis=1, keepdims=True)
     else:
         gx = gfeat
     return gx, gu
@@ -234,24 +231,25 @@ def target_cached(field: StructuredField, x, u):
 
 
 def target_vjp(field: StructuredField, x, u, cotangent, cache=None):
-    """Reverse-mode grads of <cotangent, target(x,u)>.
+    """Reverse-mode grads of <cotangent, target(x,u)> in the inputs.
 
-    Returns (target_param_grad, x_grad, u_grad); param grad summed over the
-    batch, state/control grads per row (squeezed for single inputs).
-    ``cache`` is what `target_cached` returned for this same (x, u); it is
-    replayed instead of running the net again, and x and u are then not
-    read, so a cache from other inputs silently gives another point's
-    gradient. Without a cache, the forward runs here through `target_cached`.
+    Returns (x_grad, u_grad), per row (squeezed for single inputs). The
+    target net's parameter gradient is not built; training gets it from
+    `velocity_vjp_cached`. ``cache`` is what `target_cached` returned for
+    this same (x, u); it is replayed instead of running the net again, and
+    x and u are then not read, so a cache from other inputs silently gives
+    another point's gradient. Without a cache, the forward runs here through
+    `target_cached`.
     """
     if cache is None:
         _, cache = target_cached(field, x, u)
     x2d, single, g_cache = cache
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-    pgrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, c2d)
+    gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, c2d)
     gx, gu = _target_input_vjp(field, x2d, gin_grad)
     if single:
-        return pgrad, gx[0], gu[0]
-    return pgrad, gx, gu
+        return gx[0], gu[0]
+    return gx, gu
 
 
 def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):

@@ -5,6 +5,15 @@ Parameters for one MLP live in a single flat float64 vector. Layout, per
 layer: weight matrix (rows = output units) flattened row-major, then the
 bias vector. Everything here is a pure function of its explicit inputs,
 so forward/backward are safe to evaluate concurrently over shared params.
+
+The passes come in two pairs, each pair sharing one routine, so a pair's
+members give the same bits on the rows they share:
+
+- forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
+  what the reverse pass needs.
+- reverse (`_reverse_layers`, replaying a `forward_cached` cache):
+  `backward_from_cache` returns the batch-summed parameter gradient and the
+  per-row input gradient, `input_vjp_from_cache` the input gradient only.
 """
 
 from __future__ import annotations
@@ -179,7 +188,9 @@ def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool):
     w, b = layers[-1]
     z = a @ w.T
     z += b
-    s_out = np.clip(_sigmoid(z), _SAT, 1.0 - _SAT)
+    s_out = _sigmoid(z)
+    np.maximum(s_out, _SAT, out=s_out)
+    np.minimum(s_out, 1.0 - _SAT, out=s_out)
     lo, hi = spec.output_bounds
     y = lo + (hi - lo) * s_out
     return y, ((layers, acts, hidden, s_out) if keep else None)
@@ -219,24 +230,39 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=No
     return _run_layers(spec, layers, x2d, keep=True)
 
 
-def backward_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray):
-    """Reverse pass of <cotangent, forward(x)>: flat param grad summed over
-    the batch plus per-row input gradients."""
+def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
+    """The delta chain of every reverse pass: the per-row input gradient of
+    <cotangent, forward(x)>. Each layer's weight and bias gradients, summed
+    over the batch, are written into ``flat`` only when one is given."""
     layers, acts, hidden, s_out = cache
     lo, hi = spec.output_bounds
     delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
-    flat = np.empty(param_count(spec))
     layout = _layout(spec)
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        w_off, b_off, n_out, n_in = layout[l]
-        np.matmul(delta.T, acts[l], out=flat[w_off:b_off].reshape(n_out, n_in))
-        flat[b_off : b_off + n_out] = delta.sum(axis=0)
+        if flat is not None:
+            w_off, b_off, n_out, n_in = layout[l]
+            np.matmul(delta.T, acts[l], out=flat[w_off:b_off].reshape(n_out, n_in))
+            np.add.reduce(delta, axis=0, out=flat[b_off : b_off + n_out])
         da = delta @ w
         if l > 0:
             z, s = hidden[l - 1]
             delta = _silu_vjp(z, s, da)
-    return flat, da
+    return da
+
+
+def backward_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray):
+    """Reverse pass of <cotangent, forward(x)>: flat param grad summed over
+    the batch plus per-row input gradients."""
+    _, b_off, n_out, _ = _layout(spec)[-1]
+    flat = np.empty(b_off + n_out)
+    return flat, _reverse_layers(spec, cache, cotangent2d, flat)
+
+
+def input_vjp_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
+    """Per-row input gradient of <cotangent, forward(x)>, the same bits as
+    ``backward_from_cache(...)[1]``, without building the parameter gradient."""
+    return _reverse_layers(spec, cache, cotangent2d)
 
 
 def mlp_forward(spec: MlpSpec, params: np.ndarray, x) -> np.ndarray:

@@ -261,15 +261,24 @@ class TestShortTargetWindow:
     @pytest.mark.parametrize("system,extra,scored", [
         # 80 steps per target, one record in 20: 4 records each
         ("two-tanks", ["--t-per-target", "20", "--targets", "2"], 2),
-        # only t = 0 is recorded, so only the first target has a node
+        # only t = 0 is recorded, so the second target would have no node:
+        # the run is refused and writes nothing
         ("sym-hysteresis", ["--t-per-target", "1", "--targets", "2",
-                            "--record-every", "100000"], 1),
+                            "--record-every", "100000"], None),
     ], ids=["four-records", "one-record"])
-    def test_scores_the_last_recorded_node(self, tmp_path, system, extra, scored):
+    def test_scores_the_last_recorded_node(self, tmp_path, capsys, system, extra, scored):
         rc = main(["control", "--system", system, "--out", str(tmp_path), "--trials", "1",
                    "--field", str(_checkpoint(tmp_path, system)), *extra])
+        summary_path = tmp_path / f"{system}-control-summary.json"
+        if scored is None:
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "--record-every" in err and "--t-per-target" in err
+            assert not summary_path.exists()
+            assert not (tmp_path / f"{system}-control-trials.csv").exists()
+            return
         assert rc == EXIT_OK
-        summary = json.loads((tmp_path / f"{system}-control-summary.json").read_text())
+        summary = json.loads(summary_path.read_text())
         assert len(summary["per_target"]) == scored
 
 
@@ -288,6 +297,21 @@ class TestEquilibria:
     def test_tanks_oracle_refused(self, tmp_path):
         rc = main(["equilibria", "--system", "two-tanks", "--oracle", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("system,value", [
+        ("sym-hysteresis", "abc"),
+        ("sym-hysteresis", "nan"),
+        ("sym-hysteresis", "inf"),
+        ("sym-hysteresis", "0.1,0.2"),
+        ("toggle-switch", "5,5,2"),
+        ("toggle-switch", "5,5,-inf,2"),
+    ])
+    def test_bad_control_is_refused(self, tmp_path, capsys, system, value):
+        rc = main(["equilibria", "--system", system, "--oracle", "--control", value,
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "--control" in capsys.readouterr().err
+        assert not (tmp_path / f"{system}-equilibria.json").exists()
 
     def test_toggle_reports_failed_starts(self, tmp_path, capsys):
         rc = main(["equilibria", "--system", "toggle-switch", "--oracle",

@@ -7,6 +7,7 @@ from stabledyn.control import (
     GdResult,
     HeavisideTerm,
     LinearControlProblem,
+    active_targets,
     control_gate,
     control_objective_grad,
     feedback_simulate,
@@ -185,12 +186,14 @@ class TestOnePassPerLevel:
                 return fn(spec, *args, **kwargs)
             return run
 
-        monkeypatch.setattr(nnet, "forward", counting("forward", nnet.forward))
-        monkeypatch.setattr(nnet, "forward_cached",
-                            counting("forward_cached", nnet.forward_cached))
+        for name in ("forward", "forward_cached", "backward_from_cache",
+                     "input_vjp_from_cache"):
+            monkeypatch.setattr(nnet, name, counting(name, getattr(nnet, name)))
         x, u, x_ref = CASES[system]
         control_objective_grad(fld, x, u, x_ref, k)
-        assert calls == [("forward_cached", fld.target_spec)] * k
+        # k cached forwards, then k input-only reverses; no parameter gradient
+        assert calls == ([("forward_cached", fld.target_spec)] * k
+                         + [("input_vjp_from_cache", fld.target_spec)] * k)
 
     @pytest.mark.parametrize("system", sorted(CASES))
     @pytest.mark.parametrize("rows", [None, 5])
@@ -297,6 +300,17 @@ class TestFeedbackSimulate:
         )
         assert len(trace.times) == 11
         assert trace.times[-1] == 1.0
+
+    @pytest.mark.parametrize("starts", [[0.0], [0.0, 0.5, 0.5, 1.0], [0.3, 0.7], [0.0, 2.0]])
+    def test_active_targets_match_the_step_rule(self, starts):
+        # the incremental rule: advance while the next target has started
+        times = TimeGrid(0.0, 1.0, 40).times()
+        want, active = [], 0
+        for t in times:
+            while active + 1 < len(starts) and starts[active + 1] <= t:
+                active += 1
+            want.append(active)
+        assert active_targets(starts, times).tolist() == want
 
 
 class TestLinearTheory:

@@ -16,6 +16,7 @@ from stabledyn.field import (
     field_from_dict,
     field_to_dict,
     residual,
+    target_cached,
     target_input,
     target_vjp,
     velocity_cached,
@@ -28,7 +29,31 @@ from util import assert_close, central_diff_grad, make_constant_field, make_fiel
 HYST_FEAT = Featurizer(a=-1.5, b=1.5, num_modes=4)
 
 
+# The concatenating form of the features and their derivative, kept as the
+# bitwise reference for the preallocated one.
+def _reference_features(x, cfg, dx=False):
+    arr = np.asarray(x, dtype=float)
+    col = arr.reshape(-1, 1)
+    first = np.ones_like(col) if dx else col
+    if cfg.enabled:
+        w = cfg.frequencies()
+        rest = -w * np.sin(w * (col - cfg.a)) if dx else np.cos(w * (col - cfg.a))
+        first = np.concatenate([first, rest], axis=1)
+    return first.reshape(arr.shape + (first.shape[1],))
+
+
 class TestFeaturize:
+    @pytest.mark.parametrize("cfg", [HYST_FEAT, Featurizer(-2.0, 3.0, 7),
+                                     Featurizer(-1.5, 1.5, 0),
+                                     Featurizer(-1.5, 1.5, 4, enabled=False)])
+    @pytest.mark.parametrize("shape", [(), (1,), (50,), (2550,), (3, 4)])
+    def test_equals_concatenating_reference(self, cfg, shape):
+        x = np.random.default_rng(len(shape)).normal(scale=2.0, size=shape)
+        for dx, fn in ((False, featurize), (True, featurize_dx)):
+            got, want = fn(x, cfg), _reference_features(x, cfg, dx)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
     def test_left_endpoint_all_ones(self):
         out = featurize(-1.5, HYST_FEAT)
         assert_close(out, [-1.5, 1, 1, 1, 1], rtol=1e-12)
@@ -178,7 +203,10 @@ class TestGradients:
             x = rng.uniform(-1.5, 1.5, size=1)
             u = rng.uniform(-1, 1, size=2)
             w = rng.normal(size=1)
-            pgrad, xgrad, ugrad = target_vjp(fld, x, u, w)
+            xgrad, ugrad = target_vjp(fld, x, u, w)
+            # the target net's parameter gradient, from the same cached forward
+            _, cache = target_cached(fld, x, u)
+            pgrad, _ = nnet.backward_from_cache(fld.target_spec, cache[2], w[None, :])
             assert_close(
                 pgrad,
                 central_diff_grad(

@@ -17,6 +17,7 @@ from stabledyn.nnet import (
     forward,
     forward_cached,
     init_params,
+    input_vjp_from_cache,
     mlp_backward,
     mlp_forward,
     param_count,
@@ -198,6 +199,7 @@ def _reference_backward(spec, cache, cotangent2d):
 
 B = nnet._BLOCK_ROWS
 TANKS_TARGET = MlpSpec((4, 20, 20, 20, 2), output_bounds=(0.0, 1.0))
+HYST_TARGET = MlpSpec((6, 20, 20, 1), output_bounds=(-2.0, 2.0))
 
 
 class TestKernels:
@@ -230,17 +232,21 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", [1, 3, 50, 2550])
     def test_backward_equals_reference(self, n):
+        """Both reverse entry points: the full backward against the reference,
+        and the input-only reverse against the full backward's input grad."""
         rng = np.random.default_rng(10 + n)
-        for spec in (TANKS_TARGET, random_spec(rng), random_spec(rng, max_hidden=3)):
+        for spec in (TANKS_TARGET, HYST_TARGET, random_spec(rng),
+                     random_spec(rng, max_hidden=3)):
             params = rng.normal(size=param_count(spec))
             x = rng.normal(scale=3.0, size=(n, spec.in_dim))
             cot = rng.normal(size=(n, spec.out_dim))
             y, cache = forward_cached(spec, params, x)
             y_ref, ref_cache = _reference_forward(spec, params, x)
             assert np.array_equal(y, y_ref)
-            for got, want in zip(backward_from_cache(spec, cache, cot),
-                                 _reference_backward(spec, ref_cache, cot)):
+            full = backward_from_cache(spec, cache, cot)
+            for got, want in zip(full, _reference_backward(spec, ref_cache, cot)):
                 assert np.array_equal(got, want)
+            assert np.array_equal(input_vjp_from_cache(spec, cache, cot), full[1])
 
     def test_sigmoid_matches_reference_and_takes_scalars(self):
         small = np.array([-1e4, -745.0, -709.5, -30.0, -1.0, 0.0, 1e-9, 2.5, 40.0, 1e4])
