@@ -557,36 +557,44 @@ def sample_targets(system: str, n: int, seed, params: dict | None = None) -> np.
     raise ValueError(f"unknown system {system!r}")
 
 
-def run_control_trial(system: str, target_map, targets: np.ndarray,
-                      recipe: ControlRecipe, seed, params: dict | None = None,
-                      record_every: int = 1):
-    """One trial: steer the true (stochastic) system through the target list."""
+def run_control_trials(system: str, target_map, targets: np.ndarray,
+                       recipe: ControlRecipe, seeds, params: dict | None = None,
+                       record_every: int = 1):
+    """Steer the true (stochastic) system through each trial's target list,
+    all trials at once; ``targets`` is (trials, n_targets, d) and ``seeds``
+    holds one noise seed per trial. Returns one trace per trial."""
     from .control import ControlPolicyCfg, feedback_simulate
 
-    starts, grid = _control_schedule(recipe, len(targets))
+    targets = np.asarray(targets, dtype=float)
+    starts, grid = _control_schedule(recipe, targets.shape[1])
     return feedback_simulate(
         plant_rhs=rhs_fn(system, params),
         target_map=target_map,
         policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, constraints=recipe.constraints),
-        targets=list(zip(starts, targets)),
+        targets=list(zip(starts, targets.swapaxes(0, 1))),
         x0=_trial_start(system),
         u0=np.asarray(recipe.u0, dtype=float),
         grid=grid,
         sigma=recipe.sigma,
-        seed=seed,
+        seeds=seeds,
         record_every=record_every,
     )
+
+
+def control_steps(recipe: ControlRecipe, n_targets: int) -> int:
+    """Euler steps of a control trial through n_targets targets."""
+    return int(round(recipe.t_per_target * n_targets / recipe.step))
 
 
 def _control_schedule(recipe: ControlRecipe, n_targets: int):
     """Start time of each target and the time grid of a control trial."""
     starts = [i * recipe.t_per_target for i in range(n_targets)]
     total = recipe.t_per_target * n_targets
-    return starts, TimeGrid(0.0, total, int(round(total / recipe.step)))
+    return starts, TimeGrid(0.0, total, control_steps(recipe, n_targets))
 
 
 def unrecorded_targets(recipe: ControlRecipe, n_targets: int, record_every: int) -> list[int]:
-    """Targets that no recorded node of a `run_control_trial` would belong
+    """Targets that no recorded node of `run_control_trials` would belong
     to, so `evaluate_trace` could not score them."""
     from .control import active_targets
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -122,13 +121,6 @@ def _json_dump(path: Path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _thread_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- commands -----------------------------------------------------------------
@@ -394,6 +386,9 @@ def cmd_control(args) -> int:
     if args.t_per_target is not None:
         recipe = replace(recipe, t_per_target=args.t_per_target)
 
+    if benchmarks.control_steps(recipe, args.targets) < 1:
+        raise ConfigError(f"{args.targets} targets of --t-per-target {recipe.t_per_target} "
+                          f"round to 0 control steps of {recipe.step}; raise --t-per-target")
     unscored = benchmarks.unrecorded_targets(recipe, args.targets, args.record_every)
     if unscored:
         raise ConfigError(f"targets {unscored} would get no recorded node, so they could "
@@ -405,15 +400,14 @@ def cmd_control(args) -> int:
     else:
         magnitude = benchmarks.system_magnitude(system)
 
-    def one_trial(trial):
-        targets = benchmarks.sample_targets(system, args.targets, seed=[args.seed, 7, trial])
-        trace = benchmarks.run_control_trial(
-            system, target_map, targets, recipe, seed=[args.seed, 11, trial],
-            record_every=args.record_every,
-        )
-        return trace, benchmarks.evaluate_trace(trace, magnitude)
-
-    results = _thread_map(one_trial, range(args.trials), args.threads)
+    trials = range(args.trials)
+    targets = [benchmarks.sample_targets(system, args.targets, seed=[args.seed, 7, trial])
+               for trial in trials]
+    traces = benchmarks.run_control_trials(
+        system, target_map, targets, recipe, seeds=[[args.seed, 11, trial] for trial in trials],
+        record_every=args.record_every,
+    )
+    results = [(trace, benchmarks.evaluate_trace(trace, magnitude)) for trace in traces]
 
     csv_path = out / f"{system}-control-trials.csv"
     d, q = benchmarks.SYSTEM_DIMS[system]
@@ -455,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (must exist)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker fan-out; 1 guarantees bitwise determinism")
+                       help="accepted for compatibility; has no effect (every run is "
+                            "bitwise reproducible)")
         p.add_argument("--config", help="flat JSON config file; flags override")
         p.add_argument("--paper-scale", action="store_true",
                        help="full experiment sizes instead of desk-scale defaults")

@@ -5,7 +5,10 @@ The control signal follows the negative gradient of
 equilibrium map at fixed u), optionally gated elementwise by smooth
 Heaviside constraints so updates stall at user-set control boundaries.
 State and control are co-integrated: Euler-Maruyama on the plant with
-state-proportional noise, noise-free explicit Euler on the control.
+state-proportional noise, noise-free explicit Euler on the control. All
+trials of a run step together as rows of one batch, each with its own
+seeded noise stream; `feedback_simulate` is the package's only
+Euler-Maruyama loop.
 
 Also included: the closed-form/iterative solutions for the linear
 simplification target(x,u) = G u (minimum-norm, ridge, gradient descent,
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import nnet
 from .field import StructuredField, eval_target, target_cached, target_vjp
-from .integrate import TimeGrid, noise_path
+from .integrate import TimeGrid
 from .nnet import NonFiniteError
 
 
@@ -75,24 +78,25 @@ class ControlPolicyCfg:
 
 
 def control_gate(u, constraints) -> np.ndarray:
-    """Per-channel gate phi(u_i) = sum_j sign_j * H(u_i - boundary_j, rate_j).
+    """Per-channel gate phi(u_i) = sum_j sign_j * H(u_i - boundary_j, rate_j),
+    for one control (q,) or a batch of them (..., q).
 
     Channels with no terms get gate 1 (unconstrained).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not constraints:
         return np.ones_like(u)
-    if len(constraints) != len(u):
+    if len(constraints) != u.shape[-1]:
         raise ValueError("need one constraint list per control channel")
     out = np.empty_like(u)
     for i, terms in enumerate(constraints):
         if not terms:
-            out[i] = 1.0
+            out[..., i] = 1.0
             continue
         val = 0.0
         for term in terms:
-            val += term.sign * smooth_heaviside(u[i] - term.boundary, term.rate)
-        out[i] = val
+            val += term.sign * smooth_heaviside(u[..., i] - term.boundary, term.rate)
+        out[..., i] = val
     return out
 
 
@@ -115,7 +119,10 @@ def _apply_target(target_map, x, u) -> np.ndarray:
 
 def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
     """Gradient in u of 0.5*||target^{k}(x,u) - x_ref||^2, exact through all
-    k compositions for a structured field, central differences otherwise."""
+    k compositions for a structured field, central differences otherwise.
+
+    x, u and x_ref are one point or batches of rows; each row gets the
+    gradient of its own objective."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x_ref = np.atleast_1d(np.asarray(x_ref, dtype=float))
@@ -136,16 +143,17 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
         return ugrad
 
     def objective(uu):
+        # per-row r @ r; a stacked matmul gives each row the bits of a 1-D one
         r = iterate_target(target_map, x, uu, k) - x_ref
-        return 0.5 * float(r @ r)
+        return 0.5 * (r[..., None, :] @ r[..., :, None])[..., 0, 0]
 
     h = 1e-6
     g = np.zeros_like(u)
-    for i in range(len(u)):
+    for i in range(u.shape[-1]):
         up, um = u.copy(), u.copy()
-        up[i] += h
-        um[i] -= h
-        g[i] = (objective(up) - objective(um)) / (2.0 * h)
+        up[..., i] += h
+        um[..., i] -= h
+        g[..., i] = (objective(up) - objective(um)) / (2.0 * h)
     return g
 
 
@@ -178,15 +186,19 @@ def feedback_simulate(
     u0,
     grid: TimeGrid,
     sigma: float = 0.0,
-    seed=0,
+    seeds=(0,),
     record_every: int = 1,
-) -> ControlTrace:
-    """Steer the plant through a schedule of targets.
+) -> list[ControlTrace]:
+    """Steer a batch of plants, one trial per seed, through one schedule of
+    targets; returns one ControlTrace per trial.
 
     ``targets`` is a time-ordered list of (t_start, x_ref); the last target
-    whose start time is <= t is active (`active_targets`). The state follows
-    Euler-Maruyama with diffusion ``sigma * sqrt(|x|)`` per coordinate; the
-    control follows du/dt = -eta * grad * gate, noise-free, on the same grid.
+    whose start time is <= t is active (`active_targets`). Each x_ref, like
+    ``x0`` and ``u0``, is shared by all trials or holds one row per trial.
+    The states follow Euler-Maruyama with diffusion ``sigma * sqrt(|x|)``
+    per coordinate, trial i drawing its increments from
+    ``default_rng(seeds[i])``; the controls follow
+    du/dt = -eta * grad * gate, noise-free, on the same grid.
     """
     if not targets:
         raise ValueError("need at least one target")
@@ -194,48 +206,41 @@ def feedback_simulate(
     if any(b < a for a, b in zip(starts, starts[1:])):
         raise ValueError("targets must be ordered in time")
 
-    refs = [np.atleast_1d(np.asarray(xr, dtype=float)) for _, xr in targets]
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-
-    d = x.shape[0]
-    noise = noise_path(grid, d, seed)
+    n_trials = len(seeds)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    x = np.broadcast_to(x0, (n_trials, x0.shape[-1])).copy()
+    u = np.broadcast_to(u0, (n_trials, u0.shape[-1])).copy()
+    d = x.shape[1]
+    refs = np.stack([np.broadcast_to(np.asarray(xr, dtype=float), (n_trials, d))
+                     for _, xr in targets])
+    noise = np.stack([np.random.default_rng(seed).standard_normal((grid.n_steps, d))
+                      for seed in seeds], axis=1)
     h = grid.h
     sqrt_h = math.sqrt(h)
     times = grid.times()
-
-    n_rec = grid.n_steps // record_every + 1
-    out_t = np.empty(n_rec)
-    out_x = np.empty((n_rec, d))
-    out_u = np.empty((n_rec, u.shape[0]))
-    out_idx = np.empty(n_rec, dtype=int)
-
     active_at = active_targets(starts, times)
-    rec = 0
 
-    def record(i, t):
-        nonlocal rec
-        out_t[rec] = t
-        out_x[rec] = x
-        out_u[rec] = u
-        out_idx[rec] = active_at[i]
-        rec += 1
-
+    recorded = np.arange(0, grid.n_steps + 1, record_every)
+    out_x = np.empty((len(recorded), n_trials, d))
+    out_u = np.empty((len(recorded), n_trials, u.shape[1]))
     for n in range(grid.n_steps + 1):
-        t = times[n]
         if n % record_every == 0:
-            record(n, t)
+            out_x[n // record_every] = x
+            out_u[n // record_every] = u
         if n == grid.n_steps:
             break
         grad = control_objective_grad(target_map, x, u, refs[active_at[n]], policy.k)
         gate = control_gate(u, policy.constraints)
         drift_x = np.asarray(plant_rhs(x, u), dtype=float)
         diff = sigma * np.sqrt(np.abs(x)) if sigma else 0.0
-        x = x + h * drift_x + sqrt_h * diff * noise.increments[n]
+        x = x + h * drift_x + sqrt_h * diff * noise[n]
         u = u - h * policy.eta * grad * gate
         if not (np.isfinite(x).all() and np.isfinite(u).all()):
-            raise NonFiniteError(f"feedback simulation diverged at t={t:.6g}")
-    return ControlTrace(out_t[:rec], out_x[:rec], out_u[:rec], out_idx[:rec], list(targets))
+            raise NonFiniteError(f"feedback simulation diverged at t={times[n]:.6g}")
+    return [ControlTrace(times[recorded], out_x[:, i], out_u[:, i], active_at[recorded],
+                         [(t, ref[i]) for t, ref in zip(starts, refs)])
+            for i in range(n_trials)]
 
 
 # --- linear control theory -----------------------------------------------------

@@ -3,8 +3,8 @@
 Deterministic integration uses classical fixed-step RK4; gradients of
 trajectory functionals are taken by differentiating through the unrolled
 recursion (discretize-then-differentiate), which keeps them exact for the
-computed trajectory. Stochastic paths use Euler-Maruyama with pregenerated
-noise so a (seed, trajectory id) pair fully determines the path.
+computed trajectory. The stochastic (Euler-Maruyama) loop of closed-loop
+control lives in `control.feedback_simulate`.
 
 Trajectory CSV format: columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``,
 doubles printed with 17 significant digits (lossless round trip).
@@ -66,19 +66,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """Pregenerated standard-normal increments, one d-vector per step."""
-
-    increments: np.ndarray  # (n_steps, d)
-    seed: object = None
-
-
-def noise_path(grid: TimeGrid, dim: int, seed) -> NoisePath:
-    rng = np.random.default_rng(seed)
-    return NoisePath(rng.standard_normal((grid.n_steps, dim)), seed)
 
 
 def _check_finite(x: np.ndarray, step: int) -> None:
@@ -176,31 +163,6 @@ def rk4_solve_unrolled_grad(
         dxn += dy
         lam = dxn + cotangents[:, n]
     return states, pgrad
-
-
-def euler_maruyama(
-    drift,
-    diffusion_diag,
-    x0,
-    grid: TimeGrid,
-    noise: NoisePath,
-    traj_id: int = 0,
-    system: str = "",
-) -> Trajectory:
-    """x_{k+1} = x_k + h*drift(x_k) + sqrt(h)*diffusion_diag(x_k)*xi_k."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    d = x.shape[0]
-    if noise.increments.shape != (grid.n_steps, d):
-        raise ValueError("noise path shape does not match grid/state")
-    h = grid.h
-    sqrt_h = np.sqrt(h)
-    out = np.empty((grid.n_steps + 1, d))
-    out[0] = x
-    for n in range(grid.n_steps):
-        x = x + h * np.asarray(drift(x)) + sqrt_h * np.asarray(diffusion_diag(x)) * noise.increments[n]
-        _check_finite(x, n + 1)
-        out[n + 1] = x
-    return Trajectory(grid.times(), out, np.zeros(0), traj_id=traj_id, system=system)
 
 
 def finite_diff(traj: Trajectory) -> np.ndarray:

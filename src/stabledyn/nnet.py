@@ -18,7 +18,6 @@ members give the same bits on the rows they share:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -382,13 +381,3 @@ def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
     if params.shape != (param_count(spec),):
         raise ValueError("checkpoint value count does not match layer sizes")
     return spec, params, doc.get("seed")
-
-
-def save_checkpoint(path, spec: MlpSpec, params: np.ndarray, seed: int | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(checkpoint_to_dict(spec, params, seed), fh)
-
-
-def load_checkpoint(path) -> tuple[MlpSpec, np.ndarray, int | None]:
-    with open(path) as fh:
-        return checkpoint_from_dict(json.load(fh))

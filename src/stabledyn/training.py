@@ -178,15 +178,6 @@ def make_objective(config: TrainConfig, trajectories: list[Trajectory]):
     return TrajMatchingObjective(trajectories, substeps=config.substeps)
 
 
-# spec-facing wrappers over the objective classes
-def loss_grad_matching(field: StructuredField, batch: list[Trajectory]):
-    return GradMatchingObjective(batch).loss_and_grad(field)
-
-
-def loss_traj_matching(field: StructuredField, batch: list[Trajectory], substeps: int = 1):
-    return TrajMatchingObjective(batch, substeps=substeps).loss_and_grad(field)
-
-
 # --- k-fold splitting --------------------------------------------------------
 
 def kfold_split(n_trajectories: int, k: int, seed: int):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stabledyn import field
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
@@ -12,19 +15,24 @@ from stabledyn.benchmarks import (
     UndefinedSplit,
     analytic_split,
     default_model,
+    default_control_recipe,
     default_params,
     default_protocol,
     evaluate_trace,
     gen_dataset,
     load_dataset,
     make_untrained_field,
+    run_control_trials,
+    sample_targets,
     save_dataset,
+    split_target_fn,
+    system_magnitude,
     system_rhs,
     transient_time,
 )
 from stabledyn.control import ControlTrace
 from stabledyn.integrate import TimeGrid, Trajectory, rk4_solve
-from util import assert_close
+from util import CHECKPOINT, assert_close
 
 
 class TestSystemRhs:
@@ -246,3 +254,30 @@ class TestEvaluateTrace:
         trace = self._trace([5])
         trace.targets.append((5.0, np.array([1.0])))
         assert evaluate_trace(trace, 1.0).shape == (1, 1)
+
+
+class TestControlTrials:
+    @pytest.mark.parametrize("system,t_per_target", [(SYM_HYSTERESIS, 2.0), (BUDWORM, 5.0)],
+                             ids=["field", "oracle-budworm"])
+    def test_each_trial_matches_its_solo_run(self, system, t_per_target):
+        # batched target-net rows may round apart from 1-row calls in the
+        # last bit, so a trial in a batch stays within 1e-9 of its solo run
+        if system == SYM_HYSTERESIS:
+            target_map = field.load_field(CHECKPOINT)
+        else:
+            target_map = split_target_fn(system)
+        recipe = replace(default_control_recipe(system), t_per_target=t_per_target)
+        targets = [sample_targets(system, 3, seed=[0, 7, i]) for i in range(3)]
+        seeds = [[0, 11, i] for i in range(3)]
+        magnitude = system_magnitude(system)
+        batch = run_control_trials(system, target_map, targets, recipe, seeds, record_every=10)
+        assert len(batch) == 3
+        for i, trace in enumerate(batch):
+            [solo] = run_control_trials(system, target_map, targets[i:i + 1], recipe,
+                                        seeds[i:i + 1], record_every=10)
+            assert np.array_equal(trace.times, solo.times)
+            assert np.array_equal(trace.target_index, solo.target_index)
+            assert np.max(np.abs(trace.states - solo.states)) <= 1e-9
+            assert np.max(np.abs(trace.controls - solo.controls)) <= 1e-9
+            assert np.max(np.abs(evaluate_trace(trace, magnitude)
+                                 - evaluate_trace(solo, magnitude))) <= 1e-9

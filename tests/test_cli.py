@@ -13,6 +13,7 @@ from stabledyn.benchmarks import (
 )
 from stabledyn.cli import EXIT_CONFIG, EXIT_OK, main
 from stabledyn.nnet import init_params
+from util import CHECKPOINT
 
 
 @pytest.fixture()
@@ -258,22 +259,27 @@ class TestWrongSystem:
 
 
 class TestShortTargetWindow:
-    @pytest.mark.parametrize("system,extra,scored", [
+    @pytest.mark.parametrize("system,extra,scored,named", [
         # 80 steps per target, one record in 20: 4 records each
-        ("two-tanks", ["--t-per-target", "20", "--targets", "2"], 2),
+        ("two-tanks", ["--t-per-target", "20", "--targets", "2"], 2, ()),
         # only t = 0 is recorded, so the second target would have no node:
         # the run is refused and writes nothing
         ("sym-hysteresis", ["--t-per-target", "1", "--targets", "2",
-                            "--record-every", "100000"], None),
-    ], ids=["four-records", "one-record"])
-    def test_scores_the_last_recorded_node(self, tmp_path, capsys, system, extra, scored):
+                            "--record-every", "100000"], None,
+         ("--record-every", "--t-per-target")),
+        # 2 x 0.0001 rounds to 0 steps of 0.005: no step would run
+        ("sym-hysteresis", ["--t-per-target", "0.0001", "--targets", "2"], None,
+         ("--t-per-target",)),
+    ], ids=["four-records", "one-record", "no-step"])
+    def test_scores_the_last_recorded_node(self, tmp_path, capsys, system, extra, scored,
+                                           named):
         rc = main(["control", "--system", system, "--out", str(tmp_path), "--trials", "1",
                    "--field", str(_checkpoint(tmp_path, system)), *extra])
         summary_path = tmp_path / f"{system}-control-summary.json"
         if scored is None:
             assert rc == EXIT_CONFIG
             err = capsys.readouterr().err
-            assert "--record-every" in err and "--t-per-target" in err
+            assert all(flag in err for flag in named)
             assert not summary_path.exists()
             assert not (tmp_path / f"{system}-control-trials.csv").exists()
             return
@@ -342,6 +348,20 @@ class TestBifurcate:
 
 
 class TestControl:
+    def test_threads_leave_outputs_unchanged(self, tmp_path):
+        # --threads is accepted but selects no code path: all trials share
+        # one batch either way
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            assert main(["control", "--system", "sym-hysteresis", "--field", str(CHECKPOINT),
+                         "--out", str(out), "--trials", "3", "--targets", "2",
+                         "--t-per-target", "2", "--threads", threads]) == EXIT_OK
+            outputs.append([(out / f"sym-hysteresis-control-{name}").read_bytes()
+                            for name in ("trials.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_budworm_oracle_trial(self, tmp_path, capsys):
         rc = main(["control", "--system", "budworm", "--oracle", "--out", str(tmp_path),
                    "--trials", "1", "--targets", "2", "--t-per-target", "5.0",

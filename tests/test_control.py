@@ -78,6 +78,12 @@ class TestControlGate:
         gate = control_gate(np.array([1.25, -0.25]), TANK_GATE)
         assert np.all(gate <= 1e-6)
 
+    @pytest.mark.parametrize("constraints", [TANK_GATE, ((), lower_gate(1.1, 200.0)), ()])
+    def test_batch_rows_equal_single_rows(self, constraints):
+        rows = np.array([[0.5, 0.5], [0.05, 1.1], [1.25, -0.25], [123.0, 2.0]])
+        batch = control_gate(rows, constraints)
+        assert np.array_equal(batch, [control_gate(row, constraints) for row in rows])
+
 
 class TestIterateTarget:
     def test_k1_equals_single_eval(self):
@@ -113,6 +119,21 @@ class TestControlObjectiveGrad:
         for k in (1, 2, 5):
             grad = control_objective_grad(gmap, x, u, x_ref, k)
             assert_close(grad, expected, rtol=1e-6, label=f"k={k}")
+
+    @pytest.mark.parametrize("system", [benchmarks.BUDWORM, benchmarks.TOGGLE_SWITCH])
+    def test_fd_rows_equal_single_rows(self, system):
+        # an oracle map takes the finite-difference path, which differentiates
+        # each row's own objective: the bits of a 1-row call
+        target_map = benchmarks.split_target_fn(system)
+        d, q = benchmarks.SYSTEM_DIMS[system]
+        rng = np.random.default_rng(2)
+        x = rng.uniform(1.0, 3.0, (4, d))
+        u = rng.uniform(5.0, 9.0, (4, q))  # budworm: u > x keeps the split defined
+        x_ref = rng.uniform(1.0, 3.0, (4, d))
+        batch = control_objective_grad(target_map, x, u, x_ref, k=2)
+        rows = [control_objective_grad(target_map, *row, k=2) for row in zip(x, u, x_ref)]
+        assert batch.shape == (4, q)
+        assert np.array_equal(batch, rows)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_fd_on_field(self, k):
@@ -218,7 +239,7 @@ class TestFeedbackSimulate:
     def test_stationary_at_satisfied_target(self):
         # plant = learned field, start at the field's own equilibrium for u
         fld = make_constant_field()  # equilibrium at 0.5 for every control
-        trace = feedback_simulate(
+        [trace] = feedback_simulate(
             plant_rhs=lambda x, u: eval_velocity(fld, x, u),
             target_map=fld,
             policy=ControlPolicyCfg(k=1, eta=1.0),
@@ -227,14 +248,14 @@ class TestFeedbackSimulate:
             u0=np.array([0.2]),
             grid=TimeGrid(0.0, 5.0, 200),
             sigma=0.0,
-            seed=0,
+            seeds=[0],
         )
         assert np.max(np.abs(trace.states - 0.5)) <= 1e-9
         assert np.max(np.abs(trace.controls - 0.2)) <= 1e-9
 
     def test_drives_scalar_plant_to_target(self):
         # plant dx/dt = u - x; target map g(x,u) = u exactly
-        trace = feedback_simulate(
+        [trace] = feedback_simulate(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=4.0),
@@ -243,7 +264,7 @@ class TestFeedbackSimulate:
             u0=np.array([0.0]),
             grid=TimeGrid(0.0, 40.0, 4000),
             sigma=0.0,
-            seed=0,
+            seeds=[0],
         )
         mid = trace.states[trace.times <= 20.0]
         assert abs(mid[-1, 0] - 1.2) <= 1e-3
@@ -253,7 +274,7 @@ class TestFeedbackSimulate:
     def test_gate_stalls_control_past_boundary(self):
         # pull toward an unreachable target: the gate saturates within 0.3 of
         # the boundary, so u stalls there and its velocity collapses
-        trace = feedback_simulate(
+        [trace] = feedback_simulate(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=0.5,
@@ -263,7 +284,7 @@ class TestFeedbackSimulate:
             u0=np.array([0.5]),
             grid=TimeGrid(0.0, 20.0, 10000),
             sigma=0.0,
-            seed=0,
+            seeds=[0],
         )
         assert np.max(trace.controls) < 0.95 + 0.3
         late_steps = np.abs(np.diff(trace.controls[-50:, 0]))
@@ -280,14 +301,14 @@ class TestFeedbackSimulate:
             grid=TimeGrid(0.0, 5.0, 500),
             sigma=0.05,
         )
-        a = feedback_simulate(seed=[3, 1], **args)
-        b = feedback_simulate(seed=[3, 1], **args)
-        c = feedback_simulate(seed=[3, 2], **args)
+        [a] = feedback_simulate(seeds=[[3, 1]], **args)
+        [b] = feedback_simulate(seeds=[[3, 1]], **args)
+        [c] = feedback_simulate(seeds=[[3, 2]], **args)
         assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.states, c.states)
 
     def test_record_every_thins_output(self):
-        trace = feedback_simulate(
+        [trace] = feedback_simulate(
             plant_rhs=lambda x, u: -x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=1.0),
@@ -295,7 +316,7 @@ class TestFeedbackSimulate:
             x0=np.array([1.0]),
             u0=np.array([0.0]),
             grid=TimeGrid(0.0, 1.0, 100),
-            seed=0,
+            seeds=[0],
             record_every=10,
         )
         assert len(trace.times) == 11

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from stabledyn.control import ControlPolicyCfg, feedback_simulate
 from stabledyn.field import eval_target, eval_velocity
 from stabledyn.integrate import (
-    NoisePath,
     TimeGrid,
     Trajectory,
-    euler_maruyama,
     finite_diff,
-    noise_path,
     read_trajectories_csv,
     rk4_solve,
     rk4_solve_batch,
@@ -107,42 +105,53 @@ class TestUnrolledGrad:
         assert_close(grad, central_diff_grad(objective, fld.params), rtol=1e-3, floor=1e-5)
 
 
+def still_plant(x, u):
+    return np.zeros_like(x)
+
+
+def em_paths(plant_rhs, x0, grid, sigma, seeds, u0=0.0, x_ref=0.0):
+    """`feedback_simulate` with the control pulled toward x_ref through the
+    identity target map, so only its Euler-Maruyama state step is under test."""
+    return feedback_simulate(plant_rhs, lambda x, u: u, ControlPolicyCfg(k=1, eta=1.0),
+                             [(0.0, [x_ref])], [x0], [u0], grid, sigma=sigma, seeds=seeds)
+
+
 class TestEulerMaruyama:
     def test_zero_diffusion_equals_euler(self):
         grid = TimeGrid(0.0, 1.0, 40)
-        noise = noise_path(grid, 1, seed=0)
-        traj = euler_maruyama(lambda x: -x, lambda x: np.zeros_like(x), [1.0], grid, noise)
+        [trace] = em_paths(lambda x, u: -x, 1.0, grid, 0.0, seeds=[0])
         x = np.array([1.0])
         for n in range(grid.n_steps):
             x = x + grid.h * (-x)
-        assert traj.states[-1, 0] == x[0]  # bitwise
+        assert trace.states[-1, 0] == x[0]  # bitwise
 
     def test_single_step_formula(self):
+        # x1 = x0 + sqrt(h) * sigma * sqrt(|x0|) * xi with xi the seed's first
+        # increment; u1 = u0 - h * eta * (u0 - x_ref), up to the rounding of the
+        # central-difference gradient
         grid = TimeGrid(0.0, 0.25, 1)
-        noise = NoisePath(np.array([[1.7]]))
-        traj = euler_maruyama(lambda x: np.zeros_like(x), lambda x: np.full_like(x, 0.3),
-                              [2.0], grid, noise)
-        assert_close(traj.states[-1], [2.0 + np.sqrt(0.25) * 0.3 * 1.7], rtol=1e-15)
+        xi = np.random.default_rng([4, 2]).standard_normal((1, 1))[0, 0]
+        [trace] = em_paths(still_plant, 2.0, grid, 0.3, seeds=[[4, 2]], u0=0.5, x_ref=0.1)
+        assert_close(trace.states[-1], [2.0 + np.sqrt(0.25) * 0.3 * np.sqrt(2.0) * xi],
+                     rtol=1e-15)
+        assert_close(trace.controls[-1], [0.5 - 0.25 * (0.5 - 0.1)], rtol=1e-9)
 
     def test_seeded_paths_reproducible(self):
         grid = TimeGrid(0.0, 1.0, 10)
-        a = euler_maruyama(lambda x: -x, lambda x: 0.1 * np.sqrt(np.abs(x)), [1.0],
-                           grid, noise_path(grid, 1, seed=[7, 3]))
-        b = euler_maruyama(lambda x: -x, lambda x: 0.1 * np.sqrt(np.abs(x)), [1.0],
-                           grid, noise_path(grid, 1, seed=[7, 3]))
+        [a] = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 3]])
+        [b] = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 3]])
+        c, d = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 4], [7, 3]])
         assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.states, d.states)  # a trial's path ignores its batch
+        assert not np.array_equal(a.states, c.states)
 
     def test_increment_variance(self):
-        # drift 0, diffusion c: Var[x_1 - x_0] = h * c^2 within 10% over 1e4 paths
+        # drift 0, diffusion c at x0 = 1: Var[x_1 - x_0] = h * c^2 within 10%
+        # over 1e4 trials, one batch row each
         grid = TimeGrid(0.0, 0.1, 1)
         c = 0.7
-        rng = np.random.default_rng(11)
-        incs = []
-        for i in range(10000):
-            noise = NoisePath(rng.standard_normal((1, 1)))
-            traj = euler_maruyama(lambda x: np.zeros_like(x), lambda x: np.full_like(x, c),
-                                  [0.0], grid, noise)
-            incs.append(traj.states[1, 0])
+        traces = em_paths(still_plant, 1.0, grid, c, seeds=[[11, i] for i in range(10000)])
+        incs = [trace.states[1, 0] - 1.0 for trace in traces]
         var = np.var(incs)
         assert abs(var - grid.h * c * c) <= 0.1 * grid.h * c * c
 

@@ -12,8 +12,6 @@ from stabledyn.training import (
     TrajMatchingObjective,
     cross_validate,
     kfold_split,
-    loss_grad_matching,
-    loss_traj_matching,
     train,
 )
 from util import assert_close, central_diff_grad, make_field
@@ -59,7 +57,7 @@ class TestGradMatchingLoss:
         fld = make_constant_field()  # target is identically 0.5
         t = np.linspace(0, 1, 11)
         traj = Trajectory(t, np.full((11, 1), 0.5), np.array([0.3]))
-        loss, grad = loss_grad_matching(fld, [traj])
+        loss, grad = GradMatchingObjective([traj]).loss_and_grad(fld)
         assert loss == 0.0
         assert not grad.any()
 
@@ -76,8 +74,8 @@ class TestGradMatchingLoss:
         perturbed = [
             Trajectory(t.times, t.states + 0.1, t.control, traj_id=t.traj_id) for t in trajs
         ]
-        a, _ = loss_grad_matching(fld, perturbed)
-        b, _ = loss_grad_matching(fld, perturbed[::-1])
+        a, _ = GradMatchingObjective(perturbed).loss_and_grad(fld)
+        b, _ = GradMatchingObjective(perturbed[::-1]).loss_and_grad(fld)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_gradient_matches_fd(self):
@@ -87,7 +85,7 @@ class TestGradMatchingLoss:
             Trajectory(t.times, t.states + 0.05 * np.sin(t.times)[:, None], t.control)
             for t in trajs
         ]
-        _, grad = loss_grad_matching(fld, noisy)
+        _, grad = GradMatchingObjective(noisy).loss_and_grad(fld)
 
         def f(p):
             return GradMatchingObjective(noisy).loss(fld.with_params(p))
@@ -109,7 +107,7 @@ class TestTrajMatchingLoss:
     def test_single_sample_trajectory_zero(self):
         fld = make_field(dim=1, control_dim=1, seed=9)
         traj = Trajectory(np.array([0.0]), np.array([[0.3]]), np.array([0.1]))
-        loss, grad = loss_traj_matching(fld, [traj])
+        loss, grad = TrajMatchingObjective([traj], substeps=1).loss_and_grad(fld)
         assert loss == 0.0 and not grad.any()
 
     def test_residual_quadratic_scaling(self):
@@ -140,7 +138,7 @@ class TestTrajMatchingLoss:
             Trajectory(t.times, t.states + 0.02 * t.times[:, None] ** 2, t.control)
             for t in trajs
         ]
-        _, grad = loss_traj_matching(fld, shifted)
+        _, grad = TrajMatchingObjective(shifted, substeps=1).loss_and_grad(fld)
 
         def f(p):
             return TrajMatchingObjective(shifted).loss(fld.with_params(p))

@@ -3,10 +3,15 @@
 These stay independent of the library's own derivative code paths.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from stabledyn.field import Featurizer, StructuredField
 from stabledyn.nnet import MlpSpec, init_params, param_count
+
+# the trained sym-hysteresis field the benchmark's `analyze` workload runs on
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sym-hysteresis-field.json"
 
 
 def make_field(
