@@ -12,10 +12,10 @@ In one dimension a single batched engine serves find_equilibria_1d (one
 control value) and bifurcation_sweep (many): residuals take arrays and are
 evaluated elementwise, the (control x state) scan grid is evaluated in
 blocks of whole control rows, every bracket of every control is bisected
-together, and every root is classified from one batched velocity
-evaluation. No call gets more than _BLOCK_ROWS points, which bounds the
-peak resident memory of a sweep; the per-bracket arithmetic is that of a
-scalar scan and bisection.
+together, and every root is classified from the residual's own slope
+(velocity = decay * residual with decay < 0). No call gets more than
+_BLOCK_ROWS points, which bounds the peak resident memory of a sweep; the
+per-bracket arithmetic is that of a scalar scan and bisection.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class EquilibriumPoint:
 
 @dataclass
 class BifurcationDiagram:
-    control_index: int
     control_values: np.ndarray
     points: list[EquilibriumPoint]
     tipping_points: list[float]
@@ -74,16 +73,16 @@ class MetricsReport:
 
 # --- scalar root finding -------------------------------------------------------
 
-# Most (control, state) points passed to one residual or velocity call. The
-# scan runs in blocks of whole control rows under this cap, and bisection
-# and stability evaluate their brackets and roots in chunks of it, so no
+# Most (control, state) points passed to one residual call. The scan runs
+# in blocks of whole control rows under this cap, and bisection and
+# stability evaluate their brackets and roots in chunks of it, so no
 # call and no array grows with (controls x scan points). Peak RSS of a
 # learned 401 x 401 `bifurcate` run (2-core x86-64, numpy 2.4, OpenBLAS):
 # 36.3 MB at 1024 points per call, 40.1 MB at 4096, 200 MB with the whole
 # grid in one call, which was also slower; 1024 is as fast as 4096.
 _BLOCK_ROWS = 1024
 
-# shared by classify_stability and the batched sweep classification
+# the sweep classification needs no _EQUILIBRIUM_TOL: its roots have |r| <= 1e-10
 _EQUILIBRIUM_TOL = 1e-6
 _EIG_TOL = 1e-8
 _FD_STEP = 1e-6
@@ -264,58 +263,52 @@ def classify_stability(velocity_fn, x_star, equilibrium_tol: float = _EQUILIBRIU
     v = np.atleast_1d(np.asarray(velocity_fn(x_star), dtype=float))
     if np.linalg.norm(v) > equilibrium_tol:
         raise ValueError(f"not an equilibrium: |velocity| = {np.linalg.norm(v):.3e}")
-    d = len(x_star)
-    if d == 1:
-        def f(x):
-            return float(np.atleast_1d(velocity_fn(np.atleast_1d(x)))[0])
-
-        slope = (f(x_star[0] + h) - f(x_star[0] - h)) / (2.0 * h)
-        return str(_label(slope, eig_tol))
-    if d == 2:
-        jac = _fd_jacobian(lambda x: np.atleast_1d(velocity_fn(x)), x_star, h)
-        tr = jac[0, 0] + jac[1, 1]
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        disc = tr * tr - 4.0 * det
-        if disc >= 0.0:
-            max_real = 0.5 * (tr + np.sqrt(disc))
-        else:
-            max_real = 0.5 * tr
-        return str(_label(max_real, eig_tol))
-    raise ValueError("stability classification supports d <= 2")
+    if len(x_star) > 2:
+        raise ValueError("stability classification supports d <= 2")
+    jac = _fd_jacobian(lambda x: np.atleast_1d(velocity_fn(x)), x_star, h)
+    if len(x_star) == 1:
+        return str(_label(jac[0, 0], eig_tol))
+    tr = jac[0, 0] + jac[1, 1]
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        max_real = 0.5 * (tr + np.sqrt(disc))
+    else:
+        max_real = 0.5 * tr
+    return str(_label(max_real, eig_tol))
 
 
-def _classify_1d(velocity_of, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """classify_stability for many scalar equilibria x at controls c, from
-    one batched evaluation of the velocity at x, x + h and x - h (in calls
-    of at most _BLOCK_ROWS points)."""
-    n = len(x)
+def _classify_1d(residual_of, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stability labels of many scalar equilibria x at controls c, from one
+    batched evaluation of the residual at x + h and x - h (in calls of at
+    most _BLOCK_ROWS points). Contract: velocity = decay * residual with
+    decay < 0, as for the learned field (x - target), the true rhs (-rhs,
+    decay -1) and the analytic splits. At a root the negated residual slope
+    then has the velocity slope's sign, and classify_stability's rule applies."""
     h = _FD_STEP
-    v = _call_in_blocks(velocity_of, np.tile(c, 3),
-                        np.concatenate([x, x + h, x - h])).reshape(3, n)
-    off = np.abs(v[0])
-    if np.any(off > _EQUILIBRIUM_TOL):
-        raise ValueError(f"not an equilibrium: |velocity| = {off.max():.3e}")
-    return _label((v[1] - v[2]) / (2.0 * h), _EIG_TOL)
+    r = _call_in_blocks(residual_of, np.tile(c, 2),
+                        np.concatenate([x + h, x - h])).reshape(2, len(x))
+    return _label((r[1] - r[0]) / (2.0 * h), _EIG_TOL)
 
 
 # --- bifurcation sweeps -----------------------------------------------------------
 
-def bifurcation_sweep(residual_of, velocity_of, control_values, state_interval,
-                      control_index: int = 0, n_scan: int = 400) -> BifurcationDiagram:
+def bifurcation_sweep(residual_of, control_values, state_interval,
+                      n_scan: int = 400) -> BifurcationDiagram:
     """Scalar-state sweep: equilibria with stability per control value, plus
     the control values where the equilibrium count changes.
 
-    ``residual_of(c)`` and ``velocity_of(c)`` receive a 1-d array of control
-    values and return a function evaluated elementwise on a state array of
-    the same shape. Every control value is scanned and bisected by one
-    engine, and every root is classified from one batched velocity
-    evaluation, all in calls of at most _BLOCK_ROWS points (a bound on peak
+    ``residual_of(c)`` receives a 1-d array of control values and returns a
+    function evaluated elementwise on a state array of the same shape; the
+    velocity must be ``decay * residual`` with ``decay < 0``. Every control
+    value is scanned and bisected, and every root classified (_classify_1d),
+    by one engine in calls of at most _BLOCK_ROWS points (a bound on peak
     memory). Tipping points are the midpoints of the grid cells where the
     count changes (true fold within one grid cell).
     """
     control_values = np.asarray(control_values, dtype=float)
     ctrl, roots, res = _equilibria(residual_of, control_values, state_interval, n_scan)
-    stability = _classify_1d(velocity_of, control_values[ctrl], roots)
+    stability = _classify_1d(residual_of, control_values[ctrl], roots)
     points = [
         EquilibriumPoint([x], [control_values[i]], str(stab), abs(float(r)))
         for i, x, r, stab in zip(ctrl, roots, res, stability)
@@ -326,7 +319,7 @@ def bifurcation_sweep(residual_of, velocity_of, control_values, state_interval,
         for i in range(len(control_values) - 1)
         if counts[i] != counts[i + 1]
     ]
-    return BifurcationDiagram(control_index, control_values, points, tipping, counts)
+    return BifurcationDiagram(control_values, points, tipping, counts)
 
 
 def sweep_to_rows(diagram: BifurcationDiagram) -> list[tuple]:

@@ -66,12 +66,15 @@ _INT_MIN = {
 }
 _FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
 _FLOAT_NONNEGATIVE = ("sigma",)
+# the JSON type of each non-numeric option a command may carry
+_JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
+               "oracle": bool, "paper_scale": bool}
 
 
 def _check_ranges(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Reject out-of-range or mistyped numeric options, whether they came
-    from flags or from a --config file. None stands for "not given" only
-    where it is the option's default."""
+    """Reject out-of-range or mistyped options, whether they came from flags
+    or from a --config file. None stands for "not given" only where it is
+    the option's default."""
     def given(attr):
         value = getattr(args, attr, None)
         return not (value is None and parser_defaults.get(attr) is None), value
@@ -91,6 +94,11 @@ def _check_ranges(args: argparse.Namespace, parser_defaults: dict) -> None:
             bound = "> 0" if strict else ">= 0"
             raise ConfigError(f"{attr.replace('_', '-')} must be a finite number {bound}, "
                               f"got {value!r}")
+    for attr, kind in _JSON_TYPES.items():
+        present, value = given(attr)
+        if present and not isinstance(value, kind):
+            raise ConfigError(f"{attr.replace('_', '-')} must be a JSON "
+                              f"{'string' if kind is str else 'boolean'}, got {value!r}")
 
 
 def _outdir(args) -> Path:
@@ -206,13 +214,22 @@ def cmd_cv(args) -> int:
 
 
 def _field_for_analysis(args, system):
-    """Learned checkpoint, or the analytic split when --oracle is set."""
+    """The --field checkpoint, or None when --oracle is set."""
     if args.oracle:
         if system == benchmarks.TWO_TANKS:
             raise ConfigError("the mixing tanks have no analytic split; train a model")
-        return benchmarks.split_target_fn(system), None
-    fld = _load_field_arg(args)
-    return (lambda x, u: field_mod.eval_target(fld, x, u)), fld
+        return None
+    return _load_field_arg(args)
+
+
+def _residual_fn(system, fld):
+    """Batched residual ``r(x, u)``: ``x - target`` of a learned field, or for
+    the oracle (fld None) ``-rhs``, which has the split residual's zeros but
+    stays finite where the split blows up. Either way velocity = decay * r
+    with decay < 0, as analysis.bifurcation_sweep needs."""
+    if fld is None:
+        return lambda x, u: -benchmarks.system_rhs(system, None, x, u)
+    return lambda x, u: field_mod.residual(fld, x, u)
 
 
 def _load_field_arg(args) -> field_mod.StructuredField:
@@ -269,7 +286,8 @@ def cmd_simulate(args) -> int:
 def cmd_equilibria(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
-    target_fn, fld = _field_for_analysis(args, system)
+    fld = _field_for_analysis(args, system)
+    res = _residual_fn(system, fld)
     d, q = benchmarks.SYSTEM_DIMS[system]
     if args.control is None:
         u = np.asarray(benchmarks.default_control_recipe(system).u0, dtype=float)
@@ -286,19 +304,17 @@ def cmd_equilibria(args) -> int:
     rows = []
     if d == 1:
         # every scalar-state system has one control, so u is a one-point sweep
-        residual_of, velocity_of = _scalar_fns(args, system, target_fn, fld)
-        diagram = analysis.bifurcation_sweep(residual_of, velocity_of, u, box[0],
-                                             n_scan=args.scan)
+        diagram = analysis.bifurcation_sweep(_sweep_form(res), u, box[0], n_scan=args.scan)
         rows = [(p.x_star[0], p.stability, p.residual_norm) for p in diagram.points]
     else:
-        vel = _velocity_fn(args, system, fld)
-        if args.oracle:
-            res_fn = lambda x: -np.asarray(benchmarks.system_rhs(system, None, x, u))
+        if fld is None:
+            vel = lambda x: benchmarks.system_rhs(system, None, x, u)
         else:
-            res_fn = lambda x: np.asarray(x) - target_fn(np.asarray(x), u)
+            vel = lambda x: field_mod.eval_velocity(fld, x, u)
+        res_fn = lambda x: res(x, u)
         roots, failed = analysis.find_equilibria_nd(res_fn, box, starts_per_axis=args.scan_nd)
         for r in roots:
-            stab = analysis.classify_stability(lambda xv: np.atleast_1d(vel(xv, u)), r)
+            stab = analysis.classify_stability(vel, r)
             rows.append((*r, stab, float(np.linalg.norm(res_fn(r)))))
 
     doc = {"system": system, "control": u.tolist(),
@@ -317,27 +333,10 @@ def _jsonable(v):
     return v if isinstance(v, str) else float(v)
 
 
-def _velocity_fn(args, system, fld):
-    if args.oracle or fld is None:
-        return lambda x, u: benchmarks.system_rhs(system, None, np.atleast_1d(x), u)
-    return lambda x, u: field_mod.eval_velocity(fld, np.atleast_1d(x), u)
-
-
-def _scalar_fns(args, system, target_fn, fld):
-    """``(residual_of, velocity_of)`` for a scalar-state system, in the
-    batched form analysis.bifurcation_sweep takes: ``residual_of(c)(x)`` on
-    equal-length 1-d arrays of controls and states."""
-    if args.oracle:
-        # the true rhs has the same zeros as the split residual but stays
-        # finite where the split blows up
-        residual_of = lambda c: (
-            lambda x: -benchmarks.system_rhs(system, None, x[:, None], c[:, None])[:, 0]
-        )
-    else:
-        residual_of = lambda c: (lambda x: x - target_fn(x[:, None], c[:, None])[:, 0])
-    vel = _velocity_fn(args, system, fld)
-    velocity_of = lambda c: (lambda x: vel(x[:, None], c[:, None])[:, 0])
-    return residual_of, velocity_of
+def _sweep_form(res):
+    """A scalar-state residual as analysis.bifurcation_sweep takes it:
+    ``residual_of(c)(x)`` on equal-length 1-d arrays of controls and states."""
+    return lambda c: (lambda x: res(x[:, None], c[:, None])[:, 0])
 
 
 def cmd_bifurcate(args) -> int:
@@ -347,15 +346,14 @@ def cmd_bifurcate(args) -> int:
     if d != 1:
         raise ConfigError("bifurcation sweeps support scalar-state systems; "
                           "use `equilibria` per control setting for 2-d systems")
-    target_fn, fld = _field_for_analysis(args, system)
+    fld = _field_for_analysis(args, system)
     proto = benchmarks.default_protocol(system)
     lo_u, hi_u = float(proto.control_grid.min()), float(proto.control_grid.max())
     grid = np.linspace(lo_u, hi_u, args.points)
     interval = benchmarks.default_model(system).domain[0]
 
-    residual_of, velocity_of = _scalar_fns(args, system, target_fn, fld)
-    diagram = analysis.bifurcation_sweep(residual_of, velocity_of, grid, interval,
-                                         n_scan=args.scan)
+    diagram = analysis.bifurcation_sweep(_sweep_form(_residual_fn(system, fld)), grid,
+                                         interval, n_scan=args.scan)
     rows = analysis.sweep_to_rows(diagram)
     csv_path = out / f"{system}-bifurcation.csv"
     with open(csv_path, "w") as fh:
@@ -373,8 +371,8 @@ def cmd_bifurcate(args) -> int:
 def cmd_control(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
-    target_map_fn, fld = _field_for_analysis(args, system)
-    target_map = fld if fld is not None else target_map_fn
+    fld = _field_for_analysis(args, system)
+    target_map = fld if fld is not None else benchmarks.split_target_fn(system)
 
     recipe = benchmarks.default_control_recipe(system)
     if args.k is not None:

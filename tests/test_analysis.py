@@ -19,7 +19,8 @@ from stabledyn.analysis import (
     sweep_to_rows,
 )
 from stabledyn.benchmarks import BUDWORM, SYM_HYSTERESIS, analytic_split, system_rhs
-from util import assert_close
+from stabledyn.field import eval_velocity, load_field, residual
+from util import CHECKPOINT, assert_close
 
 TIP = 2.0 / np.sqrt(27.0)
 
@@ -43,6 +44,18 @@ def budworm_residual(kappa, r=0.56):
 
 def budworm_velocity(kappa, r=0.56):
     return lambda x: r * x * (1.0 - x / kappa) - x * x / (1.0 + x * x)
+
+
+def checkpoint_fns():
+    """(residual_of, velocity_of) of the trained sym-hysteresis field; both
+    take a control and a state of one shape, scalar or 1-d."""
+    fld = load_field(CHECKPOINT)
+
+    def of(fn):
+        return lambda c: (lambda x: fn(fld, np.reshape(x, (-1, 1)),
+                                       np.reshape(c, (-1, 1))).reshape(np.shape(x)))
+
+    return of(residual), of(eval_velocity)
 
 
 class TestFindEquilibria1d:
@@ -158,8 +171,7 @@ class TestClassifyStability:
 class TestBifurcationSweep:
     def test_hysteresis_oracle_tipping(self):
         grid = np.linspace(-1, 1, 401)
-        diagram = bifurcation_sweep(hysteresis_rhs_residual, hysteresis_velocity,
-                                    grid, (-2, 2))
+        diagram = bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2))
         cell = grid[1] - grid[0]
         assert len(diagram.tipping_points) == 2
         assert abs(diagram.tipping_points[0] + TIP) <= cell
@@ -169,17 +181,14 @@ class TestBifurcationSweep:
 
     def test_budworm_oracle_tipping(self):
         grid = np.linspace(4.45, 11.99, 200)
-        diagram = bifurcation_sweep(budworm_residual, budworm_velocity,
-                                    grid, (0.1, 10.0))
+        diagram = bifurcation_sweep(budworm_residual, grid, (0.1, 10.0))
         assert len(diagram.tipping_points) == 2
         assert abs(diagram.tipping_points[0] - 6.446) <= 0.05
         assert abs(diagram.tipping_points[1] - 9.934) <= 0.05
 
     def test_monostable_no_tipping(self):
         grid = np.linspace(-1, 1, 41)
-        diagram = bifurcation_sweep(lambda c: (lambda x: x - c),
-                                    lambda c: (lambda x: c - x),
-                                    grid, (-3, 3))
+        diagram = bifurcation_sweep(lambda c: (lambda x: x - c), grid, (-3, 3))
         assert diagram.tipping_points == []
         assert np.all(diagram.counts == 1)
 
@@ -199,8 +208,7 @@ class TestBifurcationSweep:
 
     def test_rows_sorted(self):
         grid = np.linspace(-1, 1, 21)
-        diagram = bifurcation_sweep(hysteresis_rhs_residual, hysteresis_velocity,
-                                    grid, (-2, 2))
+        diagram = bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2))
         rows = sweep_to_rows(diagram)
         assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
         assert all(r[-1] in (STABLE, UNSTABLE, MARGINAL) for r in rows)
@@ -254,11 +262,14 @@ class TestSweepEngine:
     @pytest.mark.parametrize("residual_of, velocity_of, grid, interval", [
         (hysteresis_rhs_residual, hysteresis_velocity, np.linspace(-1, 1, 401), (-2, 2)),
         (budworm_residual, budworm_velocity, np.linspace(4.45, 11.99, 401), (0.1, 10.0)),
-    ], ids=["hysteresis", "budworm"])
+        (*checkpoint_fns(), np.linspace(-1, 1, 41), (-2, 2)),
+    ], ids=["hysteresis", "budworm", "learned-field"])
     def test_matches_scalar_reference(self, residual_of, velocity_of, grid, interval):
+        # the sweep labels roots from the residual alone, the reference from
+        # the velocity: they agree when velocity = decay * residual, decay < 0
         counts, roots, labels, tipping = reference_sweep(residual_of, velocity_of,
                                                          grid, interval)
-        diagram = bifurcation_sweep(residual_of, velocity_of, grid, interval)
+        diagram = bifurcation_sweep(residual_of, grid, interval)
         assert diagram.counts.tolist() == counts
         assert [p.stability for p in diagram.points] == labels
         assert diagram.tipping_points == tipping
@@ -266,48 +277,41 @@ class TestSweepEngine:
         assert np.max(np.abs(got - np.array(roots))) <= 1e-12
         assert [p.u[0] for p in diagram.points] == np.repeat(grid, counts).tolist()
 
-    @pytest.mark.parametrize("residual_of, velocity_of", [
-        (lambda c: (lambda x: x - c), lambda c: (lambda x: c - x)),
-        (hysteresis_rhs_residual, hysteresis_velocity),
+    @pytest.mark.parametrize("residual_of", [
+        lambda c: (lambda x: x - c),
+        hysteresis_rhs_residual,
     ], ids=["one-root", "up-to-three-roots"])
-    def test_calls_bounded_by_scan_blocks_and_bisection_depth(self, residual_of, velocity_of):
+    def test_calls_bounded_by_scan_blocks_and_bisection_depth(self, residual_of):
         grid = np.linspace(-1, 1, 401)
         n_scan = 400
-        res_rows, vel_rows = [], []
+        rows = []
 
-        def counted(fn_of, rows):
-            def of(c):
-                fn = fn_of(c)
+        def counted(c):
+            fn = residual_of(c)
 
-                def call(x):
-                    rows.append(len(x))
-                    return fn(x)
+            def call(x):
+                rows.append(len(x))
+                return fn(x)
 
-                return call
+            return call
 
-            return of
-
-        diagram = bifurcation_sweep(counted(residual_of, res_rows),
-                                    counted(velocity_of, vel_rows), grid, (-2, 2),
-                                    n_scan=n_scan)
+        diagram = bifurcation_sweep(counted, grid, (-2, 2), n_scan=n_scan)
         scan_blocks = math.ceil(len(grid) / (_BLOCK_ROWS // (n_scan + 1)))
         assert len(diagram.points) <= _BLOCK_ROWS  # every bracket fits one call
         # one call per scan block, one per bisection step (at most 200), one
-        # final residual check: independent of how many brackets there are
-        assert len(res_rows) <= scan_blocks + 200 + 1
-        # x, x + h and x - h for every root
-        assert len(vel_rows) == math.ceil(3 * len(diagram.points) / _BLOCK_ROWS)
-        assert max(res_rows + vel_rows) <= _BLOCK_ROWS
+        # final residual check: independent of how many brackets there are;
+        # then x + h and x - h for every root
+        stability_calls = math.ceil(2 * len(diagram.points) / _BLOCK_ROWS)
+        assert len(rows) <= scan_blocks + 200 + 1 + stability_calls
+        assert max(rows) <= _BLOCK_ROWS
         assert len(diagram.points) >= len(grid)
 
     def test_split_residual_drops_blowup_cell(self):
         # x - (x + c)/x^2 has the cubic's roots except x = 0, where it blows
         # up (c = 0 changes sign across the pole and is 0/0 on the grid point)
         grid = np.array([-0.2, 0.0, 0.2])
-        split = bifurcation_sweep(hysteresis_split_residual, hysteresis_velocity,
-                                  grid, (-2, 2))
-        cubic = bifurcation_sweep(hysteresis_rhs_residual, hysteresis_velocity,
-                                  grid, (-2, 2))
+        split = bifurcation_sweep(hysteresis_split_residual, grid, (-2, 2))
+        cubic = bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2))
         assert split.counts.tolist() == [3, 2, 3]
         expected = [p for p in cubic.points if abs(p.x_star[0]) > 1e-3]
         assert [(p.u[0], p.stability) for p in split.points] == \

@@ -437,6 +437,33 @@ class TestNumericRanges:
         assert "points must be" in capsys.readouterr().err
 
 
+MISTYPED = [
+    ("simulate", "out", 5),
+    ("train", "data", 5),
+    ("gen-data", "system", 3),
+    ("simulate", "field", ["a.json"]),
+    ("equilibria", "control", 0.5),
+    ("equilibria", "oracle", "false"),
+    ("equilibria", "oracle", 0),
+    ("gen-data", "paper-scale", "true"),
+]
+
+
+class TestOptionTypes:
+    @pytest.mark.parametrize("command,key,value", MISTYPED)
+    def test_config_error(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = [command, "--config", str(cfg)]
+        if key != "system":
+            argv += ["--system", "budworm"]
+        if key != "out":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{key} must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 class TestConfigFile:
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "run.json"
