@@ -13,13 +13,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .field import Featurizer, StructuredField
-from .integrate import TimeGrid, Trajectory, rk4_solve_batch, write_trajectories_csv
+from .integrate import (
+    TimeGrid,
+    Trajectory,
+    read_trajectories_csv,
+    rk4_solve_batch,
+    write_trajectories_csv,
+)
 from .nnet import MlpSpec, init_params
 
 TWO_TANKS = "two-tanks"
@@ -51,12 +56,10 @@ def default_params(system: str) -> dict:
 
 
 def _logistic(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each side
+    # keeps its overflow-free formula
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _batched(x, u, d, q):
@@ -300,7 +303,9 @@ def gen_dataset(system: str, protocol: DataProtocol, params: dict | None = None)
 
 
 def _git_blob_sha1(data: bytes) -> str:
-    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+    digest = hashlib.sha1(b"blob %d\0" % len(data))
+    digest.update(data)  # no joined copy of the file
+    return digest.hexdigest()
 
 
 def save_dataset(prefix, dataset: Dataset, seed: int | None = None) -> dict:
@@ -325,23 +330,13 @@ def save_dataset(prefix, dataset: Dataset, seed: int | None = None) -> dict:
 def load_dataset(prefix) -> Dataset:
     """Read a dataset written by `save_dataset`; raises ValueError when the
     CSV bytes do not match the manifest's content_hash."""
-    from .integrate import read_trajectories_csv
-
     with open(f"{prefix}.json") as fh:
         manifest = json.load(fh)
     with open(f"{prefix}.csv", "rb") as fh:
-        # the digest of _git_blob_sha1, taken over the lines as they are
-        # parsed, so no second copy of the file is held
-        digest = hashlib.sha1(b"blob %d\0" % os.fstat(fh.fileno()).st_size)
-
-        def lines():
-            for raw in fh:
-                digest.update(raw)
-                yield raw.decode()
-
-        trajectories = read_trajectories_csv(lines())
-    if digest.hexdigest() != manifest["content_hash"]:
+        data = fh.read()
+    if _git_blob_sha1(data) != manifest["content_hash"]:
         raise ValueError(f"{prefix}.csv does not match the content_hash in {prefix}.json")
+    trajectories = read_trajectories_csv(data)
     return Dataset(
         manifest["system"],
         manifest["params"],

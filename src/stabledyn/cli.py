@@ -44,18 +44,29 @@ def _load_config(path):
     return doc
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """File values fill in only where the CLI flag was left at its default."""
+def _merge_config(args: argparse.Namespace, parser_defaults: dict, argv) -> argparse.Namespace:
+    """File values fill in every option whose flag is not typed in argv."""
     if not getattr(args, "config", None):
         return args
     doc = _load_config(args.config)
+    given = _given_options(argv)
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in parser_defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
+        if attr not in given:
             setattr(args, attr, value)
     return args
+
+
+def _given_options(argv) -> set[str]:
+    """Dests of the options typed in argv: a second parse in which no option
+    has a default, so only flags that were given reach the namespace."""
+    parser = build_parser()
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
 
 
 # lowest accepted value of each numeric option that a command may carry
@@ -152,9 +163,9 @@ def _load_dataset_arg(args) -> benchmarks.Dataset:
         prefix = prefix.rsplit(".", 1)[0]
     try:
         dataset = benchmarks.load_dataset(prefix)
-    # json.JSONDecodeError and a content-hash mismatch are ValueErrors, a
-    # malformed CSV row a ValueError or IndexError, a missing manifest key a
-    # KeyError and a manifest of the wrong shape a TypeError
+    # json.JSONDecodeError, a content-hash mismatch and a malformed CSV row
+    # are ValueErrors, a missing manifest key a KeyError and a manifest of
+    # the wrong shape a TypeError
     except (OSError, LookupError, ValueError, TypeError) as err:
         raise ConfigError(f"cannot load dataset {prefix!r}: {type(err).__name__}: {err}")
     if args.system is not None and dataset.system != _check_system(args.system):
@@ -522,9 +533,10 @@ def main(argv=None) -> int:
     defaults = {
         action.dest: action.default
         for action in parser._subparsers._group_actions[0].choices[args.command]._actions
+        if action.default is not argparse.SUPPRESS  # --help
     }
     try:
-        args = _merge_config(args, defaults)
+        args = _merge_config(args, defaults, argv)
         _check_ranges(args, defaults)
         if args.system is None and args.command in ("gen-data", "simulate", "equilibria",
                                                     "bifurcate", "control"):

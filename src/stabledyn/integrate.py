@@ -6,14 +6,19 @@ recursion (discretize-then-differentiate), which keeps them exact for the
 computed trajectory. The stochastic (Euler-Maruyama) loop of closed-loop
 control lives in `control.feedback_simulate`.
 
-Trajectory CSV format: columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``,
-doubles printed with 17 significant digits (lossless round trip).
+Trajectory CSV format: one table per file, header then one row per sample,
+columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``, doubles printed with 17
+significant digits (lossless round trip). `write_trajectories_csv` formats
+each distinct time grid once and each trajectory with one ``%`` call;
+`read_trajectories_csv` takes a path or the file's bytes and parses the
+body in one `np.loadtxt` pass.
 """
 
 from __future__ import annotations
 
-import contextlib
+import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +65,7 @@ class Trajectory:
             self.states = self.states[:, None]
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # a nan time fails here too
             raise ValueError("times must be strictly increasing")
 
     @property
@@ -185,51 +190,108 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _header(d: int, q: int) -> list[str]:
+    return ["traj_id", "t"] + [f"x_{i}" for i in range(d)] + [f"u_{i}" for i in range(q)]
+
+
 def write_trajectories_csv(path, trajectories: list[Trajectory]) -> None:
     if not trajectories:
         raise ValueError("no trajectories to write")
     d = trajectories[0].dim
     q = len(trajectories[0].control)
-    header = (
-        ["traj_id", "t"]
-        + [f"x_{i}" for i in range(d)]
-        + [f"u_{i}" for i in range(q)]
-    )
+    # trajectories of one dataset share a time grid (one per truncation
+    # group), so each grid's t cells are formatted once; '%.17g' % v is
+    # format(v, '.17g')
+    t_cells: dict[bytes, list[str]] = {}
+    x_cells = ",%.17g" * d
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_header(d, q)) + "\n")
         for traj in trajectories:
-            u_cols = [_fmt(v) for v in traj.control]
-            for t, row in zip(traj.times, traj.states):
-                cells = [str(traj.traj_id), _fmt(t)] + [_fmt(v) for v in row] + u_cols
-                fh.write(",".join(cells) + "\n")
+            key = traj.times.tobytes()
+            if key not in t_cells:
+                t_cells[key] = [_fmt(t) for t in traj.times]
+            u_cells = "".join("," + _fmt(v) for v in traj.control)
+            row = f"{traj.traj_id},%s{x_cells}{u_cells}\n"
+            # the row-major cells: t, x_0 .. x_{d-1} per row
+            cells = [None] * (len(traj.times) * (1 + d))
+            cells[:: 1 + d] = t_cells[key]
+            for j, column in enumerate(traj.states.T.tolist(), start=1):
+                cells[j :: 1 + d] = column
+            fh.write(row * len(traj.times) % tuple(cells))
+
+
+def _bad_row(lines: list[bytes], n_cells: int) -> str | None:
+    """Why the first malformed body line is rejected, or None if every line
+    parses; the slow path behind a failed or short `np.loadtxt`."""
+    for i, line in enumerate(lines, start=2):
+        if not line.strip():
+            return f"line {i} is blank"
+        cells = line.decode().rstrip("\r").split(",")
+        if len(cells) != n_cells:
+            return f"line {i}: expected {n_cells} cells, found {len(cells)}"
+        try:
+            int(cells[0])
+        except ValueError:
+            return f"line {i} has traj_id {cells[0]!r}, not an integer"
+        try:
+            [float(c) for c in cells[1:]]
+        except ValueError as err:
+            return f"line {i}: {err}"
+    return None
 
 
 def read_trajectories_csv(source) -> list[Trajectory]:
-    """Trajectories from a CSV path, or from an iterable of its text lines."""
-    is_path = isinstance(source, (str, os.PathLike))
-    with open(source) if is_path else contextlib.nullcontext(source) as fh:
-        lines = iter(fh)
-        header = next(lines, "").strip().split(",")
-        d = sum(1 for c in header if c.startswith("x_"))
-        q = sum(1 for c in header if c.startswith("u_"))
-        groups: dict[int, list[list[float]]] = {}
-        order: list[int] = []
-        for line in lines:
-            cells = line.rstrip("\n").split(",")
-            tid = int(cells[0])
-            if tid not in groups:
-                groups[tid] = []
-                order.append(tid)
-            groups[tid].append([float(c) for c in cells[1:]])
+    """Trajectories from a CSV path or from the file's bytes, in the order
+    their traj_ids first appear. The body is parsed as one table; a row
+    with the wrong cell count, a non-numeric cell, a non-integer traj_id or
+    a blank line raises ValueError naming its line."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    buf = io.BytesIO(source)
+    header = buf.readline().decode().strip().split(",")
+    d = sum(1 for c in header if c.startswith("x_"))
+    q = sum(1 for c in header if c.startswith("u_"))
+    n_cells = 2 + d + q
+    if source and header != _header(d, q):
+        raise ValueError(f"malformed trajectory CSV: header {','.join(header)!r} is not "
+                         f"{','.join(_header(d, q))!r}")
+    n_lines = source.count(b"\n") + (not source.endswith(b"\n")) - 1
+    if n_lines <= 0:
+        return []
+    row = np.dtype([("traj_id", np.int64), ("values", float, (n_cells - 1,))])
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines only; the row count below rejects it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(buf, delimiter=",", comments=None, dtype=row, ndmin=1,
+                               encoding="utf-8")
+        # loadtxt skips blank lines, so a short count means one was there
+        failure = None if len(table) == n_lines else "a blank line"
+    except ValueError as err:
+        failure = err
+    if failure is not None:
+        lines = source.split(b"\n")[1 : 1 + n_lines]
+        raise ValueError(f"malformed trajectory CSV: {_bad_row(lines, n_cells) or failure}")
+
+    ids, values = table["traj_id"], table["values"]
+    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
+    # number the groups in first-seen order; rows of one trajectory usually
+    # sit together already, and then no row moves
+    group = np.argsort(np.argsort(first))[group]
+    if np.any(np.diff(group) < 0):
+        perm = np.argsort(group, kind="stable")
+        ids, values, group = ids[perm], values[perm], group[perm]
+    bounds = np.searchsorted(group, np.arange(len(first) + 1))
     out = []
-    for tid in order:
-        rows = np.asarray(groups[tid])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = values[lo:hi]
         out.append(
             Trajectory(
                 times=rows[:, 0],
                 states=rows[:, 1 : 1 + d],
-                control=rows[0, 1 + d : 1 + d + q],
-                traj_id=tid,
+                control=rows[0, 1 + d :],
+                traj_id=int(ids[lo]),
             )
         )
     return out

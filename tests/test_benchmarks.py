@@ -13,6 +13,8 @@ from stabledyn.benchmarks import (
     TWO_TANKS,
     DataProtocol,
     UndefinedSplit,
+    _git_blob_sha1,
+    _logistic,
     analytic_split,
     default_model,
     default_control_recipe,
@@ -66,6 +68,38 @@ class TestSystemRhs:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             system_rhs(TWO_TANKS, None, [1.0], [0.5, 0.5])
+
+
+def masked_logistic(z):
+    """The boolean-mask form that `_logistic` replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestLogistic:
+    def test_same_bits_as_masked_form(self):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([
+            [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-320, -1e-320],
+            rng.normal(size=5000) * 40.0,
+            rng.normal(size=5000),
+        ])
+        assert np.array_equal(_logistic(z).view(np.int64), masked_logistic(z).view(np.int64))
+
+    def test_saturates_without_overflow(self):
+        # exp(-800) underflows to 0, which is the right answer
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert _logistic(np.array([800.0, -800.0])).tolist() == [1.0, 0.0]
+
+
+class TestDatasetHash:
+    def test_git_blob_sha1_matches_git(self):
+        # `printf 'hello\n' | git hash-object --stdin`
+        assert _git_blob_sha1(b"hello\n") == "ce013625030ba8dba906f756967f9e9ca394464a"
 
 
 class TestAnalyticSplit:

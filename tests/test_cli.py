@@ -147,7 +147,7 @@ class TestDatasetIntegrity:
             {k: v for k, v in json.loads(text).items() if k != "system"})), "KeyError"),
         (_edit_manifest(lambda text: text[:-5]), "JSONDecodeError"),
         (_append_rehashed("7,not-a-number\n"), "ValueError"),
-        (_append_rehashed("99\n"), "IndexError"),
+        (_append_rehashed("99\n"), "expected 4 cells, found 1"),
     ], ids=["hash-mismatch", "no-system", "invalid-json", "malformed-row", "short-row"])
     def test_config_error(self, tiny_dataset, tmp_path, capsys, corrupt, reason):
         corrupt(tiny_dataset)
@@ -156,6 +156,18 @@ class TestDatasetIntegrity:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "cannot load dataset" in err and reason in err
+
+    @pytest.mark.parametrize("row,reason", [
+        ("\n", "is blank"),
+        ("1.5,0,0,0\n", "not an integer"),
+    ], ids=["blank-row", "non-integer-id"])
+    def test_rejected_row_is_config_error(self, tiny_dataset, tmp_path, capsys, row, reason):
+        _append_rehashed(row)(tiny_dataset)
+        rc = main(["train", "--data", str(tiny_dataset), "--out", str(tmp_path),
+                   "--epochs", "1"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot load dataset" in err and "line 74" in err and reason in err
 
 
 class TestCv:
@@ -482,7 +494,36 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "budworm-data.json").read_text())
         assert manifest["protocol"]["samples_per_traj"] == 6
 
+    def test_int_flag_typed_at_its_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "budworm", "samples": 4, "seed": 3}))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path),
+                     "--samples", "51", "--seed", "0"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "budworm-data.json").read_text())
+        assert manifest["protocol"]["samples_per_traj"] == 51
+        assert manifest["seed"] == 0
+
+    @pytest.mark.parametrize("typed,key,file_value", [
+        (["--horizon", "0.5"], "horizon", 2.0),
+        (["--oracle"], "oracle", False),
+    ], ids=["float", "switch"])
+    def test_typed_flag_beats_config(self, tmp_path, typed, key, file_value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "budworm", "horizon": 0.5, "oracle": True,
+                                   key: file_value}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--samples", "3", "--limit", "1", *typed]) == EXIT_OK
+        rows = (tmp_path / "budworm-simulate-oracle.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[1]) == 0.5
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"system": "budworm", "bogus": 1}))
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["fn", "command", "help"])
+    def test_parser_internals_are_not_config_keys(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "budworm", key: 1}))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -177,7 +177,64 @@ class TestFiniteDiff:
             finite_diff(Trajectory(np.array([0.0]), np.array([[1.0]]), NO_U))
 
 
+def reference_write_csv(path, trajectories):
+    """The per-cell writer that the table writer replaced."""
+    d = trajectories[0].dim
+    q = len(trajectories[0].control)
+    header = ["traj_id", "t"] + [f"x_{i}" for i in range(d)] + [f"u_{i}" for i in range(q)]
+    fmt = lambda v: format(float(v), ".17g")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for traj in trajectories:
+            u_cols = [fmt(v) for v in traj.control]
+            for t, row in zip(traj.times, traj.states):
+                cells = [str(traj.traj_id), fmt(t)] + [fmt(v) for v in row] + u_cols
+                fh.write(",".join(cells) + "\n")
+
+
+def reference_read_csv(path):
+    """The list reader that the table reader replaced."""
+    with open(path) as fh:
+        header = next(fh).strip().split(",")
+        d = sum(1 for c in header if c.startswith("x_"))
+        q = sum(1 for c in header if c.startswith("u_"))
+        groups = {}
+        for line in fh:
+            cells = line.rstrip("\n").split(",")
+            groups.setdefault(int(cells[0]), []).append([float(c) for c in cells[1:]])
+    out = []
+    for tid, rows in groups.items():
+        rows = np.asarray(rows)
+        out.append(Trajectory(rows[:, 0], rows[:, 1 : 1 + d], rows[0, 1 + d : 1 + d + q],
+                              traj_id=tid))
+    return out
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+SPECIAL = np.array([-0.0, 5e-324, 1e308, -1e308, np.nan, 0.0, -5e-324, np.pi])
+
+
+def special_trajectories(d, q, shared_grid, n=4, rows=6):
+    rng = np.random.default_rng(10 * d + q + shared_grid)
+    grid = np.concatenate([[-0.0, 5e-324], np.sort(rng.uniform(0.5, 9.0, rows - 2))])
+    trajs = []
+    for i in range(n):
+        times = grid if shared_grid else np.sort(rng.uniform(0, 10, rows))
+        states = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-300, 300, size=(rows, d))
+        states.flat[rng.choice(rows * d, size=min(4, rows * d), replace=False)] = \
+            rng.choice(SPECIAL, size=min(4, rows * d))
+        control = rng.choice(SPECIAL, size=q)
+        trajs.append(Trajectory(times, states, control, traj_id=7 * i))
+    return trajs
+
+
 class TestTrajectoryCsv:
+    H = "traj_id,t,x_0,u_0\n"
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(13)
         trajs = [
@@ -205,6 +262,60 @@ class TestTrajectoryCsv:
         write_trajectories_csv(path, [traj])
         header = path.read_text().splitlines()[0]
         assert header == "traj_id,t,x_0,x_1,u_0,u_1,u_2,u_3"
+
+    @pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "own-grids"])
+    @pytest.mark.parametrize("q", [1, 4])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_reference_bytes_and_bits(self, tmp_path, d, q, shared_grid):
+        trajs = special_trajectories(d, q, shared_grid)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_trajectories_csv(new, trajs)
+        reference_write_csv(ref, trajs)
+        assert new.read_bytes() == ref.read_bytes()
+        expected = reference_read_csv(ref)
+        for source in (new, new.read_bytes()):
+            back = read_trajectories_csv(source)
+            assert [t.traj_id for t in back] == [t.traj_id for t in expected]
+            for a, b in zip(back, expected):
+                assert same_bits(a.times, b.times)
+                assert same_bits(a.states, b.states)
+                assert same_bits(a.control, b.control)
+
+    def test_interleaved_ids_come_back_in_first_seen_order(self):
+        body = "5,0,1,9\n2,0,10,8\n5,1,2,9\n9,0,100,7\n2,1,20,8\n5,2,3,9\n"
+        back = read_trajectories_csv((self.H + body).encode())
+        assert [t.traj_id for t in back] == [5, 2, 9]
+        assert [t.states[:, 0].tolist() for t in back] == [[1, 2, 3], [10, 20], [100]]
+        assert [t.times.tolist() for t in back] == [[0, 1, 2], [0, 1], [0]]
+        assert [t.control.tolist() for t in back] == [[9], [8], [7]]
+
+    def test_header_only_gives_no_trajectories(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(self.H)
+        assert read_trajectories_csv(path) == []
+        assert read_trajectories_csv(self.H.rstrip("\n").encode()) == []
+
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            read_trajectories_csv((self.H + "1,0,0,0\n1,nan,0,0\n1,2,0,0\n").encode())
+
+    def test_rejects_header_out_of_order(self):
+        with pytest.raises(ValueError, match="header 'traj_id,t,u_0,x_0' is not"):
+            read_trajectories_csv(b"traj_id,t,u_0,x_0\n1,0,1,2\n")
+
+    @pytest.mark.parametrize("bad,reason", [
+        ("\n", "line 3 is blank"),
+        ("   \n", "line 3 is blank"),
+        ("# a comment\n", "line 3: expected 4 cells, found 1"),
+        ("1.5,1,0,0\n", "line 3 has traj_id '1.5', not an integer"),
+        ("1,1,0\n", "line 3: expected 4 cells, found 3"),
+        ("1,1,0,0,0\n", "line 3: expected 4 cells, found 5"),
+        ("1,1,x,0\n", "line 3: could not convert"),
+    ], ids=["blank", "spaces", "comment", "non-integer-id", "short", "long", "non-numeric"])
+    def test_rejects_malformed_rows(self, bad, reason):
+        for text in (self.H + "1,0,0,0\n" + bad + "1,2,0,0\n", self.H + "1,0,0,0\n" + bad):
+            with pytest.raises(ValueError, match=reason):
+                read_trajectories_csv(text.encode())
 
 
 class TestForwardInvariance:
