@@ -8,10 +8,8 @@ control lives in `control.feedback_simulate`.
 
 Trajectory CSV format: one table per file, header then one row per sample,
 columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``, doubles printed with 17
-significant digits (lossless round trip). `write_trajectories_csv` formats
-each distinct time grid once and each trajectory with one ``%`` call;
-`read_trajectories_csv` takes a path or the file's bytes and parses the
-body in one `np.loadtxt` pass.
+significant digits (lossless round trip). `read_trajectories_csv` takes a
+path or the file's bytes and parses the body in one `np.loadtxt` pass.
 """
 
 from __future__ import annotations
