@@ -45,11 +45,19 @@ class UndefinedSplit(ValueError):
     """No analytic decay/target factorization is available here."""
 
 
+# the published constants: tank valve coefficients a1..a4 with the overflow
+# gate's logistic rate, and the budworm growth rate r
+TANKS_A1, TANKS_A2, TANKS_A3, TANKS_A4, TANKS_GATE_RATE = 0.08, 0.02, 0.08, 0.02, 50.0
+BUDWORM_R = 0.56
+
+
 def default_params(system: str) -> dict:
+    """The constants of `system`, as a dataset manifest records them."""
     if system == TWO_TANKS:
-        return {"a1": 0.08, "a2": 0.02, "a3": 0.08, "a4": 0.02, "gate_rate": 50.0}
+        return {"a1": TANKS_A1, "a2": TANKS_A2, "a3": TANKS_A3, "a4": TANKS_A4,
+                "gate_rate": TANKS_GATE_RATE}
     if system == BUDWORM:
-        return {"r": 0.56}
+        return {"r": BUDWORM_R}
     if system in (SYM_HYSTERESIS, TOGGLE_SWITCH):
         return {}
     raise ValueError(f"unknown system {system!r}")
@@ -62,7 +70,10 @@ def _logistic(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _batched(x, u, d, q):
+def _batched(system, x, u):
+    if system not in SYSTEM_DIMS:
+        raise ValueError(f"unknown system {system!r}")
+    d, q = SYSTEM_DIMS[system]
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     single = x.ndim == 1
@@ -76,52 +87,45 @@ def _batched(x, u, d, q):
     return x, u, single
 
 
-def system_rhs(system: str, params: dict | None, x, u):
+def system_rhs(system: str, x, u):
     """Exact dx/dt for one of the four benchmark systems (batched)."""
-    params = default_params(system) if params is None else params
-    d, q = SYSTEM_DIMS[system]
-    x, u, single = _batched(x, u, d, q)
+    x, u, single = _batched(system, x, u)
 
     if system == TWO_TANKS:
         x1, x2 = x[:, 0], x[:, 1]
         p, v = u[:, 0], u[:, 1]
-        gate1 = 1.0 - _logistic(params["gate_rate"] * (x1 - 1.0))
-        gate2 = 1.0 - _logistic(params["gate_rate"] * (x2 - 1.0))
-        c1_in = params["a1"] * gate1
-        c1_out = params["a2"] * gate2
-        c2_in = params["a3"] * gate2
+        gate1 = 1.0 - _logistic(TANKS_GATE_RATE * (x1 - 1.0))
+        gate2 = 1.0 - _logistic(TANKS_GATE_RATE * (x2 - 1.0))
+        c1_in = TANKS_A1 * gate1
+        c1_out = TANKS_A2 * gate2
+        c2_in = TANKS_A3 * gate2
         # sqrt of clipped level: drift stays defined if noise dips below zero
         s1 = np.sqrt(np.clip(x1, 0.0, None))
         s2 = np.sqrt(np.clip(x2, 0.0, None))
         dx1 = c1_in * (1.0 - v) * p - c1_out * s1
-        dx2 = c2_in * v * p + c1_out * s1 - params["a4"] * s2
+        dx2 = c2_in * v * p + c1_out * s1 - TANKS_A4 * s2
         out = np.stack([dx1, dx2], axis=1)
     elif system == SYM_HYSTERESIS:
         out = u + x - x**3
     elif system == BUDWORM:
-        r = params["r"]
-        out = r * x * (1.0 - x / u) - x**2 / (1.0 + x**2)
-    elif system == TOGGLE_SWITCH:
+        out = BUDWORM_R * x * (1.0 - x / u) - x**2 / (1.0 + x**2)
+    else:  # TOGGLE_SWITCH
         x1 = np.clip(x[:, 0], 0.0, None)
         x2 = np.clip(x[:, 1], 0.0, None)
         a1, a2, beta, gamma = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
         dx1 = -x[:, 0] + a1 / (1.0 + x2**beta)
         dx2 = -x[:, 1] + a2 / (1.0 + x1**gamma)
         out = np.stack([dx1, dx2], axis=1)
-    else:
-        raise ValueError(f"unknown system {system!r}")
     return out[0] if single else out
 
 
-def analytic_split(system: str, params: dict | None, x, u):
+def analytic_split(system: str, x, u):
     """The paper-style exact factorization rhs = f * (x - g), where defined.
 
     Raises UndefinedSplit for the tanks (none is given) and outside each
     split's validity domain (hysteresis x != 0, budworm x > 0).
     """
-    params = default_params(system) if params is None else params
-    d, q = SYSTEM_DIMS[system]
-    x, u, single = _batched(x, u, d, q)
+    x, u, single = _batched(system, x, u)
 
     if system == SYM_HYSTERESIS:
         if np.any(x == 0.0):
@@ -131,9 +135,8 @@ def analytic_split(system: str, params: dict | None, x, u):
     elif system == BUDWORM:
         if np.any(x <= 0.0):
             raise UndefinedSplit("budworm split defined for x > 0 only")
-        r = params["r"]
         f = -x / (1.0 + x**2)
-        g = (r / u) * (1.0 + x**2) * (u - x)
+        g = (BUDWORM_R / u) * (1.0 + x**2) * (u - x)
     elif system == TOGGLE_SWITCH:
         x1 = np.clip(x[:, 0], 0.0, None)
         x2 = np.clip(x[:, 1], 0.0, None)
@@ -147,17 +150,17 @@ def analytic_split(system: str, params: dict | None, x, u):
     return f, g
 
 
-def split_target_fn(system: str, params: dict | None = None):
+def split_target_fn(system: str):
     """Vectorized oracle target map g(x, u) for systems with a split."""
 
     def g_fn(x, u):
-        return analytic_split(system, params, x, u)[1]
+        return analytic_split(system, x, u)[1]
 
     return g_fn
 
 
-def rhs_fn(system: str, params: dict | None = None):
-    return lambda x, u: system_rhs(system, params, x, u)
+def rhs_fn(system: str):
+    return lambda x, u: system_rhs(system, x, u)
 
 
 # --- data protocols ----------------------------------------------------------
@@ -263,11 +266,9 @@ def transient_time(traj: Trajectory, rel_threshold: float = 1e-3):
     return float(traj.times[idx]), True
 
 
-def gen_dataset(system: str, protocol: DataProtocol, params: dict | None = None) -> Dataset:
+def gen_dataset(system: str, protocol: DataProtocol) -> Dataset:
     """One trajectory per (ic, control) pair, ic-major lexicographic order."""
-    params = default_params(system) if params is None else params
-    d, q = SYSTEM_DIMS[system]
-    rhs = rhs_fn(system, params)
+    rhs = rhs_fn(system)
 
     pairs_x = np.repeat(protocol.ic_grid, len(protocol.control_grid), axis=0)
     pairs_u = np.tile(protocol.control_grid, (len(protocol.ic_grid), 1))
@@ -278,7 +279,7 @@ def gen_dataset(system: str, protocol: DataProtocol, params: dict | None = None)
     sampled = states[:, :: protocol.substeps, :]
 
     trajectories: list[Trajectory | None] = [
-        Trajectory(times, sampled[i], pairs_u[i], traj_id=i, system=system)
+        Trajectory(times, sampled[i], pairs_u[i], traj_id=i)
         for i in range(len(pairs_x))
     ]
     if protocol.transient_truncate:
@@ -295,11 +296,9 @@ def gen_dataset(system: str, protocol: DataProtocol, params: dict | None = None)
             st = rk4_solve_batch(rhs, pairs_x[idxs], pairs_u[idxs], regrid)
             sub_times = regrid.times()[:: protocol.substeps]
             for j, i in enumerate(idxs):
-                trajectories[i] = Trajectory(
-                    sub_times, st[j, :: protocol.substeps, :], pairs_u[i],
-                    traj_id=i, system=system,
-                )
-    return Dataset(system, params, trajectories, protocol.meta())
+                trajectories[i] = Trajectory(sub_times, st[j, :: protocol.substeps, :],
+                                             pairs_u[i], traj_id=i)
+    return Dataset(system, default_params(system), trajectories, protocol.meta())
 
 
 def _git_blob_sha1(data: bytes) -> str:
@@ -510,19 +509,18 @@ def system_magnitude(system: str, trajectories=None) -> np.ndarray:
     raise ValueError(f"unknown system {system!r}")
 
 
-def steady_state_of_true_system(system: str, u, params: dict | None = None,
-                                x0=None, horizon: float = 1000.0) -> np.ndarray:
+def steady_state_of_true_system(system: str, u, x0=None, horizon: float = 1000.0) -> np.ndarray:
     """Settle the true dynamics under constant control; returns the end state."""
     d, q = SYSTEM_DIMS[system]
     if x0 is None:
         x0 = np.full(d, 0.5)
     grid = TimeGrid(0.0, horizon, max(int(horizon / 0.25), 100))
-    states = rk4_solve_batch(rhs_fn(system, params), np.asarray(x0, dtype=float)[None, :],
+    states = rk4_solve_batch(rhs_fn(system), np.asarray(x0, dtype=float)[None, :],
                              np.atleast_1d(np.asarray(u, dtype=float))[None, :], grid)
     return states[0, -1]
 
 
-def sample_targets(system: str, n: int, seed, params: dict | None = None) -> np.ndarray:
+def sample_targets(system: str, n: int, seed) -> np.ndarray:
     """Randomized reachable targets per the experiment designs.
 
     Tanks and toggle targets come from settling the true dynamics under
@@ -540,21 +538,20 @@ def sample_targets(system: str, n: int, seed, params: dict | None = None) -> np.
         targets = np.empty((n, 2))
         for i in range(n):
             u = rng.uniform(0.1, 0.9, size=2)
-            targets[i] = steady_state_of_true_system(system, u, params)
+            targets[i] = steady_state_of_true_system(system, u)
         return targets
     if system == TOGGLE_SWITCH:
         targets = np.empty((n, 2))
         for i in range(n):
             x0 = rng.uniform(0.0, 6.0, size=2)
             u = rng.uniform(0.0, 5.0, size=4)
-            targets[i] = steady_state_of_true_system(system, u, params, x0=x0, horizon=100.0)
+            targets[i] = steady_state_of_true_system(system, u, x0=x0, horizon=100.0)
         return targets
     raise ValueError(f"unknown system {system!r}")
 
 
 def run_control_trials(system: str, target_map, targets: np.ndarray,
-                       recipe: ControlRecipe, seeds, params: dict | None = None,
-                       record_every: int = 1):
+                       recipe: ControlRecipe, seeds, record_every: int = 1):
     """Steer the true (stochastic) system through each trial's target list,
     all trials at once; ``targets`` is (trials, n_targets, d) and ``seeds``
     holds one noise seed per trial. Returns one trace per trial."""
@@ -563,7 +560,7 @@ def run_control_trials(system: str, target_map, targets: np.ndarray,
     targets = np.asarray(targets, dtype=float)
     starts, grid = _control_schedule(recipe, targets.shape[1])
     return feedback_simulate(
-        plant_rhs=rhs_fn(system, params),
+        plant_rhs=rhs_fn(system),
         target_map=target_map,
         policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, constraints=recipe.constraints),
         targets=list(zip(starts, targets.swapaxes(0, 1))),

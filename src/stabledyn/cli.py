@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, benchmarks, field as field_mod, training
-from .integrate import TimeGrid, Trajectory, rk4_solve_batch, write_trajectories_csv
+from .integrate import DatasetError, TimeGrid, Trajectory, rk4_solve_batch, write_trajectories_csv
 from .nnet import NonFiniteError
 
 EXIT_OK = 0
@@ -239,7 +239,7 @@ def _residual_fn(system, fld):
     stays finite where the split blows up. Either way velocity = decay * r
     with decay < 0, as analysis.bifurcation_sweep needs."""
     if fld is None:
-        return lambda x, u: -benchmarks.system_rhs(system, None, x, u)
+        return lambda x, u: -benchmarks.system_rhs(system, x, u)
     return lambda x, u: field_mod.residual(fld, x, u)
 
 
@@ -285,7 +285,7 @@ def cmd_simulate(args) -> int:
     states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid)
     times = grid.times()[:: proto.substeps]
     trajs = [
-        Trajectory(times, states[i, :: proto.substeps], pairs_u[i], traj_id=i, system=system)
+        Trajectory(times, states[i, :: proto.substeps], pairs_u[i], traj_id=i)
         for i in range(len(pairs_x))
     ]
     path = out / f"{system}-simulate-{tag}.csv"
@@ -319,7 +319,7 @@ def cmd_equilibria(args) -> int:
         rows = [(p.x_star[0], p.stability, p.residual_norm) for p in diagram.points]
     else:
         if fld is None:
-            vel = lambda x: benchmarks.system_rhs(system, None, x, u)
+            vel = lambda x: benchmarks.system_rhs(system, x, u)
         else:
             vel = lambda x: field_mod.eval_velocity(fld, x, u)
         res_fn = lambda x: res(x, u)
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
                                                     "bifurcate", "control"):
             raise ConfigError("--system is required")
         return args.fn(args)
-    except ConfigError as err:
+    except (ConfigError, DatasetError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except benchmarks.UndefinedSplit as err:

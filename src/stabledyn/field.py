@@ -43,7 +43,6 @@ class Featurizer:
     a: float
     b: float
     num_modes: int = 4
-    enabled: bool = True
 
     def __post_init__(self):
         if not (self.a < self.b):
@@ -55,7 +54,7 @@ class Featurizer:
 
     @property
     def out_dim(self) -> int:
-        return 1 + self.num_modes if self.enabled else 1
+        return 1 + self.num_modes
 
     def frequencies(self) -> np.ndarray:
         return self._freqs
@@ -67,8 +66,7 @@ def featurize(x, cfg: Featurizer) -> np.ndarray:
     flat = arr.reshape(-1)
     out = np.empty((flat.size, cfg.out_dim))
     out[:, 0] = flat
-    if cfg.enabled:
-        np.cos(cfg.frequencies() * (flat[:, None] - cfg.a), out=out[:, 1:])
+    np.cos(cfg.frequencies() * (flat[:, None] - cfg.a), out=out[:, 1:])
     return out.reshape(arr.shape + (cfg.out_dim,))
 
 
@@ -78,9 +76,8 @@ def featurize_dx(x, cfg: Featurizer) -> np.ndarray:
     flat = arr.reshape(-1)
     out = np.empty((flat.size, cfg.out_dim))
     out[:, 0] = 1.0
-    if cfg.enabled:
-        w = cfg.frequencies()
-        np.multiply(-w, np.sin(w * (flat[:, None] - cfg.a)), out=out[:, 1:])
+    w = cfg.frequencies()
+    np.multiply(-w, np.sin(w * (flat[:, None] - cfg.a)), out=out[:, 1:])
     return out.reshape(arr.shape + (cfg.out_dim,))
 
 
@@ -94,7 +91,7 @@ class StructuredField:
     decay_params: np.ndarray
     target_spec: MlpSpec
     target_params: np.ndarray
-    featurizer: Featurizer | None = None
+    featurizer: Featurizer | None = None  # None: the target net reads x itself
     domain: np.ndarray | None = None  # (dim, 2) lo/hi
 
     def __post_init__(self):
@@ -103,7 +100,7 @@ class StructuredField:
         # outputs are strictly inside the bounds, so hi = 0 still keeps decay < 0
         if self.decay_spec.output_bounds[1] > 0:
             raise ValueError("decay net upper bound must be <= 0")
-        if self.featurizer is not None and self.featurizer.enabled and self.dim != 1:
+        if self.featurizer is not None and self.dim != 1:
             raise ValueError("cosine featurization is defined for scalar states only")
         feat_len = self.feature_dim
         if self.target_spec.in_dim != feat_len + self.control_dim:
@@ -130,9 +127,7 @@ class StructuredField:
 
     @property
     def feature_dim(self) -> int:
-        if self.featurizer is not None and self.featurizer.enabled:
-            return self.featurizer.out_dim
-        return self.dim
+        return self.dim if self.featurizer is None else self.featurizer.out_dim
 
     # flat parameter vector over both nets, decay first
     @property
@@ -159,10 +154,7 @@ def _batch_xu(field: StructuredField, x, u):
 
 
 def target_input(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np.ndarray:
-    if field.featurizer is not None and field.featurizer.enabled:
-        feats = featurize(x2d[:, 0], field.featurizer)
-    else:
-        feats = x2d
+    feats = x2d if field.featurizer is None else featurize(x2d[:, 0], field.featurizer)
     return np.concatenate([feats, u2d], axis=1)
 
 
@@ -214,12 +206,10 @@ def _target_input_vjp(field: StructuredField, x2d: np.ndarray, gin_grad: np.ndar
     feat_len = field.feature_dim
     gfeat = gin_grad[:, :feat_len]
     gu = gin_grad[:, feat_len:]
-    if field.featurizer is not None and field.featurizer.enabled:
-        dfeat = featurize_dx(x2d[:, 0], field.featurizer)  # (N, feat_len)
-        gx = np.add.reduce(gfeat * dfeat, axis=1, keepdims=True)
-    else:
-        gx = gfeat
-    return gx, gu
+    if field.featurizer is None:
+        return gfeat, gu
+    dfeat = featurize_dx(x2d[:, 0], field.featurizer)  # (N, feat_len)
+    return np.add.reduce(gfeat * dfeat, axis=1, keepdims=True), gu
 
 
 def target_cached(field: StructuredField, x, u):
@@ -301,7 +291,7 @@ def field_to_dict(field: StructuredField, seed: int | None = None) -> dict:
             "a": field.featurizer.a,
             "b": field.featurizer.b,
             "num_modes": field.featurizer.num_modes,
-            "enabled": field.featurizer.enabled,
+            "enabled": True,
         }
     return {
         "dim": field.dim,
@@ -317,9 +307,10 @@ def field_from_dict(doc: dict) -> StructuredField:
     f_spec, f_params, _ = nnet.checkpoint_from_dict(doc["decay"])
     g_spec, g_params, _ = nnet.checkpoint_from_dict(doc["target"])
     feat = None
-    if doc.get("featurizer") is not None:
-        fd = doc["featurizer"]
-        feat = Featurizer(fd["a"], fd["b"], fd["num_modes"], fd.get("enabled", True))
+    fd = doc.get("featurizer")
+    # a disabled featurizer computes what none does: the target net reads x
+    if fd is not None and fd.get("enabled", True):
+        feat = Featurizer(fd["a"], fd["b"], fd["num_modes"])
     return StructuredField(
         dim=doc["dim"],
         control_dim=doc["control_dim"],

@@ -25,6 +25,10 @@ from .field import StructuredField, velocity_cached, velocity_vjp_cached
 from .nnet import NonFiniteError
 
 
+class DatasetError(ValueError):
+    """The trajectories cannot serve the requested computation."""
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     t0: float
@@ -53,7 +57,6 @@ class Trajectory:
     states: np.ndarray
     control: np.ndarray
     traj_id: int = 0
-    system: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -97,13 +100,13 @@ def rk4_solve_batch(rhs, x0: np.ndarray, u: np.ndarray, grid: TimeGrid) -> np.nd
     return out
 
 
-def rk4_solve(rhs, x0, u, grid: TimeGrid, traj_id: int = 0, system: str = "") -> Trajectory:
+def rk4_solve(rhs, x0, u, grid: TimeGrid, traj_id: int = 0) -> Trajectory:
     """Classical RK4 on dx/dt = rhs(x, u), recording every grid node."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     states = rk4_solve_batch(lambda xb, ub: np.atleast_2d(rhs(xb[0], ub[0])),
                              x0[None, :], u[None, :], grid)[0]
-    return Trajectory(grid.times(), states, u, traj_id=traj_id, system=system)
+    return Trajectory(grid.times(), states, u, traj_id=traj_id)
 
 
 def rk4_solve_unrolled_grad(
@@ -173,7 +176,8 @@ def finite_diff(traj: Trajectory) -> np.ndarray:
     t, x = traj.times, traj.states
     n = len(t)
     if n < 2:
-        raise ValueError("need at least 2 samples for finite differences")
+        raise DatasetError(f"trajectory {traj.traj_id}: finite differences need at least "
+                           f"2 samples, got {n}")
     d = np.empty_like(x)
     d[0] = (x[1] - x[0]) / (t[1] - t[0])
     d[-1] = (x[-1] - x[-2]) / (t[-1] - t[-2])

@@ -30,14 +30,13 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Topology of one MLP: layer sizes, hidden activation, output bounds.
+    """Topology of one MLP: layer sizes (SiLU hidden layers), output bounds.
 
     Outputs are mapped through ``lo + (hi - lo) * sigmoid(z)``, so they are
     strictly inside ``(lo, hi)`` for every input.
     """
 
     layer_sizes: tuple[int, ...]
-    activation: str = "silu"
     output_bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class MlpSpec:
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2 or any(n < 1 for n in sizes):
             raise ValueError(f"layer_sizes must have >=2 entries, all >=1: {sizes}")
-        if self.activation != "silu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
         lo, hi = self.output_bounds
         if not (lo < hi):
             raise ValueError(f"output bounds require lo < hi, got ({lo}, {hi})")
@@ -364,7 +361,7 @@ def plateau_step(state: PlateauState, epoch_loss: float) -> PlateauState:
 def checkpoint_to_dict(spec: MlpSpec, params: np.ndarray, seed: int | None = None) -> dict:
     return {
         "layer_sizes": list(spec.layer_sizes),
-        "activation": spec.activation,
+        "activation": "silu",
         "bounds": [spec.output_bounds[0], spec.output_bounds[1]],
         "values": [float(v) for v in params],
         "seed": seed,
@@ -372,9 +369,11 @@ def checkpoint_to_dict(spec: MlpSpec, params: np.ndarray, seed: int | None = Non
 
 
 def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
+    activation = doc.get("activation", "silu")
+    if activation != "silu":
+        raise ValueError(f"unsupported activation: {activation!r}")
     spec = MlpSpec(
         layer_sizes=tuple(doc["layer_sizes"]),
-        activation=doc.get("activation", "silu"),
         output_bounds=(doc["bounds"][0], doc["bounds"][1]),
     )
     params = np.asarray(doc["values"], dtype=float)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import nnet
 from .field import StructuredField, eval_velocity, velocity_cached, velocity_vjp_cached
-from .integrate import TimeGrid, Trajectory, finite_diff, rk4_solve_batch, rk4_solve_unrolled_grad
+from .integrate import (DatasetError, TimeGrid, Trajectory, finite_diff, rk4_solve_batch,
+                        rk4_solve_unrolled_grad)
 
 TRAJ_MATCHING = "traj-matching"
 GRAD_MATCHING = "grad-matching"
@@ -34,9 +35,6 @@ class TrainConfig:
     folds: int = 10
     restarts: int = 3
     substeps: int = 1          # RK4 steps per sample interval (traj matching)
-    plateau_patience: int = 25
-    plateau_factor: float = 0.5
-    min_lr: float = 1e-5
 
     def __post_init__(self):
         if self.objective not in (TRAJ_MATCHING, GRAD_MATCHING):
@@ -96,7 +94,8 @@ class GradMatchingObjective:
 
 class TrajMatchingObjective:
     """Mean squared error between observed states and model trajectories
-    simulated from each observed initial state."""
+    simulated from each observed initial state, on the evenly spaced grid of
+    its sample times; a trajectory sampled off that grid is a DatasetError."""
 
     def __init__(self, trajectories: list[Trajectory], substeps: int = 1):
         if not trajectories:
@@ -107,14 +106,17 @@ class TrajMatchingObjective:
         for traj in trajectories:
             key = (len(traj.times), float(traj.times[0]), float(traj.times[-1]))
             grp = self._groups.setdefault(
-                key, {"x0": [], "u": [], "obs": [], "times": traj.times, "members": []}
+                key, {"x0": [], "u": [], "obs": [], "times": [], "ids": [], "members": []}
             )
+            grp["times"].append(traj.times)
+            grp["ids"].append(traj.traj_id)
             grp["x0"].append(traj.states[0])
             grp["u"].append(traj.control)
             grp["obs"].append(traj.states)
             grp["members"].append(len(grp["members"]))
         self._index = []  # traj order -> (group key, row)
         for key, grp in self._groups.items():
+            _check_even(key, grp.pop("times"), grp.pop("ids"))
             grp["x0"] = np.asarray(grp["x0"])
             grp["u"] = np.asarray(grp["u"])
             grp["obs"] = np.asarray(grp["obs"])  # (B, n, d)
@@ -172,6 +174,18 @@ class TrajMatchingObjective:
         return total / count, grad
 
 
+def _check_even(key, times, ids) -> None:
+    """Refuse a trajectory of a (n, t0, t1) group whose times are off the
+    evenly spaced grid by more than 1e-9 of its spacing."""
+    n, t0, t1 = key
+    if n > 1:
+        grid = TimeGrid(t0, t1, n - 1)
+        off = np.abs(np.asarray(times) - grid.times()).max(axis=1) > 1e-9 * grid.h
+        if off.any():
+            raise DatasetError(f"trajectory {ids[int(np.argmax(off))]} is not evenly spaced "
+                               "in time; trajectory matching integrates on an even grid")
+
+
 def make_objective(config: TrainConfig, trajectories: list[Trajectory]):
     if config.objective == GRAD_MATCHING:
         return GradMatchingObjective(trajectories)
@@ -187,7 +201,7 @@ def kfold_split(n_trajectories: int, k: int, seed: int):
     by at most one and the partition is deterministic per seed.
     """
     if n_trajectories < k:
-        raise ValueError(f"cannot split {n_trajectories} trajectories into {k} folds")
+        raise DatasetError(f"cannot split {n_trajectories} trajectories into {k} folds")
     perm = np.random.default_rng(seed).permutation(n_trajectories)
     folds = np.array_split(perm, k)
     out = []
@@ -246,12 +260,7 @@ def train(
 
     params = field.params
     adam = nnet.adam_init(len(params), config.lr0)
-    plateau = nnet.PlateauState(
-        lr=config.lr0,
-        patience=config.plateau_patience,
-        factor=config.plateau_factor,
-        min_lr=config.min_lr,
-    )
+    plateau = nnet.PlateauState(lr=config.lr0)
     rng = np.random.default_rng(config.seed)
     n = objective.n_traj
 

@@ -114,8 +114,8 @@ class TestCriterion2SplitIdentity:
             TOGGLE_SWITCH: (rng.uniform(0, 6, (n, 2)), rng.uniform(0.1, 5, (n, 4))),
         }
         for system, (xs, us) in cases.items():
-            f, g = benchmarks.analytic_split(system, None, xs, us)
-            rhs = benchmarks.system_rhs(system, None, xs, us)
+            f, g = benchmarks.analytic_split(system, xs, us)
+            rhs = benchmarks.system_rhs(system, xs, us)
             worst = max(worst, float(np.max(np.abs(f * (xs - g) - rhs))))
         report(2, f"analytic splits satisfy f*(x-g) = rhs on 3x10^4 fuzzed points "
                   f"(worst |gap| {worst:.2e})", worst <= 1e-12)

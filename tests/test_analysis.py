@@ -86,7 +86,7 @@ class TestFindEquilibriaNd:
     @staticmethod
     def toggle_residual(u):
         def res(x):
-            _, g = analytic_split("toggle-switch", None, np.asarray(x, dtype=float), u)
+            _, g = analytic_split("toggle-switch", np.asarray(x, dtype=float), u)
             return np.asarray(x, dtype=float) - g
 
         return res

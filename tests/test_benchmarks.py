@@ -39,20 +39,20 @@ from util import CHECKPOINT, assert_close
 
 class TestSystemRhs:
     def test_hysteresis_fixed_point(self):
-        assert system_rhs(SYM_HYSTERESIS, None, [1.0], [0.0])[0] == 0.0
+        assert system_rhs(SYM_HYSTERESIS, [1.0], [0.0])[0] == 0.0
 
     def test_tanks_balance_point(self):
         # x=(1,1), (p,v)=(0.5,0.5): gates at 0.5 balance inflow and outflow
-        dx = system_rhs(TWO_TANKS, None, [1.0, 1.0], [0.5, 0.5])
+        dx = system_rhs(TWO_TANKS, [1.0, 1.0], [0.5, 0.5])
         assert_close(dx, [0.0, 0.0], rtol=1e-14, floor=1e-14)
 
     def test_toggle_at_origin(self):
-        dx = system_rhs(TOGGLE_SWITCH, None, [0.0, 0.0], [2.0, 2.0, 2.0, 2.0])
+        dx = system_rhs(TOGGLE_SWITCH, [0.0, 0.0], [2.0, 2.0, 2.0, 2.0])
         assert_close(dx, [2.0, 2.0], rtol=1e-14)
 
     def test_budworm_extinction(self):
         for kappa in (4.45, 8.0, 11.99):
-            assert system_rhs(BUDWORM, None, [0.0], [kappa])[0] == 0.0
+            assert system_rhs(BUDWORM, [0.0], [kappa])[0] == 0.0
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(0)
@@ -60,14 +60,19 @@ class TestSystemRhs:
             d, q = SYSTEM_DIMS[system]
             xs = rng.uniform(0.1, 1.0, size=(6, d))
             us = rng.uniform(0.2, 1.0, size=(6, q))
-            batch = system_rhs(system, None, xs, us)
+            batch = system_rhs(system, xs, us)
             for i in range(6):
-                assert_close(batch[i], system_rhs(system, None, xs[i], us[i]),
+                assert_close(batch[i], system_rhs(system, xs[i], us[i]),
                              rtol=1e-14, floor=1e-14)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            system_rhs(TWO_TANKS, None, [1.0], [0.5, 0.5])
+            system_rhs(TWO_TANKS, [1.0], [0.5, 0.5])
+
+    def test_unknown_system(self):
+        for fn in (system_rhs, analytic_split):
+            with pytest.raises(ValueError, match="unknown system 'pendulum'"):
+                fn("pendulum", [1.0], [0.5])
 
 
 def masked_logistic(z):
@@ -104,16 +109,16 @@ class TestDatasetHash:
 
 class TestAnalyticSplit:
     def test_hysteresis_hand_values(self):
-        f, g = analytic_split(SYM_HYSTERESIS, None, [2.0], [0.0])
+        f, g = analytic_split(SYM_HYSTERESIS, [2.0], [0.0])
         assert_close(f, [-4.0], rtol=1e-14)
         assert_close(g, [0.5], rtol=1e-14)
         assert_close(f * (2.0 - g), [-6.0], rtol=1e-14)
 
     def test_budworm_hand_values(self):
-        f, g = analytic_split(BUDWORM, None, [1.0], [7.0])
+        f, g = analytic_split(BUDWORM, [1.0], [7.0])
         assert_close(f, [-0.5], rtol=1e-14)
         assert_close(g, [0.96], rtol=1e-14)
-        assert_close(f * (1.0 - g), system_rhs(BUDWORM, None, [1.0], [7.0]), rtol=1e-12)
+        assert_close(f * (1.0 - g), system_rhs(BUDWORM, [1.0], [7.0]), rtol=1e-12)
 
     def test_identity_fuzzed(self):
         rng = np.random.default_rng(1)
@@ -125,17 +130,17 @@ class TestAnalyticSplit:
             TOGGLE_SWITCH: (rng.uniform(0, 6, (n, 2)), rng.uniform(0.1, 5, (n, 4))),
         }
         for system, (xs, us) in cases.items():
-            f, g = analytic_split(system, None, xs, us)
-            rhs = system_rhs(system, None, xs, us)
+            f, g = analytic_split(system, xs, us)
+            rhs = system_rhs(system, xs, us)
             assert np.max(np.abs(f * (xs - g) - rhs)) <= 1e-12
 
     def test_undefined_cases(self):
         with pytest.raises(UndefinedSplit):
-            analytic_split(TWO_TANKS, None, [0.5, 0.5], [0.5, 0.5])
+            analytic_split(TWO_TANKS, [0.5, 0.5], [0.5, 0.5])
         with pytest.raises(UndefinedSplit):
-            analytic_split(SYM_HYSTERESIS, None, [0.0], [0.1])
+            analytic_split(SYM_HYSTERESIS, [0.0], [0.1])
         with pytest.raises(UndefinedSplit):
-            analytic_split(BUDWORM, None, [-1.0], [5.0])
+            analytic_split(BUDWORM, [-1.0], [5.0])
 
 
 class TestProtocols:
@@ -166,7 +171,7 @@ class TestGenDataset:
         proto = DataProtocol([[1.5]], [[0.2]], horizon=1.0, samples_per_traj=11, substeps=3)
         ds = gen_dataset(SYM_HYSTERESIS, proto)
         grid = TimeGrid(0.0, 1.0, 30)
-        direct = rk4_solve(lambda x, u: system_rhs(SYM_HYSTERESIS, None, x, u),
+        direct = rk4_solve(lambda x, u: system_rhs(SYM_HYSTERESIS, x, u),
                            [1.5], [0.2], grid)
         assert_close(ds.trajectories[0].states[:, 0], direct.states[::3, 0],
                      rtol=1e-13, floor=1e-13)
@@ -255,7 +260,7 @@ class TestModelRecipes:
             fld = make_untrained_field(system, seed=0)
             d, q = SYSTEM_DIMS[system]
             v = fld and np.asarray(
-                system_rhs(system, None, np.full(d, 0.5), np.full(q, 0.5))
+                system_rhs(system, np.full(d, 0.5), np.full(q, 0.5))
             )
             assert v.shape == (d,)
             from stabledyn.field import eval_velocity

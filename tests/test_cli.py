@@ -12,6 +12,7 @@ from stabledyn.benchmarks import (
     save_dataset,
 )
 from stabledyn.cli import EXIT_CONFIG, EXIT_OK, main
+from stabledyn.integrate import Trajectory
 from stabledyn.nnet import init_params
 from util import CHECKPOINT
 
@@ -170,6 +171,45 @@ class TestDatasetIntegrity:
         assert "cannot load dataset" in err and "line 74" in err and reason in err
 
 
+def _save_trajectories(tmp_path, system, trajectories):
+    prefix = tmp_path / "custom"
+    save_dataset(prefix, benchmarks.Dataset(system, benchmarks.default_params(system),
+                                            trajectories))
+    out = tmp_path / "out"
+    out.mkdir()
+    return prefix, out
+
+
+class TestUnusableData:
+    """Data that loads but cannot serve the run exits 2 and writes nothing."""
+
+    def _run(self, capsys, out, argv):
+        rc = main([*argv, "--out", str(out), "--epochs", "1", "--restarts", "1"])
+        assert rc == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        return capsys.readouterr().err
+
+    def test_more_folds_than_trajectories(self, tmp_path, capsys):
+        trajs = [Trajectory([0.0, 0.1], [[0.5], [0.6]], [0.2], traj_id=i) for i in range(3)]
+        prefix, out = _save_trajectories(tmp_path, SYM_HYSTERESIS, trajs)
+        err = self._run(capsys, out, ["cv", "--data", str(prefix), "--folds", "10"])
+        assert "config error: cannot split 3 trajectories into 10 folds" in err
+
+    def test_single_sample_trajectories_in_gradient_matching(self, tmp_path, capsys):
+        trajs = [Trajectory([0.0], [[0.5]], [6.0], traj_id=i) for i in range(3)]
+        prefix, out = _save_trajectories(tmp_path, BUDWORM, trajs)
+        err = self._run(capsys, out, ["train", "--data", str(prefix)])
+        assert "config error: trajectory 0: finite differences need at least 2" in err
+
+    def test_uneven_times_in_trajectory_matching(self, tmp_path, capsys):
+        times = [0.0, 0.02, 0.05, 0.1, 0.2, 0.25]
+        trajs = [Trajectory(np.linspace(0.0, 0.25, 6), np.full(6, 0.5), [0.2], traj_id=0),
+                 Trajectory(times, np.full(6, 0.5), [0.2], traj_id=7)]
+        prefix, out = _save_trajectories(tmp_path, SYM_HYSTERESIS, trajs)
+        err = self._run(capsys, out, ["train", "--data", str(prefix)])
+        assert "config error: trajectory 7 is not evenly spaced" in err
+
+
 class TestCv:
     def test_candidate_builders_match_make_untrained_field(self, tiny_dataset, tmp_path,
                                                            monkeypatch):
@@ -229,9 +269,16 @@ class TestSimulate:
         assert "cannot load field checkpoint" in capsys.readouterr().err
 
 
+def _tanh_checkpoint():
+    doc = json.loads(CHECKPOINT.read_text())
+    doc["decay"]["activation"] = "tanh"
+    return json.dumps(doc)
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
-    @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json"])
+    @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json",
+                                         pytest.param(_tanh_checkpoint(), id="tanh")])
     def test_config_error_in_every_command(self, tmp_path, capsys, command, content):
         path = tmp_path / "field.json"
         path.write_text(content)

@@ -15,7 +15,9 @@ from stabledyn.field import (
     featurize_dx,
     field_from_dict,
     field_to_dict,
+    load_field,
     residual,
+    save_field,
     target_cached,
     target_input,
     target_vjp,
@@ -24,7 +26,7 @@ from stabledyn.field import (
     velocity_vjp_cached,
 )
 from stabledyn.nnet import MlpSpec, init_params, param_count
-from util import assert_close, central_diff_grad, make_constant_field, make_field
+from util import CHECKPOINT, assert_close, central_diff_grad, make_constant_field, make_field
 
 HYST_FEAT = Featurizer(a=-1.5, b=1.5, num_modes=4)
 
@@ -35,17 +37,16 @@ def _reference_features(x, cfg, dx=False):
     arr = np.asarray(x, dtype=float)
     col = arr.reshape(-1, 1)
     first = np.ones_like(col) if dx else col
-    if cfg.enabled:
-        w = cfg.frequencies()
-        rest = -w * np.sin(w * (col - cfg.a)) if dx else np.cos(w * (col - cfg.a))
-        first = np.concatenate([first, rest], axis=1)
+    w = cfg.frequencies()
+    rest = -w * np.sin(w * (col - cfg.a)) if dx else np.cos(w * (col - cfg.a))
+    first = np.concatenate([first, rest], axis=1)
     return first.reshape(arr.shape + (first.shape[1],))
 
 
 class TestFeaturize:
     @pytest.mark.parametrize("cfg", [HYST_FEAT, Featurizer(-2.0, 3.0, 7),
                                      Featurizer(-1.5, 1.5, 0),
-                                     Featurizer(-1.5, 1.5, 4, enabled=False)])
+                                     Featurizer(-1.0, 1.5, 4)])
     @pytest.mark.parametrize("shape", [(), (1,), (50,), (2550,), (3, 4)])
     def test_equals_concatenating_reference(self, cfg, shape):
         x = np.random.default_rng(len(shape)).normal(scale=2.0, size=shape)
@@ -306,5 +307,28 @@ class TestCheckpoint:
         assert np.array_equal(fld.target_params, fld2.target_params)
         assert fld2.featurizer == fld.featurizer
         assert np.array_equal(fld.domain, fld2.domain)
+        x, u = np.array([0.3]), np.array([0.7])
+        assert np.array_equal(eval_velocity(fld, x, u), eval_velocity(fld2, x, u))
+
+    def test_saving_a_loaded_checkpoint_reproduces_its_bytes(self, tmp_path):
+        fld = load_field(CHECKPOINT)
+        doc = json.loads(CHECKPOINT.read_text())
+        save_field(tmp_path / "field.json", fld, seed=doc["decay"]["seed"])
+        assert (tmp_path / "field.json").read_bytes() == CHECKPOINT.read_bytes()
+
+    def test_other_activation_refused(self, tmp_path):
+        doc = json.loads(CHECKPOINT.read_text())
+        doc["target"]["activation"] = "tanh"
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported activation: 'tanh'"):
+            load_field(path)
+
+    def test_disabled_featurizer_loads_as_none(self):
+        fld = make_field(dim=1, control_dim=1, seed=23)
+        doc = json.loads(json.dumps(field_to_dict(fld)))
+        doc["featurizer"] = {"a": -1.5, "b": 1.5, "num_modes": 4, "enabled": False}
+        fld2 = field_from_dict(doc)
+        assert fld2.featurizer is None
         x, u = np.array([0.3]), np.array([0.7])
         assert np.array_equal(eval_velocity(fld, x, u), eval_velocity(fld2, x, u))

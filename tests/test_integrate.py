@@ -4,6 +4,7 @@ import pytest
 from stabledyn.control import ControlPolicyCfg, feedback_simulate
 from stabledyn.field import eval_target, eval_velocity
 from stabledyn.integrate import (
+    DatasetError,
     TimeGrid,
     Trajectory,
     finite_diff,
@@ -175,6 +176,11 @@ class TestFiniteDiff:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             finite_diff(Trajectory(np.array([0.0]), np.array([[1.0]]), NO_U))
+
+    def test_one_sample_is_a_dataset_error_naming_the_trajectory(self):
+        traj = Trajectory(np.array([0.0]), np.array([[1.0]]), NO_U, traj_id=8)
+        with pytest.raises(DatasetError, match="trajectory 8: .* at least 2 samples, got 1"):
+            finite_diff(traj)
 
 
 def reference_write_csv(path, trajectories):

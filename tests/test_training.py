@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from stabledyn.benchmarks import TOGGLE_SWITCH, DataProtocol, gen_dataset
 from stabledyn.field import eval_velocity
-from stabledyn.integrate import TimeGrid, Trajectory, rk4_solve_batch
+from stabledyn.integrate import DatasetError, TimeGrid, Trajectory, rk4_solve_batch
 from stabledyn.training import (
     GRAD_MATCHING,
     TRAJ_MATCHING,
@@ -145,6 +146,28 @@ class TestTrajMatchingLoss:
 
         assert_close(grad, central_diff_grad(f, fld.params), rtol=1e-3, floor=1e-6)
 
+    def test_uneven_times_refused_by_traj_id(self):
+        # the field's own trajectory, sampled off the even grid: matching it
+        # on TimeGrid(0, 0.25, 5) would compare states at the wrong times
+        fld = make_field(dim=1, control_dim=1, seed=15)
+        times = np.array([0.0, 0.02, 0.05, 0.1, 0.2, 0.25])
+        even = field_generated_trajectories(fld, n_traj=2, n_samples=6, horizon=0.25, seed=16)
+        uneven = Trajectory(times, even[1].states, even[1].control, traj_id=41)
+        with pytest.raises(DatasetError, match="trajectory 41 is not evenly spaced"):
+            TrajMatchingObjective([even[0], uneven])
+        # gradient matching takes its differences on the sample times
+        GradMatchingObjective([even[0], uneven])
+
+    def test_generated_grids_accepted(self):
+        # toggle's truncated groups sample a finer grid at every 8th node
+        proto = DataProtocol([[0.0, 0.0], [6.0, 6.0]],
+                             [[5.0, 5.0, 2.5, 2.5], [0.1, 0.1, 0.1, 0.1]],
+                             horizon=100.0, samples_per_traj=21, substeps=8,
+                             transient_truncate=True)
+        trajs = gen_dataset(TOGGLE_SWITCH, proto).trajectories
+        assert len({traj.times[-1] for traj in trajs}) > 1
+        assert TrajMatchingObjective(trajs, substeps=8).n_traj == 4
+
 
 class TestKfold:
     def test_singleton_folds(self):
@@ -170,6 +193,10 @@ class TestKfold:
 
     def test_too_few_trajectories(self):
         with pytest.raises(ValueError):
+            kfold_split(3, 5, seed=0)
+
+    def test_too_few_trajectories_is_a_dataset_error(self):
+        with pytest.raises(DatasetError, match="cannot split 3 trajectories into 5 folds"):
             kfold_split(3, 5, seed=0)
 
 

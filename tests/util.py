@@ -26,7 +26,7 @@ def make_field(
     domain=None,
 ):
     """Small random structured field for tests."""
-    feat_len = featurizer.out_dim if featurizer is not None and featurizer.enabled else dim
+    feat_len = featurizer.out_dim if featurizer is not None else dim
     decay_spec = MlpSpec((dim, *hidden, dim), output_bounds=decay_bounds)
     target_spec = MlpSpec((feat_len + control_dim, *hidden, dim), output_bounds=target_bounds)
     rng = np.random.default_rng(seed)
