@@ -47,8 +47,9 @@ class Featurizer:
     def __post_init__(self):
         if not (self.a < self.b):
             raise ValueError("featurizer requires a < b")
-        if self.num_modes < 0:
-            raise ValueError("num_modes must be >= 0")
+        # no modes is no featurizer: StructuredField(featurizer=None)
+        if self.num_modes < 1:
+            raise ValueError("num_modes must be >= 1")
         ks = np.arange(1, self.num_modes + 1, dtype=float)
         object.__setattr__(self, "_freqs", ks * ks * math.pi / (self.b - self.a))
 
@@ -308,8 +309,9 @@ def field_from_dict(doc: dict) -> StructuredField:
     g_spec, g_params, _ = nnet.checkpoint_from_dict(doc["target"])
     feat = None
     fd = doc.get("featurizer")
-    # a disabled featurizer computes what none does: the target net reads x
-    if fd is not None and fd.get("enabled", True):
+    # a disabled or 0-mode featurizer computes what none does: the target
+    # net reads x
+    if fd is not None and fd.get("enabled", True) and fd["num_modes"] != 0:
         feat = Featurizer(fd["a"], fd["b"], fd["num_modes"])
     return StructuredField(
         dim=doc["dim"],

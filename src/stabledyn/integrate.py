@@ -1,10 +1,13 @@
 """Time steppers and derivative estimation.
 
-Deterministic integration uses classical fixed-step RK4; gradients of
-trajectory functionals are taken by differentiating through the unrolled
-recursion (discretize-then-differentiate), which keeps them exact for the
-computed trajectory. The stochastic (Euler-Maruyama) loop of closed-loop
-control lives in `control.feedback_simulate`.
+Deterministic integration uses classical fixed-step RK4. Gradients of
+trajectory functionals differentiate the computed RK4 recursion
+(discretize-then-differentiate), so they are exact for the trajectory the
+solver returned: `rk4_solve_unrolled_grad` takes the states of one value
+forward, re-linearizes the four stages of every step in four wide calls,
+and runs the reverse over steps on the stage Jacobians. The stochastic
+(Euler-Maruyama) loop of closed-loop control lives in
+`control.feedback_simulate`.
 
 Trajectory CSV format: one table per file, header then one row per sample,
 columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``, doubles printed with 17
@@ -111,64 +114,71 @@ def rk4_solve(rhs, x0, u, grid: TimeGrid, traj_id: int = 0) -> Trajectory:
 
 def rk4_solve_unrolled_grad(
     field: StructuredField,
-    x0: np.ndarray,
+    states: np.ndarray,
     u: np.ndarray,
     grid: TimeGrid,
     cotangents: np.ndarray,
-):
+) -> np.ndarray:
     """Exact parameter gradient of sum_i <cotangent_i, x(t_i)> through RK4.
 
-    ``x0`` is (B, d), ``u`` is (B, q), ``cotangents`` is (B, n_steps+1, d).
-    Returns (states (B, n_steps+1, d), flat_param_grad).
+    ``states`` is the (B, n_steps+1, d) solve `rk4_solve_batch` returned for
+    this field, ``u`` is (B, q), ``cotangents`` is (B, n_steps+1, d). Returns
+    the flat parameter gradient.
+
+    Given the states, no step's stage inputs depend on another step, so the
+    four RK4 stages of all steps are re-linearized in four wide calls on
+    (n_steps*B)-row step-major stacks. The reverse over steps then runs on
+    each row's stage Jacobians dv/dx (d unit-cotangent VJPs per stage) and
+    calls no net; the parameter gradient is one wide VJP per stage.
     """
-    x0 = np.asarray(x0, dtype=float)
+    states = np.asarray(states, dtype=float)
     u = np.asarray(u, dtype=float)
     cotangents = np.asarray(cotangents, dtype=float)
-    B, d = x0.shape
-    if cotangents.shape != (B, grid.n_steps + 1, d):
+    B, n_nodes, d = states.shape
+    if n_nodes != grid.n_steps + 1:
+        raise ValueError("states must be (batch, n_steps+1, dim)")
+    if cotangents.shape != states.shape:
         raise ValueError("cotangent array must be (batch, n_steps+1, dim)")
-    h = grid.h
+    n_steps, h = grid.n_steps, grid.h
 
-    states = np.empty((B, grid.n_steps + 1, d))
-    states[:, 0] = x0
-    x = x0
-    caches = []
-    for n in range(grid.n_steps):
-        k1, c1 = velocity_cached(field, x, u)
-        k2, c2 = velocity_cached(field, x + (0.5 * h) * k1, u)
-        k3, c3 = velocity_cached(field, x + (0.5 * h) * k2, u)
-        k4, c4 = velocity_cached(field, x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(x, n + 1)
-        states[:, n + 1] = x
-        caches.append((c1, c2, c3, c4))
+    # row n*B + b is trajectory b at the start of step n
+    x = states[:, :-1].transpose(1, 0, 2).reshape(n_steps * B, d)
+    uu = np.tile(u, (n_steps, 1))
+    k1, c1 = velocity_cached(field, x, uu)
+    k2, c2 = velocity_cached(field, x + (0.5 * h) * k1, uu)
+    k3, c3 = velocity_cached(field, x + (0.5 * h) * k2, uu)
+    _, c4 = velocity_cached(field, x + h * k3, uu)
+    caches = (c1, c2, c3, c4)
+
+    # jac[s][r, i, j] = d v_i / d x_j at stage s + 1 of row r
+    jac = np.empty((4, n_steps, B, d, d))
+    unit = np.zeros((n_steps * B, d))
+    for i in range(d):
+        unit[:, i] = 1.0
+        for s, cache in enumerate(caches):
+            row_i = velocity_vjp_cached(field, cache, unit)[1]
+            jac[s, :, :, i] = row_i.reshape(n_steps, B, d)
+        unit[:, i] = 0.0
+
+    # dk[s, n] is the cotangent on stage s + 1 of step n
+    dk = np.empty((4, n_steps, B, d))
+    j1, j2, j3, j4 = jac
+    lam = cotangents[:, n_steps]
+    for n in range(n_steps - 1, -1, -1):
+        dk[3, n] = (h / 6.0) * lam
+        dy4 = np.matmul(dk[3, n, :, None, :], j4[n])[:, 0]
+        dk[2, n] = (h / 3.0) * lam + h * dy4
+        dy3 = np.matmul(dk[2, n, :, None, :], j3[n])[:, 0]
+        dk[1, n] = (h / 3.0) * lam + (0.5 * h) * dy3
+        dy2 = np.matmul(dk[1, n, :, None, :], j2[n])[:, 0]
+        dk[0, n] = (h / 6.0) * lam + (0.5 * h) * dy2
+        dy1 = np.matmul(dk[0, n, :, None, :], j1[n])[:, 0]
+        lam = lam + dy4 + dy3 + dy2 + dy1 + cotangents[:, n]
 
     pgrad = np.zeros(field.params.shape)
-    lam = cotangents[:, grid.n_steps].copy()
-    for n in range(grid.n_steps - 1, -1, -1):
-        c1, c2, c3, c4 = caches[n]
-        dk1 = (h / 6.0) * lam
-        dk2 = (h / 3.0) * lam
-        dk3 = (h / 3.0) * lam
-        dk4 = (h / 6.0) * lam
-        dxn = lam.copy()
-        pg, dy, _ = velocity_vjp_cached(field, c4, dk4)
-        pgrad += pg
-        dxn += dy
-        dk3 += h * dy
-        pg, dy, _ = velocity_vjp_cached(field, c3, dk3)
-        pgrad += pg
-        dxn += dy
-        dk2 += (0.5 * h) * dy
-        pg, dy, _ = velocity_vjp_cached(field, c2, dk2)
-        pgrad += pg
-        dxn += dy
-        dk1 += (0.5 * h) * dy
-        pg, dy, _ = velocity_vjp_cached(field, c1, dk1)
-        pgrad += pg
-        dxn += dy
-        lam = dxn + cotangents[:, n]
-    return states, pgrad
+    for s, cache in enumerate(caches):
+        pgrad += velocity_vjp_cached(field, cache, dk[s].reshape(n_steps * B, d))[0]
+    return pgrad
 
 
 def finite_diff(traj: Trajectory) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Two objectives are supported. Trajectory matching integrates the model
 from each trajectory's initial state and penalizes the mean squared gap to
-the observed samples, with gradients taken through the unrolled RK4
-recursion. Gradient matching skips the solver: it penalizes the gap
-between the model vector field and finite-difference derivative estimates
-at the observed states. Batches are whole trajectories in both cases.
+the observed samples. Its gradient takes one value forward per time grid,
+then a reverse that re-linearizes every RK4 stage about the solved states
+in wide calls (`integrate.rk4_solve_unrolled_grad`). Gradient matching
+skips the solver: it penalizes the gap between the model vector field and
+finite-difference derivative estimates at the observed states. Batches are
+whole trajectories in both cases.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ class TrajMatchingObjective:
         return total / count
 
     def loss_and_grad(self, field: StructuredField, idxs=None):
-        # two passes: residuals fix the 1/n scale, then one reverse sweep
+        # per time-grid group: one value forward gives the states and the
+        # residuals, then the reverse re-linearizes every stage about them
         plan = list(self._batches(idxs))
         count = sum(obs.shape[0] * obs.shape[1] for _, _, _, obs in plan)
         total = 0.0
@@ -163,14 +166,12 @@ class TrajMatchingObjective:
             if key[0] == 1:
                 continue
             grid = self._grids(key)
-            n_fine = grid.n_steps
             states = rk4_solve_batch(lambda x, uu: eval_velocity(field, x, uu), x0, u, grid)
             res = states[:, :: self.substeps, :] - obs
             total += float(np.sum(res * res))
-            cots = np.zeros((len(x0), n_fine + 1, x0.shape[1]))
+            cots = np.zeros_like(states)
             cots[:, :: self.substeps, :] = (2.0 / count) * res
-            _, g = rk4_solve_unrolled_grad(field, x0, u, grid, cots)
-            grad += g
+            grad += rk4_solve_unrolled_grad(field, states, u, grid, cots)
         return total / count, grad
 
 

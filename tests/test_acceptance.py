@@ -84,13 +84,16 @@ class TestCriterion1Gradients:
             x0 = rng.uniform(-1, 1, size=(2, 1))
             u = rng.uniform(-1, 1, size=(2, 1))
             cots = rng.normal(size=(2, n_steps + 1, 1))
-            _, grad = rk4_solve_unrolled_grad(fld, x0, u, grid, cots)
 
-            def objective(p):
-                states = rk4_solve_batch(
+            def solve(p):
+                return rk4_solve_batch(
                     lambda x, uu: field_mod.eval_velocity(fld.with_params(p), x, uu),
                     x0, u, grid)
-                return float(np.sum(cots * states))
+
+            grad = rk4_solve_unrolled_grad(fld, solve(fld.params), u, grid, cots)
+
+            def objective(p):
+                return float(np.sum(cots * solve(p)))
 
             worst_rk4 = max(worst_rk4, rel_err(grad, central_diff_grad(objective, fld.params),
                                                floor=1e-5))

@@ -45,7 +45,7 @@ def _reference_features(x, cfg, dx=False):
 
 class TestFeaturize:
     @pytest.mark.parametrize("cfg", [HYST_FEAT, Featurizer(-2.0, 3.0, 7),
-                                     Featurizer(-1.5, 1.5, 0),
+                                     Featurizer(-1.5, 1.5, 1),
                                      Featurizer(-1.0, 1.5, 4)])
     @pytest.mark.parametrize("shape", [(), (1,), (50,), (2550,), (3, 4)])
     def test_equals_concatenating_reference(self, cfg, shape):
@@ -90,6 +90,8 @@ class TestFeaturize:
             Featurizer(a=1.0, b=1.0)
         with pytest.raises(ValueError):
             Featurizer(a=0.0, b=1.0, num_modes=-1)
+        with pytest.raises(ValueError, match="num_modes must be >= 1"):
+            Featurizer(-1.5, 1.5, 0)
 
 
 class TestEvaluation:
@@ -328,6 +330,17 @@ class TestCheckpoint:
         fld = make_field(dim=1, control_dim=1, seed=23)
         doc = json.loads(json.dumps(field_to_dict(fld)))
         doc["featurizer"] = {"a": -1.5, "b": 1.5, "num_modes": 4, "enabled": False}
+        fld2 = field_from_dict(doc)
+        assert fld2.featurizer is None
+        x, u = np.array([0.3]), np.array([0.7])
+        assert np.array_equal(eval_velocity(fld, x, u), eval_velocity(fld2, x, u))
+
+    def test_zero_mode_featurizer_loads_as_none(self):
+        # a 0-mode featurizer's features are [x], what the target net reads
+        # without one
+        fld = make_field(dim=1, control_dim=1, seed=24)
+        doc = json.loads(json.dumps(field_to_dict(fld)))
+        doc["featurizer"] = {"a": -1.5, "b": 1.5, "num_modes": 0, "enabled": True}
         fld2 = field_from_dict(doc)
         assert fld2.featurizer is None
         x, u = np.array([0.3]), np.array([0.7])

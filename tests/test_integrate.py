@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn.control import ControlPolicyCfg, feedback_simulate
-from stabledyn.field import eval_target, eval_velocity
+from stabledyn.field import eval_target, eval_velocity, velocity_cached, velocity_vjp_cached
 from stabledyn.integrate import (
     DatasetError,
     TimeGrid,
@@ -55,18 +55,67 @@ class TestRk4:
             rk4_solve(lambda x, u: x * x, [5.0], NO_U, TimeGrid(0, 10, 100))
 
 
+def reference_unrolled_grad(fld, x0, u, grid, cotangents):
+    """The RK4 parameter gradient step by step: a cached forward per stage
+    of every step, then a reverse that replays each stage's VJP."""
+    h = grid.h
+    x, caches = x0, []
+    for _ in range(grid.n_steps):
+        k1, c1 = velocity_cached(fld, x, u)
+        k2, c2 = velocity_cached(fld, x + (0.5 * h) * k1, u)
+        k3, c3 = velocity_cached(fld, x + (0.5 * h) * k2, u)
+        k4, c4 = velocity_cached(fld, x + h * k3, u)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        caches.append((c1, c2, c3, c4))
+    pgrad = np.zeros(fld.params.shape)
+    lam = cotangents[:, grid.n_steps]
+    for n in range(grid.n_steps - 1, -1, -1):
+        dxn, dy = lam, 0.0
+        # stages 4..1 with their RK4 weights and the step each feeds back
+        for cache, weight, back in zip(caches[n][::-1], (1, 2, 2, 1), (h, 0.5 * h, 0.5 * h, 0)):
+            pg, dy_next, _ = velocity_vjp_cached(fld, cache, (weight * h / 6.0) * lam + dy)
+            pgrad += pg
+            dxn = dxn + dy_next
+            dy = back * dy_next
+        lam = dxn + cotangents[:, n]
+    return pgrad
+
+
 class TestUnrolledGrad:
+    @staticmethod
+    def solve(fld, x0, u, grid):
+        return rk4_solve_batch(lambda x, uu: eval_velocity(fld, x, uu), x0, u, grid)
+
+    @pytest.mark.parametrize("d, q, n_steps, batch", [(1, 1, 1, 3), (1, 1, 9, 5), (2, 2, 6, 4)])
+    def test_equals_step_by_step_reverse(self, d, q, n_steps, batch):
+        fld = make_field(dim=d, control_dim=q, seed=6, hidden=(5,),
+                         decay_bounds=(-1.0, 0.0), target_bounds=(0.0, 1.0))
+        grid = TimeGrid(0.0, 0.4, n_steps)
+        rng = np.random.default_rng(7)
+        x0 = rng.uniform(0, 1, size=(batch, d))
+        u = rng.uniform(0, 1, size=(batch, q))
+        cots = rng.normal(size=(batch, n_steps + 1, d))
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots)
+        want = reference_unrolled_grad(fld, x0, u, grid, cots)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_cotangents(self):
         fld = make_field(dim=1, control_dim=1, seed=0)
         grid = TimeGrid(0, 0.5, 5)
-        cots = np.zeros((2, 6, 1))
-        states, grad = rk4_solve_unrolled_grad(
-            fld, np.array([[0.1], [0.4]]), np.array([[0.0], [0.2]]), grid, cots
-        )
+        x0, u = np.array([[0.1], [0.4]]), np.array([[0.0], [0.2]])
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid,
+                                       np.zeros((2, 6, 1)))
         assert not grad.any()
-        ref = rk4_solve_batch(lambda x, u: eval_velocity(fld, x, u),
-                              np.array([[0.1], [0.4]]), np.array([[0.0], [0.2]]), grid)
-        assert_close(states, ref, rtol=1e-13, floor=1e-14)
+
+    def test_shape_mismatch_rejected(self):
+        fld = make_field(dim=1, control_dim=1, seed=0)
+        grid = TimeGrid(0, 0.5, 5)
+        x0, u = np.array([[0.1], [0.4]]), np.array([[0.0], [0.2]])
+        states = self.solve(fld, x0, u, grid)
+        with pytest.raises(ValueError, match="states"):
+            rk4_solve_unrolled_grad(fld, states, u, TimeGrid(0, 0.5, 4), np.zeros((2, 5, 1)))
+        with pytest.raises(ValueError, match="cotangent"):
+            rk4_solve_unrolled_grad(fld, states, u, grid, np.zeros((2, 5, 1)))
 
     @pytest.mark.parametrize("n_steps", [1, 7])
     def test_grad_matches_finite_differences(self, n_steps):
@@ -76,13 +125,10 @@ class TestUnrolledGrad:
         x0 = rng.uniform(-1, 1, size=(3, 1))
         u = rng.uniform(-1, 1, size=(3, 1))
         cots = rng.normal(size=(3, n_steps + 1, 1))
-        _, grad = rk4_solve_unrolled_grad(fld, x0, u, grid, cots)
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots)
 
         def objective(p):
-            states = rk4_solve_batch(
-                lambda x, uu: eval_velocity(fld.with_params(p), x, uu), x0, u, grid
-            )
-            return float(np.sum(cots * states))
+            return float(np.sum(cots * self.solve(fld.with_params(p), x0, u, grid)))
 
         fd = central_diff_grad(objective, fld.params)
         assert_close(grad, fd, rtol=1e-3, floor=1e-5, label="unrolled")
@@ -95,13 +141,10 @@ class TestUnrolledGrad:
         x0 = rng.uniform(0, 1, size=(2, 2))
         u = rng.uniform(0, 1, size=(2, 2))
         cots = rng.normal(size=(2, 5, 2))
-        _, grad = rk4_solve_unrolled_grad(fld, x0, u, grid, cots)
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots)
 
         def objective(p):
-            states = rk4_solve_batch(
-                lambda x, uu: eval_velocity(fld.with_params(p), x, uu), x0, u, grid
-            )
-            return float(np.sum(cots * states))
+            return float(np.sum(cots * self.solve(fld.with_params(p), x0, u, grid)))
 
         assert_close(grad, central_diff_grad(objective, fld.params), rtol=1e-3, floor=1e-5)
 

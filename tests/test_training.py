@@ -146,6 +146,63 @@ class TestTrajMatchingLoss:
 
         assert_close(grad, central_diff_grad(f, fld.params), rtol=1e-3, floor=1e-6)
 
+    def test_batch_linearizes_each_stage_once(self, monkeypatch):
+        # one value forward, then four wide stage linearizations and d + 1
+        # wide reverses per stage, whatever the step count
+        from stabledyn import integrate, training
+
+        fld = make_field(dim=2, control_dim=2, seed=16, hidden=(4,),
+                         decay_bounds=(-1.0, 0.0), target_bounds=(0.0, 1.0))
+        trajs = field_generated_trajectories(fld, n_traj=3, n_samples=7, seed=17)
+        calls = {"solve": 0, "velocity": 0, "vjp": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(training, "rk4_solve_batch",
+                            counted("solve", training.rk4_solve_batch))
+        monkeypatch.setattr(integrate, "velocity_cached",
+                            counted("velocity", integrate.velocity_cached))
+        monkeypatch.setattr(integrate, "velocity_vjp_cached",
+                            counted("vjp", integrate.velocity_vjp_cached))
+        TrajMatchingObjective(trajs).loss_and_grad(fld)
+        assert calls == {"solve": 1, "velocity": 4, "vjp": 4 * (fld.dim + 1)}
+
+    def test_gradient_matches_fd_two_grids_substeps(self):
+        # step-major stacking, substep striding and the sum over grid groups
+        fld = make_field(dim=2, control_dim=2, seed=18, hidden=(4,),
+                         decay_bounds=(-1.0, 0.0), target_bounds=(0.0, 1.0))
+        trajs = (field_generated_trajectories(fld, n_traj=2, n_samples=5, seed=19, substeps=2)
+                 + field_generated_trajectories(fld, n_traj=2, n_samples=4, horizon=0.3,
+                                                seed=20, substeps=2))
+        shifted = [
+            Trajectory(t.times, t.states + 0.05 * t.times[:, None] ** 2, t.control, traj_id=i)
+            for i, t in enumerate(trajs)
+        ]
+        objective = TrajMatchingObjective(shifted, substeps=2)
+        _, grad = objective.loss_and_grad(fld)
+
+        def f(p):
+            return objective.loss(fld.with_params(p))
+
+        assert_close(grad, central_diff_grad(f, fld.params), rtol=1e-3, floor=1e-6)
+
+    def test_batch_gradient_is_sum_of_single_gradients(self):
+        fld = make_field(dim=2, control_dim=2, seed=21, hidden=(4,),
+                         decay_bounds=(-1.0, 0.0), target_bounds=(0.0, 1.0))
+        trajs = field_generated_trajectories(fld, n_traj=4, n_samples=6, seed=22)
+        noisy = [Trajectory(t.times, t.states + 0.03 * np.sin(5.0 * t.times)[:, None],
+                            t.control, traj_id=t.traj_id) for t in trajs]
+        objective = TrajMatchingObjective(noisy)
+        _, grad = objective.loss_and_grad(fld)
+        # each loss is a mean over its own samples, so the batch mean is a
+        # quarter of the sum of the single-trajectory ones
+        singles = sum(objective.loss_and_grad(fld, [i])[1] for i in range(4))
+        assert np.max(np.abs(4.0 * grad - singles)) <= 1e-12 * np.max(np.abs(singles))
+
     def test_uneven_times_refused_by_traj_id(self):
         # the field's own trajectory, sampled off the even grid: matching it
         # on TimeGrid(0, 0.25, 5) would compare states at the wrong times
