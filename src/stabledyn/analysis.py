@@ -2,11 +2,16 @@
 tipping-point detection, and evaluation metrics.
 
 Root finding is deliberately simple and testable: a uniform scan with
-bisection on sign changes in one dimension, damped Newton with a
-finite-difference Jacobian from a grid of starts in higher dimensions.
-Sign-change cells that bisect onto a discontinuity (the residual stays
-large) are discarded, and tangency roots without a sign change can be
-missed; scan densities are chosen below benchmark feature scales.
+bisection on sign changes in one dimension, damped Newton from a grid of
+starts in higher dimensions. Sign-change cells that bisect onto a
+discontinuity (the residual stays large) are discarded, and tangency roots
+without a sign change can be missed; scan densities are chosen below
+benchmark feature scales.
+
+Every central-difference derivative in the package is one routine,
+central_diff: the Newton Jacobian, the stability Jacobians and slopes, the
+sampled contraction bound, and control's gradient of a callable target
+map. Tolerances and step sizes are module constants.
 
 In one dimension a single batched engine serves find_equilibria_1d (one
 control value) and bifurcation_sweep (many): residuals take arrays and are
@@ -82,10 +87,34 @@ class MetricsReport:
 # grid in one call, which was also slower; 1024 is as fast as 4096.
 _BLOCK_ROWS = 1024
 
-# the sweep classification needs no _EQUILIBRIUM_TOL: its roots have |r| <= 1e-10
+_ROOT_TOL = 1e-10
+_ROOT_DEDUP = 1e-6
+_NEWTON_TOL = 1e-8
+_NEWTON_DEDUP = 1e-4
+_NEWTON_MAX_ITER = 80
+# the sweep classification needs no _EQUILIBRIUM_TOL: its roots have |r| <= _ROOT_TOL
 _EQUILIBRIUM_TOL = 1e-6
 _EIG_TOL = 1e-8
 _FD_STEP = 1e-6
+_CONTRACTION_SAMPLES = 101
+
+
+def central_diff(fn, x) -> np.ndarray:
+    """Central differences of ``fn`` along the last axis of x, step h = _FD_STEP.
+
+    x is one point (d,) or a batch (..., d); ``fn`` gets arrays of x's shape,
+    two per coordinate. The quotients (fn(x + h e_j) - fn(x - h e_j)) / 2h
+    stack on a new last axis: a Jacobian (..., m, d) when fn returns
+    (..., m), a gradient (..., d) when it returns one value per point.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.shape[-1]):
+        xp, xm = x.copy(), x.copy()
+        xp[..., j] += _FD_STEP
+        xm[..., j] -= _FD_STEP
+        cols.append((np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * _FD_STEP))
+    return np.stack(cols, axis=-1)
 
 
 def _call_in_blocks(fn_of, c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -121,12 +150,11 @@ def _bisect(residual_of, c, a, b, fa):
     return m, _call_in_blocks(residual_of, c, m)
 
 
-def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int,
-                tol: float = 1e-10, dedup: float = 1e-6):
+def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int):
     """Roots of ``residual_of(c)(x)`` on the interval for every control value.
 
     Returns (control index, root, residual) arrays, sorted by control index
-    then root, with roots of one control closer than ``dedup`` merged.
+    then root, with roots of one control closer than _ROOT_DEDUP merged.
     """
     lo, hi = float(interval[0]), float(interval[1])
     xs = np.linspace(lo, hi, n_scan + 1)
@@ -152,8 +180,8 @@ def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int,
         cell_i = np.concatenate(cell_i)
         m, r = _bisect(residual_of, controls[cell_i], np.concatenate(cell_a),
                        np.concatenate(cell_b), np.concatenate(cell_fa))
-        # a cell whose bisection limit still has |r| > tol hides a discontinuity
-        kept = np.abs(r) <= tol
+        # a cell whose bisection limit still has |r| > _ROOT_TOL hides a discontinuity
+        kept = np.abs(r) <= _ROOT_TOL
     zero_x = np.concatenate(zero_x)
     ctrl = np.concatenate(zero_i + [cell_i[kept]])
     roots = np.concatenate([zero_x, m[kept]])
@@ -163,47 +191,33 @@ def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int,
     keep = np.zeros(len(roots), dtype=bool)
     last = -1
     for k in range(len(roots)):
-        keep[k] = last < 0 or ctrl[k] != ctrl[last] or abs(roots[k] - roots[last]) > dedup
+        keep[k] = last < 0 or ctrl[k] != ctrl[last] or abs(roots[k] - roots[last]) > _ROOT_DEDUP
         if keep[k]:
             last = k
     return ctrl[keep], roots[keep], res[keep]
 
 
-def find_equilibria_1d(residual_fn, interval, n_scan: int = 400,
-                       tol: float = 1e-10, dedup: float = 1e-6) -> np.ndarray:
+def find_equilibria_1d(residual_fn, interval, n_scan: int = 400) -> np.ndarray:
     """Roots of a continuous scalar residual on an interval, sorted.
 
     Uniform scan over n_scan cells, bisection on each sign change. A cell
-    whose bisection limit still has |r| > tol hides a discontinuity, not a
-    root, and is dropped. ``residual_fn`` is evaluated elementwise on a 1-d
-    state array of at most _BLOCK_ROWS entries; it is the one-control case
-    of the engine behind bifurcation_sweep.
+    whose bisection limit still has |r| > _ROOT_TOL hides a discontinuity,
+    not a root, and is dropped. ``residual_fn`` is evaluated elementwise on
+    a 1-d state array of at most _BLOCK_ROWS entries; it is the one-control
+    case of the engine behind bifurcation_sweep.
     """
-    _, roots, _ = _equilibria(lambda c: residual_fn, np.zeros(1), interval, n_scan,
-                              tol, dedup)
+    _, roots, _ = _equilibria(lambda c: residual_fn, np.zeros(1), interval, n_scan)
     return roots
 
 
 # --- multivariate root finding ---------------------------------------------------
 
-def _fd_jacobian(fn, x, h: float = 1e-6) -> np.ndarray:
-    d = len(x)
-    jac = np.empty((d, d))
-    for j in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
-    return jac
-
-
-def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6,
-                       tol: float = 1e-8, dedup: float = 1e-4,
-                       max_iter: int = 80):
-    """Damped Newton on r(x) = 0 from a grid of starts over a box.
+def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6):
+    """Damped Newton on r(x) = 0 from a grid of starts over a box, with
+    central-difference Jacobians.
 
     Returns (roots array, n_failed_starts). Starts that do not reach
-    ||r|| <= tol are counted, not silently dropped.
+    ||r|| <= _NEWTON_TOL are counted, not silently dropped.
     """
     box = np.asarray(box, dtype=float).reshape(-1, 2)
     axes = [np.linspace(lo, hi, starts_per_axis) for lo, hi in box]
@@ -216,12 +230,12 @@ def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6,
         x = x0.copy()
         r = np.asarray(residual_fn(x), dtype=float)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             nr = np.linalg.norm(r)
-            if nr <= tol:
+            if nr <= _NEWTON_TOL:
                 ok = True
                 break
-            jac = _fd_jacobian(residual_fn, x)
+            jac = central_diff(residual_fn, x)
             try:
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
@@ -238,8 +252,8 @@ def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6,
                 scale *= 0.5
             if not improved:
                 break
-        if ok or np.linalg.norm(r) <= tol:
-            if not any(np.linalg.norm(x - prev) <= dedup for prev in roots):
+        if ok or np.linalg.norm(r) <= _NEWTON_TOL:
+            if not any(np.linalg.norm(x - prev) <= _NEWTON_DEDUP for prev in roots):
                 roots.append(x)
         else:
             failed += 1
@@ -249,25 +263,25 @@ def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6,
 
 # --- stability -------------------------------------------------------------------
 
-def _label(max_real, eig_tol: float):
+def _label(max_real):
     """Stability label(s) from the largest real part of the Jacobian's
     eigenvalues."""
-    return np.where(max_real < -eig_tol, STABLE, np.where(max_real > eig_tol, UNSTABLE, MARGINAL))
+    return np.where(max_real < -_EIG_TOL, STABLE,
+                    np.where(max_real > _EIG_TOL, UNSTABLE, MARGINAL))
 
 
-def classify_stability(velocity_fn, x_star, equilibrium_tol: float = _EQUILIBRIUM_TOL,
-                       eig_tol: float = _EIG_TOL, h: float = _FD_STEP) -> str:
-    """Stability of an equilibrium from the finite-difference Jacobian of
+def classify_stability(velocity_fn, x_star) -> str:
+    """Stability of an equilibrium from the central-difference Jacobian of
     the velocity field (d = 1 or 2)."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     v = np.atleast_1d(np.asarray(velocity_fn(x_star), dtype=float))
-    if np.linalg.norm(v) > equilibrium_tol:
+    if np.linalg.norm(v) > _EQUILIBRIUM_TOL:
         raise ValueError(f"not an equilibrium: |velocity| = {np.linalg.norm(v):.3e}")
     if len(x_star) > 2:
         raise ValueError("stability classification supports d <= 2")
-    jac = _fd_jacobian(lambda x: np.atleast_1d(velocity_fn(x)), x_star, h)
+    jac = central_diff(lambda x: np.atleast_1d(velocity_fn(x)), x_star)
     if len(x_star) == 1:
-        return str(_label(jac[0, 0], eig_tol))
+        return str(_label(jac[0, 0]))
     tr = jac[0, 0] + jac[1, 1]
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     disc = tr * tr - 4.0 * det
@@ -275,20 +289,19 @@ def classify_stability(velocity_fn, x_star, equilibrium_tol: float = _EQUILIBRIU
         max_real = 0.5 * (tr + np.sqrt(disc))
     else:
         max_real = 0.5 * tr
-    return str(_label(max_real, eig_tol))
+    return str(_label(max_real))
 
 
 def _classify_1d(residual_of, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stability labels of many scalar equilibria x at controls c, from one
-    batched evaluation of the residual at x + h and x - h (in calls of at
-    most _BLOCK_ROWS points). Contract: velocity = decay * residual with
-    decay < 0, as for the learned field (x - target), the true rhs (-rhs,
-    decay -1) and the analytic splits. At a root the negated residual slope
-    then has the velocity slope's sign, and classify_stability's rule applies."""
-    h = _FD_STEP
-    r = _call_in_blocks(residual_of, np.tile(c, 2),
-                        np.concatenate([x + h, x - h])).reshape(2, len(x))
-    return _label((r[1] - r[0]) / (2.0 * h), _EIG_TOL)
+    """Stability labels of many scalar equilibria x at controls c, from the
+    residual's central-difference slope (one batched residual evaluation
+    per side, in calls of at most _BLOCK_ROWS points). Contract: velocity =
+    decay * residual with decay < 0, as for the learned field (x - target),
+    the true rhs (-rhs, decay -1) and the analytic splits. At a root the
+    negated residual slope then has the velocity slope's sign, and
+    classify_stability's rule applies."""
+    slope = central_diff(lambda xs: _call_in_blocks(residual_of, c, xs[:, 0]), x[:, None])
+    return _label(-slope[:, 0])
 
 
 # --- bifurcation sweeps -----------------------------------------------------------
@@ -356,17 +369,15 @@ def iqr(samples) -> float:
     return float(q75 - q25)
 
 
-def contraction_bound(target_fn, x_star: float, radius: float,
-                      n_samples: int = 101, h: float = 1e-6):
-    """Sampled sup |d target/dx| over [x*-r, x*+r]; flags L < 1.
+def contraction_bound(target_fn, x_star: float, radius: float):
+    """Sup |d target/dx| sampled at _CONTRACTION_SAMPLES points of
+    [x*-r, x*+r]; flags L < 1.
 
-    ``target_fn`` maps a scalar state to a scalar (control already bound).
+    ``target_fn`` maps states to targets elementwise (control already
+    bound); it is called on (_CONTRACTION_SAMPLES, 1) arrays.
     """
-    xs = np.linspace(x_star - radius, x_star + radius, n_samples)
-    derivs = np.array([
-        (float(target_fn(x + h)) - float(target_fn(x - h))) / (2.0 * h) for x in xs
-    ])
-    L = float(np.max(np.abs(derivs)))
+    xs = np.linspace(x_star - radius, x_star + radius, _CONTRACTION_SAMPLES)
+    L = float(np.max(np.abs(central_diff(target_fn, xs[:, None]))))
     return L, L < 1.0
 
 

@@ -509,23 +509,13 @@ def system_magnitude(system: str, trajectories=None) -> np.ndarray:
     raise ValueError(f"unknown system {system!r}")
 
 
-def steady_state_of_true_system(system: str, u, x0=None, horizon: float = 1000.0) -> np.ndarray:
-    """Settle the true dynamics under constant control; returns the end state."""
-    d, q = SYSTEM_DIMS[system]
-    if x0 is None:
-        x0 = np.full(d, 0.5)
-    grid = TimeGrid(0.0, horizon, max(int(horizon / 0.25), 100))
-    states = rk4_solve_batch(rhs_fn(system), np.asarray(x0, dtype=float)[None, :],
-                             np.atleast_1d(np.asarray(u, dtype=float))[None, :], grid)
-    return states[0, -1]
-
-
 def sample_targets(system: str, n: int, seed) -> np.ndarray:
     """Randomized reachable targets per the experiment designs.
 
-    Tanks and toggle targets come from settling the true dynamics under
-    randomly drawn control configurations; hysteresis and budworm targets
-    are drawn uniformly from the stated state ranges.
+    Tanks and toggle targets are the end states of the true dynamics,
+    settled in one batch under randomly drawn control configurations (and,
+    for toggle, start states); hysteresis and budworm targets are drawn
+    uniformly from the stated state ranges.
     """
     rng = np.random.default_rng(seed)
     if system == SYM_HYSTERESIS:
@@ -535,19 +525,16 @@ def sample_targets(system: str, n: int, seed) -> np.ndarray:
     if system == TWO_TANKS:
         # draw generating controls over the training grid's range so target
         # optima sit inside the gated box rather than on its boundary
-        targets = np.empty((n, 2))
-        for i in range(n):
-            u = rng.uniform(0.1, 0.9, size=2)
-            targets[i] = steady_state_of_true_system(system, u)
-        return targets
-    if system == TOGGLE_SWITCH:
-        targets = np.empty((n, 2))
-        for i in range(n):
-            x0 = rng.uniform(0.0, 6.0, size=2)
-            u = rng.uniform(0.0, 5.0, size=4)
-            targets[i] = steady_state_of_true_system(system, u, x0=x0, horizon=100.0)
-        return targets
-    raise ValueError(f"unknown system {system!r}")
+        u = rng.uniform(0.1, 0.9, size=(n, 2))
+        x0, horizon = np.full((n, 2), 0.5), 1000.0
+    elif system == TOGGLE_SWITCH:
+        # one row per target: its start state (2), then its controls (4)
+        draws = rng.uniform(0.0, [6.0, 6.0, 5.0, 5.0, 5.0, 5.0], size=(n, 6))
+        x0, u, horizon = draws[:, :2], draws[:, 2:], 100.0
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    grid = TimeGrid(0.0, horizon, int(horizon / 0.25))
+    return rk4_solve_batch(rhs_fn(system), x0, u, grid)[:, -1]
 
 
 def run_control_trials(system: str, target_map, targets: np.ndarray,
@@ -604,10 +591,9 @@ def _trial_start(system: str) -> np.ndarray:
     return np.full(d, 0.5)
 
 
-def evaluate_trace(trace, magnitude, window_fraction: float = 0.2):
-    """Per-target nRMSE over the final window_fraction of each target's
-    recorded nodes, and at least over its last one; targets with no recorded
-    node are skipped."""
+def evaluate_trace(trace, magnitude):
+    """Per-target nRMSE over the final 20% of each target's recorded nodes, and
+    at least over its last one; targets with no recorded node are skipped."""
     from .analysis import nrmse
 
     per_target = []
@@ -616,7 +602,7 @@ def evaluate_trace(trace, magnitude, window_fraction: float = 0.2):
         idx = np.nonzero(mask)[0]
         if len(idx) == 0:
             continue
-        start = int(np.ceil(len(idx) * (1.0 - window_fraction)))
+        start = int(np.ceil(len(idx) * 0.8))
         tail = idx[min(start, len(idx) - 1):]
         per_target.append(nrmse(trace.states[tail], ref, magnitude))
     return np.asarray(per_target)

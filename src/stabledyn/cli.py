@@ -194,7 +194,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset_arg(args)
     system = _check_system(args.system or dataset.system)
     cfg, _ = _train_config(args, system)
-    result, _ = training.train_with_restarts(
+    result = training.train_with_restarts(
         lambda seed: benchmarks.make_untrained_field(system, seed), dataset.trajectories, cfg
     )
     field_mod.save_field(out / f"{system}-field.json", result.field, seed=result.seed)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnet
+from .analysis import central_diff
 from .field import StructuredField, eval_target, target_cached, target_vjp
 from .integrate import TimeGrid
 from .nnet import NonFiniteError
@@ -119,7 +120,7 @@ def _apply_target(target_map, x, u) -> np.ndarray:
 
 def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
     """Gradient in u of 0.5*||target^{k}(x,u) - x_ref||^2, exact through all
-    k compositions for a structured field, central differences otherwise.
+    k compositions for a structured field, `analysis.central_diff` otherwise.
 
     x, u and x_ref are one point or batches of rows; each row gets the
     gradient of its own objective."""
@@ -147,14 +148,7 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
         r = iterate_target(target_map, x, uu, k) - x_ref
         return 0.5 * (r[..., None, :] @ r[..., :, None])[..., 0, 0]
 
-    h = 1e-6
-    g = np.zeros_like(u)
-    for i in range(u.shape[-1]):
-        up, um = u.copy(), u.copy()
-        up[..., i] += h
-        um[..., i] -= h
-        g[..., i] = (objective(up) - objective(um)) / (2.0 * h)
-    return g
+    return central_diff(objective, u)
 
 
 # --- joint state/control simulation -------------------------------------------
@@ -290,10 +284,10 @@ class GdResult:
     diverged: bool = False
 
 
-def gd_linear(prob: LinearControlProblem, u0, eta: float, iters: int,
-              divergence_threshold: float = 1e6) -> GdResult:
+def gd_linear(prob: LinearControlProblem, u0, eta: float, iters: int) -> GdResult:
     """u_{k+1} = u_k - eta G^T (G u_k - x_ref), tracking distance to the
-    minimum-norm solution; flags runaway iterates."""
+    minimum-norm solution; flags runaway iterates (norm above 1e6 or
+    non-finite) and stops there."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     G = prob.G
@@ -306,7 +300,7 @@ def gd_linear(prob: LinearControlProblem, u0, eta: float, iters: int,
         u = u - eta * (G.T @ (G @ u - prob.x_ref))
         iterates.append(u.copy())
         errors.append(float(np.linalg.norm(u - u_star)))
-        if np.linalg.norm(u) > divergence_threshold or not np.all(np.isfinite(u)):
+        if np.linalg.norm(u) > 1e6 or not np.all(np.isfinite(u)):
             diverged = True
             break
     return GdResult(np.asarray(iterates), np.asarray(errors), diverged)

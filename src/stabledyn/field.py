@@ -307,6 +307,11 @@ def field_to_dict(field: StructuredField, seed: int | None = None) -> dict:
 def field_from_dict(doc: dict) -> StructuredField:
     f_spec, f_params, _ = nnet.checkpoint_from_dict(doc["decay"])
     g_spec, g_params, _ = nnet.checkpoint_from_dict(doc["target"])
+    domain = doc.get("domain")
+    if domain is not None:
+        domain = np.asarray(domain, dtype=float)
+        if not np.isfinite(domain).all():
+            raise ValueError("field domain must be finite")
     feat = None
     fd = doc.get("featurizer")
     # a disabled or 0-mode featurizer computes what none does: the target
@@ -321,7 +326,7 @@ def field_from_dict(doc: dict) -> StructuredField:
         target_spec=g_spec,
         target_params=g_params,
         featurizer=feat,
-        domain=None if doc.get("domain") is None else np.asarray(doc["domain"]),
+        domain=domain,
     )
 
 

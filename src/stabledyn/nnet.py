@@ -379,4 +379,6 @@ def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
     params = np.asarray(doc["values"], dtype=float)
     if params.shape != (param_count(spec),):
         raise ValueError("checkpoint value count does not match layer sizes")
+    if not np.isfinite(params).all():
+        raise ValueError("checkpoint values must be finite")
     return spec, params, doc.get("seed")

@@ -311,17 +311,15 @@ def train_with_restarts(
     make_field,
     trajectories: list[Trajectory],
     config: TrainConfig,
-) -> tuple[TrainResult, list[float]]:
+) -> TrainResult:
     """Train `restarts` times from different seeds, keep the best final loss."""
     best: TrainResult | None = None
-    finals = []
     for r in range(max(1, config.restarts)):
         seed = config.seed + 1000 * r
         result = train(make_field(seed), trajectories, replace(config, seed=seed))
-        finals.append(result.best_loss)
         if best is None or result.best_loss < best.best_loss:
             best = result
-    return best, finals
+    return best
 
 
 # --- cross validation --------------------------------------------------------
@@ -364,7 +362,6 @@ def cross_validate(
     candidates: list[tuple[str, callable]],
     config: TrainConfig,
     cv_epochs: int | None = None,
-    final_config: TrainConfig | None = None,
 ) -> CvReport:
     """k-fold model selection followed by a full-data retrain of the winner.
 
@@ -398,5 +395,5 @@ def cross_validate(
 
     selected = min(reports, key=lambda r: r.mean).candidate
     builder = dict(candidates)[selected]
-    final, _ = train_with_restarts(builder, trajectories, final_config or config)
+    final = train_with_restarts(builder, trajectories, config)
     return CvReport(reports, selected, final)

@@ -9,6 +9,7 @@ from stabledyn.analysis import (
     STABLE,
     UNSTABLE,
     bifurcation_sweep,
+    central_diff,
     classify_stability,
     contraction_bound,
     find_equilibria_1d,
@@ -166,6 +167,32 @@ class TestClassifyStability:
         vel = lambda x: np.atleast_1d(hysteresis_velocity(0.0)(x[0]))
         with pytest.raises(ValueError):
             classify_stability(vel, [0.5])
+
+
+class TestCentralDiff:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_affine_map_gives_its_matrix(self, d):
+        rng = np.random.default_rng(d)
+        A, b = rng.normal(size=(d, d)), rng.normal(size=d)
+        jac = central_diff(lambda x: x @ A.T + b, rng.normal(size=d))
+        assert jac.shape == (d, d)
+        assert np.max(np.abs(jac - A)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_rows_are_single_point_calls(self, d):
+        # elementwise arithmetic only, so a row's bits cannot depend on the batch
+        fn = lambda x: x * x * x[..., ::-1] - 1.0 / (1.0 + x * x)
+        xs = np.random.default_rng(10 + d).normal(size=(7, d))
+        batch = central_diff(fn, xs)
+        assert batch.shape == (7, d, d)
+        assert np.array_equal(batch, np.stack([central_diff(fn, x) for x in xs]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scalar_fn_gives_gradient(self, d):
+        xs = np.random.default_rng(20 + d).normal(size=(4, 3, d))
+        grad = central_diff(lambda x: 0.5 * np.sum(x * x, axis=-1), xs)
+        assert grad.shape == (4, 3, d)
+        assert np.max(np.abs(grad - xs)) <= 1e-8
 
 
 class TestBifurcationSweep:

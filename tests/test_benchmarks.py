@@ -33,7 +33,7 @@ from stabledyn.benchmarks import (
     transient_time,
 )
 from stabledyn.control import ControlTrace
-from stabledyn.integrate import TimeGrid, Trajectory, rk4_solve
+from stabledyn.integrate import TimeGrid, Trajectory, rk4_solve, rk4_solve_batch
 from util import CHECKPOINT, assert_close
 
 
@@ -293,6 +293,23 @@ class TestEvaluateTrace:
         trace = self._trace([5])
         trace.targets.append((5.0, np.array([1.0])))
         assert evaluate_trace(trace, 1.0).shape == (1, 1)
+
+
+class TestSampleTargets:
+    @pytest.mark.parametrize("system", [TWO_TANKS, TOGGLE_SWITCH])
+    def test_batched_settle_is_per_target_settles(self, system):
+        # reference: each target drawn and settled on its own, in stream order
+        rng = np.random.default_rng([3, 7, 1])
+        expected = []
+        for _ in range(2):
+            if system == TWO_TANKS:
+                x0, u, horizon = np.full(2, 0.5), rng.uniform(0.1, 0.9, size=2), 1000.0
+            else:
+                x0, u, horizon = rng.uniform(0.0, 6.0, size=2), rng.uniform(0.0, 5.0, size=4), 100.0
+            states = rk4_solve_batch(lambda x, uu: system_rhs(system, x, uu), x0[None, :],
+                                     u[None, :], TimeGrid(0.0, horizon, int(horizon / 0.25)))
+            expected.append(states[0, -1])
+        assert np.array_equal(sample_targets(system, 2, seed=[3, 7, 1]), np.array(expected))
 
 
 class TestControlTrials:

@@ -269,16 +269,31 @@ class TestSimulate:
         assert "cannot load field checkpoint" in capsys.readouterr().err
 
 
-def _tanh_checkpoint():
+def _edited_checkpoint(edit):
     doc = json.loads(CHECKPOINT.read_text())
-    doc["decay"]["activation"] = "tanh"
+    edit(doc)
     return json.dumps(doc)
+
+
+def _tanh(doc):
+    doc["decay"]["activation"] = "tanh"
+
+
+def _nan_weight(doc):
+    doc["target"]["values"][0] = float("nan")
+
+
+def _inf_domain(doc):
+    doc["domain"][0][1] = float("inf")
 
 
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
     @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json",
-                                         pytest.param(_tanh_checkpoint(), id="tanh")])
+                                         pytest.param(_edited_checkpoint(_tanh), id="tanh"),
+                                         pytest.param(_edited_checkpoint(_nan_weight), id="nan"),
+                                         pytest.param(_edited_checkpoint(_inf_domain),
+                                                      id="inf-domain")])
     def test_config_error_in_every_command(self, tmp_path, capsys, command, content):
         path = tmp_path / "field.json"
         path.write_text(content)
