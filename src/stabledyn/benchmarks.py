@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -202,28 +203,30 @@ class DataProtocol:
 
 
 def default_protocol(system: str, paper_scale: bool = False, samples_per_traj: int = 51) -> DataProtocol:
+    """The system's data grid at ``samples_per_traj`` samples per trajectory.
+
+    Each system fixes its RK4 step count over the horizon; the protocol
+    takes the fewest whole steps per sample interval that reach it, so
+    fewer samples never mean a longer step."""
+    if samples_per_traj < 2:
+        raise ValueError("a trajectory needs at least 2 samples")
+
+    def protocol(ics, controls, horizon, rk4_steps, **kwargs):
+        substeps = -(-rk4_steps // (samples_per_traj - 1))  # ceiling division
+        return DataProtocol(ics, controls, horizon, samples_per_traj, substeps, **kwargs)
+
     if system == TWO_TANKS:
         levels = 0.05 * np.arange(21)
         ics = np.stack([levels, levels], axis=1)
         vals = 0.1 * np.arange(1, 10)
         controls = np.array(list(itertools.product(vals, vals)))
-        return DataProtocol(ics, controls, horizon=200.0,
-                            samples_per_traj=samples_per_traj, substeps=8)
+        return protocol(ics, controls, 200.0, 400)
     if system == SYM_HYSTERESIS:
-        return DataProtocol(
-            np.linspace(-2, 2, 51)[:, None],
-            np.linspace(-1, 1, 51)[:, None],
-            horizon=0.25,
-            samples_per_traj=samples_per_traj,
-        )
+        return protocol(np.linspace(-2, 2, 51)[:, None], np.linspace(-1, 1, 51)[:, None],
+                        0.25, 50)
     if system == BUDWORM:
-        return DataProtocol(
-            np.linspace(0.1, 10, 51)[:, None],
-            np.linspace(4.45, 11.99, 51)[:, None],
-            horizon=10.0,
-            samples_per_traj=samples_per_traj,
-            substeps=2,
-        )
+        return protocol(np.linspace(0.1, 10, 51)[:, None], np.linspace(4.45, 11.99, 51)[:, None],
+                        10.0, 100)
     if system == TOGGLE_SWITCH:
         axis = np.linspace(0, 6, 9)
         ics = np.array(list(itertools.product(axis, axis)))
@@ -231,9 +234,7 @@ def default_protocol(system: str, paper_scale: bool = False, samples_per_traj: i
         if not paper_scale:
             vals = vals[::2]  # desk-scale stride over the control grid
         controls = np.array(list(itertools.product(vals, vals, vals, vals)))
-        return DataProtocol(ics, controls, horizon=100.0,
-                            samples_per_traj=samples_per_traj, substeps=8,
-                            transient_truncate=True)
+        return protocol(ics, controls, 100.0, 400, transient_truncate=True)
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -307,7 +308,7 @@ def _git_blob_sha1(data: bytes) -> str:
     return digest.hexdigest()
 
 
-def save_dataset(prefix, dataset: Dataset, seed: int | None = None) -> dict:
+def save_dataset(prefix, dataset: Dataset) -> dict:
     """Write <prefix>.csv plus <prefix>.json manifest; returns the manifest."""
     csv_path = f"{prefix}.csv"
     write_trajectories_csv(csv_path, dataset.trajectories)
@@ -317,7 +318,7 @@ def save_dataset(prefix, dataset: Dataset, seed: int | None = None) -> dict:
         "system": dataset.system,
         "params": dataset.params,
         "protocol": dataset.protocol_meta,
-        "seed": seed if seed is not None else dataset.seed,
+        "seed": dataset.seed,
         "content_hash": digest,
         "n_trajectories": len(dataset),
     }
@@ -461,17 +462,14 @@ class ControlRecipe:
     t_per_target: float
     step: float                       # Euler-Maruyama step
     u0: tuple
-    constraints: tuple = ()           # per-channel smooth-Heaviside terms
+    bounds: tuple = ()                # one (lo, hi, rate) per control channel
     magnitude_definition: str = "range"
 
 
 def default_control_recipe(system: str) -> ControlRecipe:
-    from .control import interval_gate, lower_gate
-
     if system == TWO_TANKS:
-        gate = interval_gate(0.05, 0.95, 50.0)
         return ControlRecipe(k=10, eta=0.1, sigma=0.01, t_per_target=500.0, step=0.25,
-                             u0=(0.5, 0.5), constraints=(gate, gate))
+                             u0=(0.5, 0.5), bounds=((0.05, 0.95, 50.0),) * 2)
     if system == SYM_HYSTERESIS:
         return ControlRecipe(k=1, eta=5.0, sigma=0.03, t_per_target=10.0, step=0.005,
                              u0=(0.0,))
@@ -484,8 +482,7 @@ def default_control_recipe(system: str) -> ControlRecipe:
         return ControlRecipe(
             k=1, eta=1.0, sigma=0.05, t_per_target=20.0, step=0.01,
             u0=(2.55, 2.55, 3.05, 3.05),
-            constraints=(lower_gate(0.1, 200.0), lower_gate(0.1, 200.0),
-                         lower_gate(1.1, 200.0), lower_gate(1.1, 200.0)),
+            bounds=((0.1, math.inf, 200.0),) * 2 + ((1.1, math.inf, 200.0),) * 2,
             magnitude_definition="iqr",
         )
     raise ValueError(f"unknown system {system!r}")
@@ -509,32 +506,40 @@ def system_magnitude(system: str, trajectories=None) -> np.ndarray:
     raise ValueError(f"unknown system {system!r}")
 
 
-def sample_targets(system: str, n: int, seed) -> np.ndarray:
-    """Randomized reachable targets per the experiment designs.
+def sample_targets(system: str, n: int, seeds) -> np.ndarray:
+    """Randomized reachable targets per the experiment designs: n for each
+    seed, drawn from its own ``default_rng(seed)``; (len(seeds), n, d).
 
-    Tanks and toggle targets are the end states of the true dynamics,
-    settled in one batch under randomly drawn control configurations (and,
-    for toggle, start states); hysteresis and budworm targets are drawn
-    uniformly from the stated state ranges.
+    Tanks and toggle targets are the end states of the true dynamics under
+    randomly drawn control configurations (and, for toggle, start states),
+    settled for all seeds in one batch; hysteresis and budworm targets are
+    drawn uniformly from the stated state ranges.
     """
-    rng = np.random.default_rng(seed)
     if system == SYM_HYSTERESIS:
-        return rng.uniform(-1.5, 1.5, size=(n, 1))
-    if system == BUDWORM:
-        return rng.uniform(0.1, 10.0, size=(n, 1))
-    if system == TWO_TANKS:
+        low, high, width = -1.5, 1.5, 1
+    elif system == BUDWORM:
+        low, high, width = 0.1, 10.0, 1
+    elif system == TWO_TANKS:
         # draw generating controls over the training grid's range so target
         # optima sit inside the gated box rather than on its boundary
-        u = rng.uniform(0.1, 0.9, size=(n, 2))
-        x0, horizon = np.full((n, 2), 0.5), 1000.0
+        low, high, width = 0.1, 0.9, 2
     elif system == TOGGLE_SWITCH:
         # one row per target: its start state (2), then its controls (4)
-        draws = rng.uniform(0.0, [6.0, 6.0, 5.0, 5.0, 5.0, 5.0], size=(n, 6))
-        x0, u, horizon = draws[:, :2], draws[:, 2:], 100.0
+        low, high, width = 0.0, [6.0, 6.0, 5.0, 5.0, 5.0, 5.0], 6
     else:
         raise ValueError(f"unknown system {system!r}")
+    draws = np.stack([np.random.default_rng(seed).uniform(low, high, size=(n, width))
+                      for seed in seeds])
+    if system in (SYM_HYSTERESIS, BUDWORM):
+        return draws
+    if system == TWO_TANKS:
+        x0, u, horizon = np.full((len(seeds), n, 2), 0.5), draws, 1000.0
+    else:
+        x0, u, horizon = draws[..., :2], draws[..., 2:], 100.0
     grid = TimeGrid(0.0, horizon, int(horizon / 0.25))
-    return rk4_solve_batch(rhs_fn(system), x0, u, grid)[:, -1]
+    settled = rk4_solve_batch(rhs_fn(system), x0.reshape(-1, 2), u.reshape(-1, u.shape[-1]),
+                              grid)[:, -1]
+    return settled.reshape(len(seeds), n, 2)
 
 
 def run_control_trials(system: str, target_map, targets: np.ndarray,
@@ -549,7 +554,7 @@ def run_control_trials(system: str, target_map, targets: np.ndarray,
     return feedback_simulate(
         plant_rhs=rhs_fn(system),
         target_map=target_map,
-        policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, constraints=recipe.constraints),
+        policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, bounds=recipe.bounds),
         targets=list(zip(starts, targets.swapaxes(0, 1))),
         x0=_trial_start(system),
         u0=np.asarray(recipe.u0, dtype=float),

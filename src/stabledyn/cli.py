@@ -130,10 +130,8 @@ def _check_system(name: str) -> str:
 
 
 def _protocol(args) -> benchmarks.DataProtocol:
-    proto = benchmarks.default_protocol(
-        args.system, paper_scale=args.paper_scale, samples_per_traj=args.samples
-    )
-    return proto
+    return benchmarks.default_protocol(args.system, paper_scale=args.paper_scale,
+                                       samples_per_traj=args.samples)
 
 
 def _json_dump(path: Path, doc) -> None:
@@ -150,7 +148,7 @@ def cmd_gen_data(args) -> int:
     proto = _protocol(args)
     dataset = benchmarks.gen_dataset(system, proto)
     dataset.seed = args.seed
-    manifest = benchmarks.save_dataset(out / f"{system}-data", dataset, seed=args.seed)
+    manifest = benchmarks.save_dataset(out / f"{system}-data", dataset)
     print(f"wrote {manifest['n_trajectories']} trajectories to {out}/{system}-data.csv")
     return EXIT_OK
 
@@ -267,7 +265,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     proto = _protocol(args)
     horizon = args.horizon if args.horizon is not None else proto.horizon
-    grid = TimeGrid(0.0, horizon, max(1, (proto.samples_per_traj - 1) * proto.substeps))
+    grid = TimeGrid(0.0, horizon, (proto.samples_per_traj - 1) * proto.substeps)
 
     pairs_x = np.repeat(proto.ic_grid, len(proto.control_grid), axis=0)
     pairs_u = np.tile(proto.control_grid, (len(proto.ic_grid), 1))
@@ -410,8 +408,8 @@ def cmd_control(args) -> int:
         magnitude = benchmarks.system_magnitude(system)
 
     trials = range(args.trials)
-    targets = [benchmarks.sample_targets(system, args.targets, seed=[args.seed, 7, trial])
-               for trial in trials]
+    targets = benchmarks.sample_targets(system, args.targets,
+                                        [[args.seed, 7, trial] for trial in trials])
     traces = benchmarks.run_control_trials(
         system, target_map, targets, recipe, seeds=[[args.seed, 11, trial] for trial in trials],
         record_every=args.record_every,
@@ -453,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, model=False):
+    def common(p, data=False, model=False, protocol=False):
         p.add_argument("--system", required=False, help="benchmark system id")
         p.add_argument("--out", default=".", help="output directory (must exist)")
         p.add_argument("--seed", type=int, default=0)
@@ -461,10 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; has no effect (every run is "
                             "bitwise reproducible)")
         p.add_argument("--config", help="flat JSON config file; flags override")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="full experiment sizes instead of desk-scale defaults")
-        p.add_argument("--samples", type=int, default=51,
-                       help="observation samples per trajectory")
+        if protocol:
+            p.add_argument("--paper-scale", action="store_true",
+                           help="full experiment sizes instead of desk-scale defaults")
+            p.add_argument("--samples", type=int, default=51,
+                           help="observation samples per trajectory")
         if data:
             p.add_argument("--data", help="dataset prefix written by gen-data")
         if model:
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="use the analytic split instead of a checkpoint")
 
     p = sub.add_parser("gen-data", help="generate a benchmark dataset")
-    common(p)
+    common(p, protocol=True)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a structured field on a dataset")
@@ -495,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cv)
 
     p = sub.add_parser("simulate", help="integrate trajectories on the protocol grid")
-    common(p, model=True)
+    common(p, model=True, protocol=True)
     p.add_argument("--horizon", type=float)
     p.add_argument("--limit", type=int, help="only the first N (ic, control) pairs")
     p.set_defaults(fn=cmd_simulate)

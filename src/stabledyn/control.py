@@ -3,7 +3,7 @@
 The control signal follows the negative gradient of
 ``0.5 * || target^{k}(x, u) - x_ref ||^2`` (k-fold iteration of the
 equilibrium map at fixed u), optionally gated elementwise by smooth
-Heaviside constraints so updates stall at user-set control boundaries.
+Heaviside steps so updates stall at per-channel control bounds.
 State and control are co-integrated: Euler-Maruyama on the plant with
 state-proportional noise, noise-free explicit Euler on the control. All
 trials of a run step together as rows of one batch, each with its own
@@ -30,75 +30,51 @@ from .nnet import NonFiniteError
 
 
 def smooth_heaviside(x, rate: float):
-    """Logistic step 1 / (1 + exp(-rate * x)); rate > 0."""
-    if rate <= 0:
+    """Logistic step 1 / (1 + exp(-rate * x)); rate > 0, a scalar or an
+    array that broadcasts against x."""
+    if np.any(np.asarray(rate) <= 0):
         raise ValueError("rate must be positive")
     return nnet._sigmoid(np.asarray(x, dtype=float) * rate)
 
 
 @dataclass(frozen=True)
-class HeavisideTerm:
-    sign: int      # +1 or -1
-    boundary: float
-    rate: float
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-
-def interval_gate(lo: float, hi: float, rate: float) -> tuple[HeavisideTerm, HeavisideTerm]:
-    """Gate that is ~1 inside (lo, hi) and decays to 0 outside."""
-    return (HeavisideTerm(1, lo, rate), HeavisideTerm(-1, hi, rate))
-
-
-def lower_gate(lo: float, rate: float) -> tuple[HeavisideTerm]:
-    """One-sided gate enforcing u > lo."""
-    return (HeavisideTerm(1, lo, rate),)
-
-
-@dataclass(frozen=True)
 class ControlPolicyCfg:
-    """Iteration depth, update strength, and per-channel constraint terms.
+    """Iteration depth, update strength, and per-channel control bounds.
 
-    ``constraints`` has one (possibly empty) tuple of HeavisideTerm per
-    control channel; an empty tuple leaves that channel ungated.
+    ``bounds`` has one ``(lo, hi, rate)`` per control channel, with -inf or
+    inf for an open side; empty bounds leave every channel ungated.
     """
 
     k: int = 1
     eta: float = 1.0
-    constraints: tuple = ()
+    bounds: tuple = ()
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("iteration depth k must be >= 1")
         if self.eta <= 0:
             raise ValueError("update strength eta must be positive")
+        if not all(lo < hi and 0 < rate < math.inf for lo, hi, rate in self.bounds):
+            raise ValueError("each bound needs lo < hi and a finite rate > 0")
 
 
-def control_gate(u, constraints) -> np.ndarray:
-    """Per-channel gate phi(u_i) = sum_j sign_j * H(u_i - boundary_j, rate_j),
-    for one control (q,) or a batch of them (..., q).
+def control_gate(u, bounds) -> np.ndarray:
+    """Gate H(u - lo) - H(u - hi) of each channel's ``(lo, hi, rate)`` bound,
+    for one control (q,) or a batch of them (..., q): ~1 inside (lo, hi),
+    0.5 at a finite bound, decaying to 0 outside.
 
-    Channels with no terms get gate 1 (unconstrained).
+    An open upper side contributes exactly 0, an open lower side exactly 1,
+    and empty bounds give gate 1 on every channel.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not constraints:
+    if len(bounds) == 0:
         return np.ones_like(u)
-    if len(constraints) != u.shape[-1]:
-        raise ValueError("need one constraint list per control channel")
-    out = np.empty_like(u)
-    for i, terms in enumerate(constraints):
-        if not terms:
-            out[..., i] = 1.0
-            continue
-        val = 0.0
-        for term in terms:
-            val += term.sign * smooth_heaviside(u[..., i] - term.boundary, term.rate)
-        out[..., i] = val
-    return out
+    if len(bounds) != u.shape[-1]:
+        raise ValueError("need one bound per control channel")
+    lo, hi, rate = np.asarray(bounds, dtype=float).T
+    # the capped logistic gives ~1e-308, not 0, at -inf
+    upper = np.where(hi < math.inf, smooth_heaviside(u - hi, rate), 0.0)
+    return smooth_heaviside(u - lo, rate) - upper
 
 
 def iterate_target(target_map, x, u, k: int) -> np.ndarray:
@@ -225,7 +201,7 @@ def feedback_simulate(
         if n == grid.n_steps:
             break
         grad = control_objective_grad(target_map, x, u, refs[active_at[n]], policy.k)
-        gate = control_gate(u, policy.constraints)
+        gate = control_gate(u, policy.bounds)
         drift_x = np.asarray(plant_rhs(x, u), dtype=float)
         diff = sigma * np.sqrt(np.abs(x)) if sigma else 0.0
         x = x + h * drift_x + sqrt_h * diff * noise[n]

@@ -323,7 +323,8 @@ class TestCriterion10Determinism:
             horizon=0.25, samples_per_traj=6)
         ds = benchmarks.gen_dataset(SYM_HYSTERESIS, proto)
         data_prefix = tmp_path / "tiny"
-        benchmarks.save_dataset(data_prefix, ds, seed=1)
+        ds.seed = 1
+        benchmarks.save_dataset(data_prefix, ds)
 
         commands = {
             "gen-data": ["gen-data", "--system", "budworm", "--samples", "4", "--seed", "3"],

@@ -151,6 +151,21 @@ class TestProtocols:
         assert default_protocol(TOGGLE_SWITCH).n_trajectories == 81 * 81
         assert default_protocol(TOGGLE_SWITCH, paper_scale=True).n_trajectories == 81 * 625
 
+    @pytest.mark.parametrize("system,rk4_steps", [(TWO_TANKS, 400), (SYM_HYSTERESIS, 50),
+                                                  (BUDWORM, 100), (TOGGLE_SWITCH, 400)])
+    def test_rk4_step_does_not_grow_with_fewer_samples(self, system, rk4_steps):
+        # the default 51 samples hit the system's step count exactly; other
+        # counts take the fewest whole substeps that reach it
+        for samples in (2, 3, 6, 51, 52, 401, 402):
+            proto = default_protocol(system, samples_per_traj=samples)
+            steps = (samples - 1) * proto.substeps
+            assert rk4_steps <= steps < rk4_steps + samples - 1
+        assert (50 * default_protocol(system).substeps) == rk4_steps
+
+    def test_one_sample_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            default_protocol(BUDWORM, samples_per_traj=1)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             DataProtocol(np.zeros((0, 1)), np.zeros((1, 1)), horizon=1.0)
@@ -230,8 +245,10 @@ class TestDatasetIO:
         proto = DataProtocol(np.linspace(-2, 2, 3)[:, None], [[0.1], [0.3]],
                              horizon=0.25, samples_per_traj=6)
         ds = gen_dataset(SYM_HYSTERESIS, proto)
-        manifest = save_dataset(tmp_path / "demo", ds, seed=5)
+        ds.seed = 5
+        manifest = save_dataset(tmp_path / "demo", ds)
         assert manifest["n_trajectories"] == 6
+        assert manifest["seed"] == 5
         assert len(manifest["content_hash"]) == 40
         back = load_dataset(tmp_path / "demo")
         assert back.system == SYM_HYSTERESIS
@@ -309,7 +326,15 @@ class TestSampleTargets:
             states = rk4_solve_batch(lambda x, uu: system_rhs(system, x, uu), x0[None, :],
                                      u[None, :], TimeGrid(0.0, horizon, int(horizon / 0.25)))
             expected.append(states[0, -1])
-        assert np.array_equal(sample_targets(system, 2, seed=[3, 7, 1]), np.array(expected))
+        assert np.array_equal(sample_targets(system, 2, [[3, 7, 1]]), np.array([expected]))
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_seeds_in_one_call_are_per_seed_calls(self, system):
+        seeds = [[0, 7, 0], [0, 7, 1], [5, 7, 2]]
+        batch = sample_targets(system, 3, seeds)
+        assert batch.shape == (3, 3, SYSTEM_DIMS[system][0])
+        for seed, targets in zip(seeds, batch):
+            assert np.array_equal(targets, sample_targets(system, 3, [seed])[0])
 
 
 class TestControlTrials:
@@ -323,7 +348,7 @@ class TestControlTrials:
         else:
             target_map = split_target_fn(system)
         recipe = replace(default_control_recipe(system), t_per_target=t_per_target)
-        targets = [sample_targets(system, 3, seed=[0, 7, i]) for i in range(3)]
+        targets = sample_targets(system, 3, [[0, 7, i] for i in range(3)])
         seeds = [[0, 11, i] for i in range(3)]
         magnitude = system_magnitude(system)
         batch = run_control_trials(system, target_map, targets, recipe, seeds, record_every=10)

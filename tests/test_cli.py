@@ -27,7 +27,8 @@ def tiny_dataset(tmp_path):
     )
     ds = gen_dataset(SYM_HYSTERESIS, proto)
     prefix = tmp_path / "tiny"
-    save_dataset(prefix, ds, seed=1)
+    ds.seed = 1
+    save_dataset(prefix, ds)
     return prefix
 
 
@@ -45,6 +46,18 @@ class TestGenData:
                    "--samples", "3"])
         assert rc == EXIT_OK
         assert "1701 trajectories" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("system", ["toggle-switch", "budworm"])
+    def test_few_samples_keep_the_rk4_step(self, tmp_path, system):
+        # three samples once meant three RK4 steps per horizon: toggle states
+        # reached 1e26 and budworm overflowed
+        assert main(["gen-data", "--system", system, "--out", str(tmp_path),
+                     "--samples", "3"]) == EXIT_OK
+        states = np.concatenate([t.states for t in
+                                 benchmarks.load_dataset(tmp_path / f"{system}-data")
+                                 .trajectories])
+        box = np.array(benchmarks.default_model(system).domain)
+        assert np.all(states >= box[:, 0]) and np.all(states <= box[:, 1])
 
     def test_missing_output_dir(self, tmp_path):
         rc = main(["gen-data", "--system", "budworm", "--out", str(tmp_path / "nope")])
@@ -577,6 +590,20 @@ class TestConfigFile:
                      "--samples", "3", "--limit", "1", *typed]) == EXIT_OK
         rows = (tmp_path / "budworm-simulate-oracle.csv").read_text().splitlines()
         assert float(rows[-1].split(",")[1]) == 0.5
+
+    @pytest.mark.parametrize("command", ["train", "cv", "equilibria", "bifurcate", "control"])
+    @pytest.mark.parametrize("key,value", [("samples", 3), ("paper-scale", True)])
+    def test_protocol_options_only_on_data_commands(self, tmp_path, capsys, command, key,
+                                                    value):
+        flag = [f"--{key}"] + ([] if value is True else [str(value)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--system", "budworm", "--out", str(tmp_path), *flag])
+        assert exc.value.code == EXIT_CONFIG
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--system", "budworm", "--out", str(tmp_path),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from stabledyn import benchmarks, nnet
 from stabledyn.control import (
     ControlPolicyCfg,
     GdResult,
-    HeavisideTerm,
     LinearControlProblem,
     active_targets,
     control_gate,
@@ -13,10 +14,8 @@ from stabledyn.control import (
     feedback_simulate,
     gd_linear,
     gradient_flow_linear,
-    interval_gate,
     iterate_target,
     linear_minnorm,
-    lower_gate,
     optimal_gd_step,
     ridge_solve,
     smooth_heaviside,
@@ -34,7 +33,26 @@ from stabledyn.field import (
 from stabledyn.integrate import TimeGrid
 from util import assert_close, central_diff_grad, make_constant_field, make_field
 
-TANK_GATE = (interval_gate(0.05, 0.95, 50.0), interval_gate(0.05, 0.95, 50.0))
+TANK_BOUNDS = ((0.05, 0.95, 50.0),) * 2
+OPEN = (-math.inf, math.inf, 1.0)
+TOGGLE_BOUNDS = ((0.1, math.inf, 200.0),) * 2 + ((1.1, math.inf, 200.0),) * 2
+
+
+def signed_term_gate(u, terms):
+    """The gate as a sum of signed logistic terms per channel, each term a
+    (sign, boundary, rate) and an empty list an ungated channel: the
+    reference that per-channel bounds reproduce bit for bit."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty_like(u)
+    for i, channel in enumerate(terms):
+        if not channel:
+            out[..., i] = 1.0
+            continue
+        val = 0.0
+        for sign, boundary, rate in channel:
+            val += sign * smooth_heaviside(u[..., i] - boundary, rate)
+        out[..., i] = val
+    return out
 
 
 class TestSmoothHeaviside:
@@ -57,32 +75,66 @@ class TestSmoothHeaviside:
 
 class TestControlGate:
     def test_tank_gate_inside(self):
-        gate = control_gate(np.array([0.5, 0.5]), TANK_GATE)
+        gate = control_gate(np.array([0.5, 0.5]), TANK_BOUNDS)
         assert_close(gate, [1.0, 1.0], rtol=1e-9)
 
     def test_tank_gate_at_lower_boundary(self):
-        gate = control_gate(np.array([0.05, 0.5]), TANK_GATE)
+        gate = control_gate(np.array([0.05, 0.5]), TANK_BOUNDS)
         assert gate[0] == pytest.approx(0.5, abs=1e-9)
 
+    def test_tank_gate_at_upper_bound(self):
+        gate = control_gate(np.array([0.5, 0.95]), TANK_BOUNDS)
+        assert gate[1] == pytest.approx(0.5, abs=1e-9)
+
     def test_unconstrained_channel_is_one(self):
-        constraints = ((), lower_gate(1.1, 200.0))
-        gate = control_gate(np.array([123.0, 2.0]), constraints)
-        assert gate[0] == 1.0
-        assert gate[1] == pytest.approx(1.0, abs=1e-9)
+        bounds = (OPEN, (1.1, math.inf, 200.0))
+        gate = control_gate(np.array([[123.0, 2.0], [-1e300, 1.1]]), bounds)
+        assert np.array_equal(gate[:, 0], [1.0, 1.0])
+        assert gate[0, 1] == pytest.approx(1.0, abs=1e-9)
+        assert gate[1, 1] == 0.5
 
     def test_empty_constraints_all_ones(self):
         assert np.array_equal(control_gate(np.array([3.0, -1.0]), ()), [1.0, 1.0])
 
     def test_saturates_outside(self):
-        # 0.3 beyond the boundary at rate >= 50: gate below 1e-6
-        gate = control_gate(np.array([1.25, -0.25]), TANK_GATE)
+        # 0.3 beyond the bound at rate >= 50: gate below 1e-6
+        gate = control_gate(np.array([1.25, -0.25]), TANK_BOUNDS)
         assert np.all(gate <= 1e-6)
 
-    @pytest.mark.parametrize("constraints", [TANK_GATE, ((), lower_gate(1.1, 200.0)), ()])
+    def test_one_bound_per_channel(self):
+        with pytest.raises(ValueError, match="one bound per control channel"):
+            control_gate(np.array([0.5, 0.5]), TANK_BOUNDS[:1])
+
+    @pytest.mark.parametrize("constraints", [TANK_BOUNDS, (OPEN, (1.1, math.inf, 200.0)), ()])
     def test_batch_rows_equal_single_rows(self, constraints):
         rows = np.array([[0.5, 0.5], [0.05, 1.1], [1.25, -0.25], [123.0, 2.0]])
         batch = control_gate(rows, constraints)
         assert np.array_equal(batch, [control_gate(row, constraints) for row in rows])
+
+    @pytest.mark.parametrize("bounds,terms", [
+        (TANK_BOUNDS, [[(1, 0.05, 50.0), (-1, 0.95, 50.0)]] * 2),
+        (TOGGLE_BOUNDS, [[(1, 0.1, 200.0)]] * 2 + [[(1, 1.1, 200.0)]] * 2),
+        ((OPEN, (0.1, math.inf, 200.0)), [[], [(1, 0.1, 200.0)]]),
+    ], ids=["interval", "lower", "open"])
+    def test_matches_signed_term_sum(self, bounds, terms):
+        # u from far below a lower bound (where the logistic is capped near
+        # 1e-308) through both bounds to far above; 1, 5 and 400 rows
+        q = len(bounds)
+        values = np.concatenate([[-1e300, -50.0, -4.0], np.linspace(-0.5, 1.5, 397)])
+        rng = np.random.default_rng(4)
+        for rows in (1, 5, 400):
+            u = rng.choice(values, size=(rows, q))
+            assert np.array_equal(control_gate(u, bounds), signed_term_gate(u, terms))
+            assert np.array_equal(control_gate(u[0], bounds), signed_term_gate(u[0], terms))
+
+
+class TestControlPolicyCfg:
+    @pytest.mark.parametrize("bound", [(0.9, 0.1, 1.0), (0.5, 0.5, 1.0), (math.nan, 1.0, 1.0),
+                                       (0.0, 1.0, 0.0), (0.0, 1.0, -2.0), (0.0, 1.0, math.inf),
+                                       (0.0, 1.0, math.nan)])
+    def test_bad_bound_rejected_when_built(self, bound):
+        with pytest.raises(ValueError, match="lo < hi and a finite rate > 0"):
+            ControlPolicyCfg(bounds=(OPEN, bound))
 
 
 class TestIterateTarget:
@@ -278,7 +330,7 @@ class TestFeedbackSimulate:
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=0.5,
-                                    constraints=(interval_gate(0.05, 0.95, 50.0),)),
+                                    bounds=((0.05, 0.95, 50.0),)),
             targets=[(0.0, np.array([5.0]))],
             x0=np.array([0.5]),
             u0=np.array([0.5]),
