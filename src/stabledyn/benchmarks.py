@@ -4,8 +4,9 @@ and the data-generation protocols used for training.
 Four systems: a pump-and-valve pair of mixing tanks, the symmetric
 bistable scalar ODE dx/dt = u + x - x^3, the spruce budworm outbreak model
 with carrying capacity as control, and the two-gene toggle switch with
-four control parameters. States/controls are vectorized over a batch axis
-where possible so whole (ic, control) grids integrate in one solver call.
+four control parameters. Whole (ic, control) grids integrate in one
+solver call. Each system's `DataProtocol` fixes its RK4 step, and is the
+one place that turns it into a grid and a sample stride for any horizon.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .field import Featurizer, StructuredField
 from .integrate import (
+    DatasetError,
     TimeGrid,
     Trajectory,
     read_trajectories_csv,
@@ -166,15 +168,23 @@ def rhs_fn(system: str):
 
 # --- data protocols ----------------------------------------------------------
 
+# the relative tail variation below which a toggle trajectory counts as
+# settled (`transient_time`); dataset manifests record it
+TRANSIENT_THRESHOLD = 1e-3
+
+
 @dataclass(frozen=True)
 class DataProtocol:
+    """An (initial state, control) grid and its sampling rule: the RK4 step
+    is never longer than ``horizon / rk4_steps``, and ``sampling`` derives
+    the grid and the sample stride from that for any horizon."""
+
     ic_grid: np.ndarray        # (n_ic, d)
     control_grid: np.ndarray   # (n_u, q)
     horizon: float
     samples_per_traj: int = 51
-    substeps: int = 1          # RK4 steps between consecutive samples
+    rk4_steps: int = 1         # over `horizon`; 1 is one step per sample interval
     transient_truncate: bool = False
-    transient_threshold: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "ic_grid", np.atleast_2d(np.asarray(self.ic_grid, dtype=float)))
@@ -183,12 +193,31 @@ class DataProtocol:
         )
         if len(self.ic_grid) == 0 or len(self.control_grid) == 0:
             raise ValueError("protocol grids must be nonempty")
-        if self.horizon <= 0 or self.samples_per_traj < 2 or self.substeps < 1:
+        if self.samples_per_traj < 2:
+            raise ValueError("a trajectory needs at least 2 samples")
+        if self.horizon <= 0 or self.rk4_steps < 1:
             raise ValueError("invalid protocol")
 
     @property
     def n_trajectories(self) -> int:
         return len(self.ic_grid) * len(self.control_grid)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Initial states and controls of every (ic, control) pair, ic-major."""
+        return (np.repeat(self.ic_grid, len(self.control_grid), axis=0),
+                np.tile(self.control_grid, (len(self.ic_grid), 1)))
+
+    def sampling(self, horizon: float | None = None) -> tuple[TimeGrid, int]:
+        """The RK4 grid over [0, horizon] (default: the protocol's) and its
+        stride, the fewest whole steps per sample interval whose step is no
+        longer than the protocol's."""
+        horizon = self.horizon if horizon is None else horizon
+        intervals = self.samples_per_traj - 1
+        # ceil((horizon / self.horizon) * rk4_steps / intervals) in exact integers
+        num, den = float(horizon).as_integer_ratio()
+        own_num, own_den = float(self.horizon).as_integer_ratio()
+        stride = -(-(num * own_den * self.rk4_steps) // (den * own_num * intervals))
+        return TimeGrid(0.0, horizon, intervals * stride), stride
 
     def meta(self) -> dict:
         return {
@@ -196,37 +225,27 @@ class DataProtocol:
             "n_controls": len(self.control_grid),
             "horizon": self.horizon,
             "samples_per_traj": self.samples_per_traj,
-            "substeps": self.substeps,
+            "substeps": self.sampling()[1],
             "transient_truncate": self.transient_truncate,
-            "transient_threshold": self.transient_threshold,
+            "transient_threshold": TRANSIENT_THRESHOLD,
         }
 
 
 def default_protocol(system: str, paper_scale: bool = False, samples_per_traj: int = 51) -> DataProtocol:
-    """The system's data grid at ``samples_per_traj`` samples per trajectory.
-
-    Each system fixes its RK4 step count over the horizon; the protocol
-    takes the fewest whole steps per sample interval that reach it, so
-    fewer samples never mean a longer step."""
-    if samples_per_traj < 2:
-        raise ValueError("a trajectory needs at least 2 samples")
-
-    def protocol(ics, controls, horizon, rk4_steps, **kwargs):
-        substeps = -(-rk4_steps // (samples_per_traj - 1))  # ceiling division
-        return DataProtocol(ics, controls, horizon, samples_per_traj, substeps, **kwargs)
-
+    """The system's data grid at ``samples_per_traj`` samples per trajectory,
+    with the system's RK4 step count over its horizon."""
     if system == TWO_TANKS:
         levels = 0.05 * np.arange(21)
         ics = np.stack([levels, levels], axis=1)
         vals = 0.1 * np.arange(1, 10)
         controls = np.array(list(itertools.product(vals, vals)))
-        return protocol(ics, controls, 200.0, 400)
+        return DataProtocol(ics, controls, 200.0, samples_per_traj, 400)
     if system == SYM_HYSTERESIS:
-        return protocol(np.linspace(-2, 2, 51)[:, None], np.linspace(-1, 1, 51)[:, None],
-                        0.25, 50)
+        return DataProtocol(np.linspace(-2, 2, 51)[:, None], np.linspace(-1, 1, 51)[:, None],
+                            0.25, samples_per_traj, 50)
     if system == BUDWORM:
-        return protocol(np.linspace(0.1, 10, 51)[:, None], np.linspace(4.45, 11.99, 51)[:, None],
-                        10.0, 100)
+        return DataProtocol(np.linspace(0.1, 10, 51)[:, None],
+                            np.linspace(4.45, 11.99, 51)[:, None], 10.0, samples_per_traj, 100)
     if system == TOGGLE_SWITCH:
         axis = np.linspace(0, 6, 9)
         ics = np.array(list(itertools.product(axis, axis)))
@@ -234,7 +253,7 @@ def default_protocol(system: str, paper_scale: bool = False, samples_per_traj: i
         if not paper_scale:
             vals = vals[::2]  # desk-scale stride over the control grid
         controls = np.array(list(itertools.product(vals, vals, vals, vals)))
-        return protocol(ics, controls, 100.0, 400, transient_truncate=True)
+        return DataProtocol(ics, controls, 100.0, samples_per_traj, 400, transient_truncate=True)
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -252,16 +271,16 @@ class Dataset:
         return len(self.trajectories)
 
 
-def transient_time(traj: Trajectory, rel_threshold: float = 1e-3):
+def transient_time(traj: Trajectory):
     """Smallest time after which the accumulated tail variation stays below
-    rel_threshold * (trajectory range). Returns (t_star, converged)."""
+    TRANSIENT_THRESHOLD * (trajectory range). Returns (t_star, converged)."""
     x = traj.states
     rng = float(np.max(np.max(x, axis=0) - np.min(x, axis=0)))
     if rng == 0.0:
         return float(traj.times[0]), True
     step_var = np.linalg.norm(np.diff(x, axis=0), axis=1)
     tail = np.concatenate([np.cumsum(step_var[::-1])[::-1], [0.0]])
-    idx = int(np.argmax(tail <= rel_threshold * rng))
+    idx = int(np.argmax(tail <= TRANSIENT_THRESHOLD * rng))
     if idx >= len(traj.times) - 1:
         return float(traj.times[-1]), False
     return float(traj.times[idx]), True
@@ -270,35 +289,31 @@ def transient_time(traj: Trajectory, rel_threshold: float = 1e-3):
 def gen_dataset(system: str, protocol: DataProtocol) -> Dataset:
     """One trajectory per (ic, control) pair, ic-major lexicographic order."""
     rhs = rhs_fn(system)
-
-    pairs_x = np.repeat(protocol.ic_grid, len(protocol.control_grid), axis=0)
-    pairs_u = np.tile(protocol.control_grid, (len(protocol.ic_grid), 1))
-    n_sub = (protocol.samples_per_traj - 1) * protocol.substeps
-    grid = TimeGrid(0.0, protocol.horizon, n_sub)
+    pairs_x, pairs_u = protocol.pairs()
+    grid, stride = protocol.sampling()
     states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid)
-    times = grid.times()[:: protocol.substeps]
-    sampled = states[:, :: protocol.substeps, :]
+    times = grid.times()[::stride]
 
     trajectories: list[Trajectory | None] = [
-        Trajectory(times, sampled[i], pairs_u[i], traj_id=i)
+        Trajectory(times, states[i, ::stride], pairs_u[i], traj_id=i)
         for i in range(len(pairs_x))
     ]
     if protocol.transient_truncate:
-        # re-integrate each converged trajectory on [0, t*]; t* is sample-
-        # aligned, so trajectories sharing it re-solve in one batched call
+        # re-integrate each converged trajectory on [0, t*] with the same
+        # node count, so the step only shrinks; t* is sample-aligned, so
+        # trajectories sharing it re-solve in one batched call
         groups: dict[float, list[int]] = {}
         for i, traj in enumerate(trajectories):
-            t_star, converged = transient_time(traj, protocol.transient_threshold)
+            t_star, converged = transient_time(traj)
             if converged:
                 t_eff = max(t_star, 0.02 * protocol.horizon)
                 groups.setdefault(t_eff, []).append(i)
         for t_eff, idxs in groups.items():
-            regrid = TimeGrid(0.0, t_eff, n_sub)
+            regrid = TimeGrid(0.0, t_eff, grid.n_steps)
             st = rk4_solve_batch(rhs, pairs_x[idxs], pairs_u[idxs], regrid)
-            sub_times = regrid.times()[:: protocol.substeps]
+            sub_times = regrid.times()[::stride]
             for j, i in enumerate(idxs):
-                trajectories[i] = Trajectory(sub_times, st[j, :: protocol.substeps, :],
-                                             pairs_u[i], traj_id=i)
+                trajectories[i] = Trajectory(sub_times, st[j, ::stride], pairs_u[i], traj_id=i)
     return Dataset(system, default_params(system), trajectories, protocol.meta())
 
 
@@ -499,10 +514,16 @@ def system_magnitude(system: str, trajectories=None) -> np.ndarray:
     if system == BUDWORM:
         return np.array([9.9])       # state range [0.1, 10]
     if system == TOGGLE_SWITCH:
-        if not trajectories:
-            raise ValueError("toggle magnitude is the IQR of observed trajectories")
-        stacked = np.concatenate([t.states for t in trajectories])
-        return np.array([iqr(stacked[:, i]) for i in range(stacked.shape[1])])
+        states = [t.states for t in trajectories or ()]
+        if sum(map(len, states)) < 2:
+            raise DatasetError("toggle magnitude is the IQR of the observed states; "
+                               "the dataset needs at least 2 of them")
+        stacked = np.concatenate(states)
+        magnitude = np.array([iqr(stacked[:, i]) for i in range(stacked.shape[1])])
+        if not np.all(magnitude > 0):
+            raise DatasetError(f"the observed states have IQR {magnitude.tolist()}; "
+                               "nRMSE needs a positive magnitude in every dimension")
+        return magnitude
     raise ValueError(f"unknown system {system!r}")
 
 

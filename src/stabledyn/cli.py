@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, benchmarks, field as field_mod, training
-from .integrate import DatasetError, TimeGrid, Trajectory, rk4_solve_batch, write_trajectories_csv
+from .integrate import DatasetError, Trajectory, rk4_solve_batch, write_trajectories_csv
 from .nnet import NonFiniteError
 
 EXIT_OK = 0
@@ -77,6 +77,8 @@ _INT_MIN = {
 }
 _FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
 _FLOAT_NONNEGATIVE = ("sigma",)
+# `simulate` holds the state at every RK4 node: at most 1 GiB of doubles
+_SIMULATE_MAX_VALUES = 2**27
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
                "oracle": bool, "paper_scale": bool}
@@ -217,7 +219,8 @@ def cmd_cv(args) -> int:
     )
     _json_dump(out / f"{system}-cv-report.json", report.to_dict())
     if report.final is not None:
-        field_mod.save_field(out / f"{system}-field.json", report.final.field, seed=args.seed)
+        field_mod.save_field(out / f"{system}-field.json", report.final.field,
+                             seed=report.final.seed)
     print(f"selected architecture: {report.selected}; report {out}/{system}-cv-report.json")
     return EXIT_OK
 
@@ -264,13 +267,13 @@ def cmd_simulate(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
     proto = _protocol(args)
-    horizon = args.horizon if args.horizon is not None else proto.horizon
-    grid = TimeGrid(0.0, horizon, (proto.samples_per_traj - 1) * proto.substeps)
-
-    pairs_x = np.repeat(proto.ic_grid, len(proto.control_grid), axis=0)
-    pairs_u = np.tile(proto.control_grid, (len(proto.ic_grid), 1))
+    grid, stride = proto.sampling(args.horizon)
+    pairs_x, pairs_u = proto.pairs()
     if args.limit is not None:
         pairs_x, pairs_u = pairs_x[: args.limit], pairs_u[: args.limit]
+    if pairs_x.size * (grid.n_steps + 1) > _SIMULATE_MAX_VALUES:
+        raise ConfigError(f"--horizon {grid.t1} takes {grid.n_steps} RK4 steps at the system's "
+                          f"step, too many for {len(pairs_x)} trajectories; lower it or --limit")
 
     if args.oracle:
         rhs = benchmarks.rhs_fn(system)
@@ -281,9 +284,9 @@ def cmd_simulate(args) -> int:
         tag = "model"
 
     states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid)
-    times = grid.times()[:: proto.substeps]
+    times = grid.times()[::stride]
     trajs = [
-        Trajectory(times, states[i, :: proto.substeps], pairs_u[i], traj_id=i)
+        Trajectory(times, states[i, ::stride], pairs_u[i], traj_id=i)
         for i in range(len(pairs_x))
     ]
     path = out / f"{system}-simulate-{tag}.csv"

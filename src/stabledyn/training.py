@@ -1,13 +1,14 @@
 """Training objectives, the mini-batch loop, and k-fold cross validation.
 
 Two objectives are supported. Trajectory matching integrates the model
-from each trajectory's initial state and penalizes the mean squared gap to
-the observed samples. Its gradient takes one value forward per time grid,
-then a reverse that re-linearizes every RK4 stage about the solved states
-in wide calls (`integrate.rk4_solve_unrolled_grad`). Gradient matching
-skips the solver: it penalizes the gap between the model vector field and
-finite-difference derivative estimates at the observed states. Batches are
-whole trajectories in both cases.
+from each trajectory's initial state, one RK4 step per sample interval,
+and penalizes the mean squared gap to the observed samples. Trajectories
+that share a time grid are stacked into one block; its gradient takes one
+value forward per block, then a reverse that re-linearizes every RK4 stage
+about the solved states in wide calls (`integrate.rk4_solve_unrolled_grad`).
+Gradient matching skips the solver: it penalizes the gap between the model
+vector field and finite-difference derivative estimates at the observed
+states. Batches are whole trajectories in both cases.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class TrainConfig:
     seed: int = 0
     folds: int = 10
     restarts: int = 3
-    substeps: int = 1          # RK4 steps per sample interval (traj matching)
 
     def __post_init__(self):
         if self.objective not in (TRAJ_MATCHING, GRAD_MATCHING):
@@ -60,7 +60,7 @@ class GradMatchingObjective:
 
     def __init__(self, trajectories: list[Trajectory]):
         if not trajectories:
-            raise ValueError("empty batch")
+            raise DatasetError("no trajectories to match")
         xs, us, ds = [], [], []
         for traj in trajectories:
             deriv = finite_diff(traj)
@@ -96,91 +96,67 @@ class GradMatchingObjective:
 
 class TrajMatchingObjective:
     """Mean squared error between observed states and model trajectories
-    simulated from each observed initial state, on the evenly spaced grid of
-    its sample times; a trajectory sampled off that grid is a DatasetError."""
+    simulated from each observed initial state, one RK4 step per sample
+    interval of its evenly spaced time grid; a trajectory sampled off that
+    grid is a DatasetError."""
 
-    def __init__(self, trajectories: list[Trajectory], substeps: int = 1):
+    def __init__(self, trajectories: list[Trajectory]):
         if not trajectories:
-            raise ValueError("empty batch")
-        self.substeps = int(substeps)
-        # group by time grid so each group batches into one solver call
-        self._groups: dict[tuple, dict] = {}
-        for traj in trajectories:
-            key = (len(traj.times), float(traj.times[0]), float(traj.times[-1]))
-            grp = self._groups.setdefault(
-                key, {"x0": [], "u": [], "obs": [], "times": [], "ids": [], "members": []}
-            )
-            grp["times"].append(traj.times)
-            grp["ids"].append(traj.traj_id)
-            grp["x0"].append(traj.states[0])
-            grp["u"].append(traj.control)
-            grp["obs"].append(traj.states)
-            grp["members"].append(len(grp["members"]))
-        self._index = []  # traj order -> (group key, row)
-        for key, grp in self._groups.items():
-            _check_even(key, grp.pop("times"), grp.pop("ids"))
-            grp["x0"] = np.asarray(grp["x0"])
-            grp["u"] = np.asarray(grp["u"])
-            grp["obs"] = np.asarray(grp["obs"])  # (B, n, d)
-            for row in grp["members"]:
-                self._index.append((key, row))
-        self.n_traj = len(self._index)
+            raise DatasetError("no trajectories to match")
+        # one stacked (grid, x0, u, obs) block per time grid, so each block
+        # solves in one call; _where[i] is trajectory i's (block, row)
+        keys: dict[tuple, int] = {}
+        block = np.array([keys.setdefault((len(t.times), float(t.times[0]), float(t.times[-1])),
+                                          len(keys)) for t in trajectories])
+        row = np.zeros_like(block)
+        self._blocks = []
+        for key, b in keys.items():
+            idx = np.flatnonzero(block == b)
+            row[idx] = np.arange(len(idx))
+            members = [trajectories[i] for i in idx]
+            n, t0, t1 = key
+            grid = TimeGrid(t0, t1, n - 1) if n > 1 else None
+            _check_even(grid, [t.times for t in members], [t.traj_id for t in members])
+            obs = np.array([t.states for t in members])  # (B, n, d)
+            self._blocks.append((grid, obs[:, 0], np.array([t.control for t in members]), obs))
+        self._where = np.stack([block, row], axis=1)
+        self.n_traj = len(trajectories)
 
-    def _grids(self, key):
-        n, t0, t1 = key
-        return TimeGrid(t0, t1, (n - 1) * self.substeps)
-
-    def _batches(self, idxs):
-        if idxs is None:
-            idxs = range(self.n_traj)
-        chosen: dict[tuple, list[int]] = {}
-        for i in idxs:
-            key, row = self._index[i]
-            chosen.setdefault(key, []).append(row)
-        for key, rows in chosen.items():
-            grp = self._groups[key]
-            yield key, grp["x0"][rows], grp["u"][rows], grp["obs"][rows]
+    def _solve(self, field: StructuredField, idxs):
+        """Per block of the chosen trajectories (rows in the order chosen):
+        (grid, u, solved states, residuals), and the count of observed
+        states the mean divides by."""
+        block, row = self._where.T if idxs is None else self._where[idxs].T
+        parts, count = [], 0
+        for b in np.unique(block):
+            grid, x0, u, obs = self._blocks[b]
+            rows = row[block == b]
+            count += len(rows) * obs.shape[1]
+            if grid is None:
+                continue  # only the initial state: matched by construction
+            states = rk4_solve_batch(lambda x, uu: eval_velocity(field, x, uu), x0[rows],
+                                     u[rows], grid)
+            parts.append((grid, u[rows], states, states - obs[rows]))
+        return parts, count
 
     def loss(self, field: StructuredField, idxs=None) -> float:
-        total = 0.0
-        count = 0
-        for key, x0, u, obs in self._batches(idxs):
-            count += obs.shape[0] * obs.shape[1]
-            if key[0] == 1:
-                continue  # only the initial state: matched by construction
-            grid = self._grids(key)
-            states = rk4_solve_batch(lambda x, uu: eval_velocity(field, x, uu), x0, u, grid)
-            pred = states[:, :: self.substeps, :]
-            res = pred - obs
-            total += float(np.sum(res * res))
-        return total / count
+        parts, count = self._solve(field, idxs)
+        return sum(float(np.sum(res * res)) for *_, res in parts) / count
 
     def loss_and_grad(self, field: StructuredField, idxs=None):
-        # per time-grid group: one value forward gives the states and the
-        # residuals, then the reverse re-linearizes every stage about them
-        plan = list(self._batches(idxs))
-        count = sum(obs.shape[0] * obs.shape[1] for _, _, _, obs in plan)
-        total = 0.0
+        # one value forward per block gives the states and the residuals,
+        # then the reverse re-linearizes every stage about them
+        parts, count = self._solve(field, idxs)
         grad = np.zeros_like(field.params)
-        for key, x0, u, obs in plan:
-            if key[0] == 1:
-                continue
-            grid = self._grids(key)
-            states = rk4_solve_batch(lambda x, uu: eval_velocity(field, x, uu), x0, u, grid)
-            res = states[:, :: self.substeps, :] - obs
-            total += float(np.sum(res * res))
-            cots = np.zeros_like(states)
-            cots[:, :: self.substeps, :] = (2.0 / count) * res
-            grad += rk4_solve_unrolled_grad(field, states, u, grid, cots)
-        return total / count, grad
+        for grid, u, states, res in parts:
+            grad += rk4_solve_unrolled_grad(field, states, u, grid, (2.0 / count) * res)
+        return sum(float(np.sum(res * res)) for *_, res in parts) / count, grad
 
 
-def _check_even(key, times, ids) -> None:
-    """Refuse a trajectory of a (n, t0, t1) group whose times are off the
-    evenly spaced grid by more than 1e-9 of its spacing."""
-    n, t0, t1 = key
-    if n > 1:
-        grid = TimeGrid(t0, t1, n - 1)
+def _check_even(grid, times, ids) -> None:
+    """Refuse a trajectory whose times are off its block's evenly spaced
+    grid (None for one sample) by more than 1e-9 of its spacing."""
+    if grid is not None:
         off = np.abs(np.asarray(times) - grid.times()).max(axis=1) > 1e-9 * grid.h
         if off.any():
             raise DatasetError(f"trajectory {ids[int(np.argmax(off))]} is not evenly spaced "
@@ -190,7 +166,7 @@ def _check_even(key, times, ids) -> None:
 def make_objective(config: TrainConfig, trajectories: list[Trajectory]):
     if config.objective == GRAD_MATCHING:
         return GradMatchingObjective(trajectories)
-    return TrajMatchingObjective(trajectories, substeps=config.substeps)
+    return TrajMatchingObjective(trajectories)
 
 
 # --- k-fold splitting --------------------------------------------------------
@@ -232,7 +208,6 @@ class TrainResult:
                 "batch_size": config.batch_size,
                 "lr0": config.lr0,
                 "seed": self.seed,
-                "substeps": config.substeps,
             },
             "loss_history": self.loss_history,
             "lr_trace": self.lr_trace,

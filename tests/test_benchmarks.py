@@ -155,12 +155,27 @@ class TestProtocols:
                                                   (BUDWORM, 100), (TOGGLE_SWITCH, 400)])
     def test_rk4_step_does_not_grow_with_fewer_samples(self, system, rk4_steps):
         # the default 51 samples hit the system's step count exactly; other
-        # counts take the fewest whole substeps that reach it
+        # counts take the fewest whole steps per sample interval that reach it
         for samples in (2, 3, 6, 51, 52, 401, 402):
-            proto = default_protocol(system, samples_per_traj=samples)
-            steps = (samples - 1) * proto.substeps
-            assert rk4_steps <= steps < rk4_steps + samples - 1
-        assert (50 * default_protocol(system).substeps) == rk4_steps
+            grid, stride = default_protocol(system, samples_per_traj=samples).sampling()
+            assert grid.n_steps == (samples - 1) * stride
+            assert rk4_steps <= grid.n_steps < rk4_steps + samples - 1
+        assert (50 * default_protocol(system).sampling()[1]) == rk4_steps
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_other_horizons_keep_the_rk4_step(self, system):
+        # a longer or shorter horizon takes the fewest whole steps per sample
+        # interval whose step is no longer than the default horizon's
+        proto = default_protocol(system)
+        default_grid, default_stride = proto.sampling()
+        assert proto.sampling(proto.horizon) == (default_grid, default_stride)
+        for scale in (1e-3, 0.1, 0.3, 0.7, 0.99, 1.01, 1.5, 3.0, 10.0, 100.0, 1e4):
+            grid, stride = proto.sampling(scale * proto.horizon)
+            assert grid.t0 == 0.0 and grid.t1 == scale * proto.horizon
+            assert grid.n_steps == 50 * stride
+            assert grid.h <= default_grid.h
+            if stride > 1:
+                assert grid.t1 / (50 * (stride - 1)) > default_grid.h
 
     def test_one_sample_rejected(self):
         with pytest.raises(ValueError, match="at least 2 samples"):
@@ -183,7 +198,7 @@ class TestGenDataset:
         assert [t.traj_id for t in ds.trajectories[:3]] == [0, 1, 2]
 
     def test_trajectories_match_direct_solve(self):
-        proto = DataProtocol([[1.5]], [[0.2]], horizon=1.0, samples_per_traj=11, substeps=3)
+        proto = DataProtocol([[1.5]], [[0.2]], horizon=1.0, samples_per_traj=11, rk4_steps=30)
         ds = gen_dataset(SYM_HYSTERESIS, proto)
         grid = TimeGrid(0.0, 1.0, 30)
         direct = rk4_solve(lambda x, u: system_rhs(SYM_HYSTERESIS, x, u),
@@ -198,7 +213,7 @@ class TestGenDataset:
             [[0.9, 0.9], [0.9, 0.1], [0.5, 0.5]],
             horizon=1000.0,
             samples_per_traj=51,
-            substeps=80,
+            rk4_steps=4000,
         )
         ds = gen_dataset(TWO_TANKS, proto)
         for traj in ds.trajectories:
@@ -210,7 +225,7 @@ class TestGenDataset:
             [[5.0, 5.0, 2.5, 2.5], [0.1, 0.1, 0.1, 0.1]],
             horizon=100.0,
             samples_per_traj=21,
-            substeps=8,
+            rk4_steps=160,
             transient_truncate=True,
         )
         ds = gen_dataset(TOGGLE_SWITCH, proto)
@@ -229,14 +244,14 @@ class TestTransientTime:
     def test_exponential_decay(self):
         t = np.linspace(0, 15, 1501)
         traj = Trajectory(t, np.exp(-t), np.zeros(1))
-        t_star, converged = transient_time(traj, rel_threshold=1e-3)
+        t_star, converged = transient_time(traj)
         assert converged
         assert abs(t_star - np.log(1e3)) <= t[1] - t[0] + 1e-9
 
     def test_pure_noise_flagged(self):
         rng = np.random.default_rng(3)
         traj = Trajectory(np.arange(100.0), rng.normal(size=(100, 1)), np.zeros(1))
-        t_star, converged = transient_time(traj, rel_threshold=1e-3)
+        t_star, converged = transient_time(traj)
         assert not converged and t_star == 99.0
 
 

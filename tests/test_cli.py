@@ -7,12 +7,13 @@ from stabledyn import benchmarks, field, training
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
+    TOGGLE_SWITCH,
     DataProtocol,
     gen_dataset,
     save_dataset,
 )
 from stabledyn.cli import EXIT_CONFIG, EXIT_OK, main
-from stabledyn.integrate import Trajectory
+from stabledyn.integrate import Trajectory, read_trajectories_csv
 from stabledyn.nnet import init_params
 from util import CHECKPOINT
 
@@ -193,6 +194,17 @@ def _save_trajectories(tmp_path, system, trajectories):
     return prefix, out
 
 
+def _save_csv_text(tmp_path, system, text):
+    """A dataset whose CSV is `text`, with a manifest whose hash matches."""
+    prefix, out = tmp_path / "custom", tmp_path / "out"
+    prefix.with_suffix(".csv").write_text(text)
+    prefix.with_suffix(".json").write_text(json.dumps({
+        "system": system, "params": benchmarks.default_params(system),
+        "content_hash": benchmarks._git_blob_sha1(text.encode())}))
+    out.mkdir()
+    return prefix, out
+
+
 class TestUnusableData:
     """Data that loads but cannot serve the run exits 2 and writes nothing."""
 
@@ -222,6 +234,30 @@ class TestUnusableData:
         err = self._run(capsys, out, ["train", "--data", str(prefix)])
         assert "config error: trajectory 7 is not evenly spaced" in err
 
+    @pytest.mark.parametrize("system", [SYM_HYSTERESIS, BUDWORM])  # traj and grad matching
+    def test_no_trajectories(self, tmp_path, capsys, system):
+        prefix, out = _save_csv_text(tmp_path, system, "traj_id,t,x_0,u_0\n")
+        err = self._run(capsys, out, ["train", "--data", str(prefix)])
+        assert "config error: no trajectories to match" in err
+
+    @pytest.mark.parametrize("rows", [0, 1, 4], ids=["no-rows", "one-row", "equal-rows"])
+    def test_toggle_states_without_a_positive_iqr(self, tmp_path, capsys, rows):
+        # toggle control scores by the IQR of the dataset's states, so it
+        # refuses data without a positive one before any trial runs
+        if rows == 0:
+            prefix, out = _save_csv_text(tmp_path, TOGGLE_SWITCH,
+                                         "traj_id,t,x_0,x_1,u_0,u_1,u_2,u_3\n")
+        else:
+            trajs = [Trajectory(0.5 * np.arange(rows), np.full((rows, 2), 1.5), [2.5] * 4)]
+            prefix, out = _save_trajectories(tmp_path, TOGGLE_SWITCH, trajs)
+        rc = main(["control", "--system", TOGGLE_SWITCH, "--oracle", "--data", str(prefix),
+                   "--out", str(out), "--targets", "1", "--trials", "1",
+                   "--t-per-target", "1"])
+        assert rc == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "config error:" in err and "IQR" in err
+
 
 class TestCv:
     def test_candidate_builders_match_make_untrained_field(self, tiny_dataset, tmp_path,
@@ -250,6 +286,27 @@ class TestCv:
                 assert built.featurizer == ref.featurizer
                 assert np.array_equal(built.domain, ref.domain)
 
+    def test_checkpoint_records_the_kept_restart_seed(self, tiny_dataset, tmp_path,
+                                                      monkeypatch):
+        # the retrain keeps the best of the restart seeds seed + 1000 r; here
+        # the second one wins, and the checkpoint must name it
+        seeds = []
+        train = training.train
+
+        def second_wins(fld, trajectories, config, val_trajectories=None):
+            result = train(fld, trajectories, config, val_trajectories)
+            if val_trajectories is None:
+                seeds.append(config.seed)
+                result.best_loss = -float(config.seed)
+            return result
+
+        monkeypatch.setattr(training, "train", second_wins)
+        assert main(["cv", "--data", str(tiny_dataset), "--out", str(tmp_path), "--seed", "5",
+                     "--epochs", "1", "--folds", "3", "--restarts", "2"]) == EXIT_OK
+        assert seeds == [5, 1005]
+        checkpoint = json.loads((tmp_path / "sym-hysteresis-field.json").read_text())
+        assert checkpoint["decay"]["seed"] == checkpoint["target"]["seed"] == 1005
+
     def test_cv_emits_fold_table(self, tiny_dataset, tmp_path):
         rc = main(["cv", "--system", "sym-hysteresis", "--data", str(tiny_dataset),
                    "--out", str(tmp_path), "--epochs", "1", "--folds", "3",
@@ -270,6 +327,31 @@ class TestSimulate:
         lines = (tmp_path / "budworm-simulate-oracle.csv").read_text().splitlines()
         assert lines[0] == "traj_id,t,x_0,u_0"
         assert len(lines) == 1 + 7 * 5
+
+    @pytest.mark.parametrize("system,horizon,limit", [("toggle-switch", "1000", "20"),
+                                                      ("budworm", "2000", "5")])
+    def test_long_horizon_keeps_the_rk4_step(self, tmp_path, system, horizon, limit):
+        # a stretched step once left the toggle box (x down to -5) and
+        # overflowed budworm
+        assert main(["simulate", "--system", system, "--oracle", "--out", str(tmp_path),
+                     "--horizon", horizon, "--limit", limit]) == EXIT_OK
+        trajs = read_trajectories_csv(tmp_path / f"{system}-simulate-oracle.csv")
+        assert [len(t.times) for t in trajs] == [51] * int(limit)
+        assert trajs[0].times[-1] == float(horizon)
+        states = np.concatenate([t.states for t in trajs])
+        box = np.array(benchmarks.default_model(system).domain)
+        assert np.all(states >= box[:, 0]) and np.all(states <= box[:, 1])
+
+    @pytest.mark.parametrize("system,horizon,limit", [("budworm", "1e300", ["--limit", "1"]),
+                                                      ("toggle-switch", "10000", [])],
+                             ids=["budworm-1e300", "toggle-whole-grid"])
+    def test_solve_too_large_to_hold(self, tmp_path, capsys, system, horizon, limit):
+        # refused before the solve allocates: 1e300 once ran one huge step
+        # (exit 3), and the whole toggle grid at 10000 would hold 4.2 GB
+        assert main(["simulate", "--system", system, "--oracle", "--out", str(tmp_path),
+                     "--horizon", horizon, *limit]) == EXIT_CONFIG
+        assert "lower it or --limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_field_or_oracle(self, tmp_path):
         rc = main(["simulate", "--system", "budworm", "--out", str(tmp_path)])

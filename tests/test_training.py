@@ -18,17 +18,14 @@ from stabledyn.training import (
 from util import assert_close, central_diff_grad, make_field
 
 
-def field_generated_trajectories(fld, n_traj=6, n_samples=9, horizon=0.5, seed=0, substeps=1):
+def field_generated_trajectories(fld, n_traj=6, n_samples=9, horizon=0.5, seed=0):
     """Noiseless data realizable by `fld` itself: its own RK4 trajectories."""
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1, 1, size=(n_traj, fld.dim))
     u = rng.uniform(-1, 1, size=(n_traj, fld.control_dim))
-    grid = TimeGrid(0.0, horizon, (n_samples - 1) * substeps)
+    grid = TimeGrid(0.0, horizon, n_samples - 1)
     states = rk4_solve_batch(lambda x, uu: eval_velocity(fld, x, uu), x0, u, grid)
-    times = grid.times()[::substeps]
-    return [
-        Trajectory(times, states[i, ::substeps], u[i], traj_id=i) for i in range(n_traj)
-    ]
+    return [Trajectory(grid.times(), states[i], u[i], traj_id=i) for i in range(n_traj)]
 
 
 class TestGradMatchingLoss:
@@ -97,18 +94,23 @@ class TestGradMatchingLoss:
         with pytest.raises(ValueError):
             GradMatchingObjective([])
 
+    @pytest.mark.parametrize("objective", [GradMatchingObjective, TrajMatchingObjective])
+    def test_no_trajectories_is_a_dataset_error(self, objective):
+        with pytest.raises(DatasetError, match="no trajectories"):
+            objective([])
+
 
 class TestTrajMatchingLoss:
     def test_zero_on_self_generated_data(self):
         fld = make_field(dim=1, control_dim=1, seed=7)
-        trajs = field_generated_trajectories(fld, seed=8, substeps=2)
-        loss = TrajMatchingObjective(trajs, substeps=2).loss(fld)
+        trajs = field_generated_trajectories(fld, seed=8)
+        loss = TrajMatchingObjective(trajs).loss(fld)
         assert loss <= 1e-20  # same solver, same grid
 
     def test_single_sample_trajectory_zero(self):
         fld = make_field(dim=1, control_dim=1, seed=9)
         traj = Trajectory(np.array([0.0]), np.array([[0.3]]), np.array([0.1]))
-        loss, grad = TrajMatchingObjective([traj], substeps=1).loss_and_grad(fld)
+        loss, grad = TrajMatchingObjective([traj]).loss_and_grad(fld)
         assert loss == 0.0 and not grad.any()
 
     def test_residual_quadratic_scaling(self):
@@ -139,7 +141,7 @@ class TestTrajMatchingLoss:
             Trajectory(t.times, t.states + 0.02 * t.times[:, None] ** 2, t.control)
             for t in trajs
         ]
-        _, grad = TrajMatchingObjective(shifted, substeps=1).loss_and_grad(fld)
+        _, grad = TrajMatchingObjective(shifted).loss_and_grad(fld)
 
         def f(p):
             return TrajMatchingObjective(shifted).loss(fld.with_params(p))
@@ -171,24 +173,45 @@ class TestTrajMatchingLoss:
         TrajMatchingObjective(trajs).loss_and_grad(fld)
         assert calls == {"solve": 1, "velocity": 4, "vjp": 4 * (fld.dim + 1)}
 
-    def test_gradient_matches_fd_two_grids_substeps(self):
-        # step-major stacking, substep striding and the sum over grid groups
+    def test_gradient_matches_fd_two_grids(self):
+        # step-major stacking and the sum over blocks, with the two grids'
+        # trajectories interleaved
         fld = make_field(dim=2, control_dim=2, seed=18, hidden=(4,),
                          decay_bounds=(-1.0, 0.0), target_bounds=(0.0, 1.0))
-        trajs = (field_generated_trajectories(fld, n_traj=2, n_samples=5, seed=19, substeps=2)
-                 + field_generated_trajectories(fld, n_traj=2, n_samples=4, horizon=0.3,
-                                                seed=20, substeps=2))
+        first = field_generated_trajectories(fld, n_traj=2, n_samples=5, seed=19)
+        second = field_generated_trajectories(fld, n_traj=2, n_samples=4, horizon=0.3, seed=20)
+        trajs = [first[0], second[0], first[1], second[1]]
         shifted = [
             Trajectory(t.times, t.states + 0.05 * t.times[:, None] ** 2, t.control, traj_id=i)
             for i, t in enumerate(trajs)
         ]
-        objective = TrajMatchingObjective(shifted, substeps=2)
+        objective = TrajMatchingObjective(shifted)
         _, grad = objective.loss_and_grad(fld)
 
         def f(p):
             return objective.loss(fld.with_params(p))
 
         assert_close(grad, central_diff_grad(f, fld.params), rtol=1e-3, floor=1e-6)
+
+    def test_index_scores_that_trajectory_across_grids(self):
+        # index i is trajectories[i], whatever time grid the others use
+        fld = make_field(dim=1, control_dim=1, seed=24)
+        grids = [(0.2, 5), (0.3, 4), (0.2, 5), (0.3, 4), (0.25, 2)]
+        trajs = [Trajectory(t.times, t.states + 0.1 * np.cos(t.times)[:, None], t.control,
+                            traj_id=i)
+                 for i, (horizon, n) in enumerate(grids)
+                 for t in field_generated_trajectories(fld, n_traj=1, n_samples=n,
+                                                       horizon=horizon, seed=25 + i)]
+        objective = TrajMatchingObjective(trajs)
+        for i, traj in enumerate(trajs):
+            alone = TrajMatchingObjective([traj])
+            assert objective.loss(fld, [i]) == alone.loss(fld)
+            loss, grad = objective.loss_and_grad(fld, [i])
+            assert loss == alone.loss(fld)
+            assert np.array_equal(grad, alone.loss_and_grad(fld)[1])
+        pair = [3, 0]
+        assert objective.loss(fld, pair) == pytest.approx(
+            TrajMatchingObjective([trajs[i] for i in pair]).loss(fld), rel=1e-15)
 
     def test_batch_gradient_is_sum_of_single_gradients(self):
         fld = make_field(dim=2, control_dim=2, seed=21, hidden=(4,),
@@ -219,11 +242,11 @@ class TestTrajMatchingLoss:
         # toggle's truncated groups sample a finer grid at every 8th node
         proto = DataProtocol([[0.0, 0.0], [6.0, 6.0]],
                              [[5.0, 5.0, 2.5, 2.5], [0.1, 0.1, 0.1, 0.1]],
-                             horizon=100.0, samples_per_traj=21, substeps=8,
+                             horizon=100.0, samples_per_traj=21, rk4_steps=160,
                              transient_truncate=True)
         trajs = gen_dataset(TOGGLE_SWITCH, proto).trajectories
         assert len({traj.times[-1] for traj in trajs}) > 1
-        assert TrajMatchingObjective(trajs, substeps=8).n_traj == 4
+        assert TrajMatchingObjective(trajs).n_traj == 4
 
 
 class TestKfold:
