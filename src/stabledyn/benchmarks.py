@@ -291,12 +291,11 @@ def gen_dataset(system: str, protocol: DataProtocol) -> Dataset:
     rhs = rhs_fn(system)
     pairs_x, pairs_u = protocol.pairs()
     grid, stride = protocol.sampling()
-    states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid)
+    states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid, every=stride)
     times = grid.times()[::stride]
 
     trajectories: list[Trajectory | None] = [
-        Trajectory(times, states[i, ::stride], pairs_u[i], traj_id=i)
-        for i in range(len(pairs_x))
+        Trajectory(times, states[i], pairs_u[i], traj_id=i) for i in range(len(pairs_x))
     ]
     if protocol.transient_truncate:
         # re-integrate each converged trajectory on [0, t*] with the same
@@ -310,10 +309,10 @@ def gen_dataset(system: str, protocol: DataProtocol) -> Dataset:
                 groups.setdefault(t_eff, []).append(i)
         for t_eff, idxs in groups.items():
             regrid = TimeGrid(0.0, t_eff, grid.n_steps)
-            st = rk4_solve_batch(rhs, pairs_x[idxs], pairs_u[idxs], regrid)
+            st = rk4_solve_batch(rhs, pairs_x[idxs], pairs_u[idxs], regrid, every=stride)
             sub_times = regrid.times()[::stride]
             for j, i in enumerate(idxs):
-                trajectories[i] = Trajectory(sub_times, st[j, ::stride], pairs_u[i], traj_id=i)
+                trajectories[i] = Trajectory(sub_times, st[j], pairs_u[i], traj_id=i)
     return Dataset(system, default_params(system), trajectories, protocol.meta())
 
 
@@ -559,7 +558,7 @@ def sample_targets(system: str, n: int, seeds) -> np.ndarray:
         x0, u, horizon = draws[..., :2], draws[..., 2:], 100.0
     grid = TimeGrid(0.0, horizon, int(horizon / 0.25))
     settled = rk4_solve_batch(rhs_fn(system), x0.reshape(-1, 2), u.reshape(-1, u.shape[-1]),
-                              grid)[:, -1]
+                              grid, every=grid.n_steps)[:, -1]
     return settled.reshape(len(seeds), n, 2)
 
 

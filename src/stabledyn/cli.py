@@ -77,7 +77,9 @@ _INT_MIN = {
 }
 _FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
 _FLOAT_NONNEGATIVE = ("sigma",)
-# `simulate` holds the state at every RK4 node: at most 1 GiB of doubles
+# `simulate` refuses a solve of more state values than this over all its RK4
+# nodes (1 GiB of doubles); it keeps only the sampled nodes, so the bound now
+# caps the steps taken rather than the memory held
 _SIMULATE_MAX_VALUES = 2**27
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
@@ -197,7 +199,8 @@ def cmd_train(args) -> int:
     result = training.train_with_restarts(
         lambda seed: benchmarks.make_untrained_field(system, seed), dataset.trajectories, cfg
     )
-    field_mod.save_field(out / f"{system}-field.json", result.field, seed=result.seed)
+    field_mod.save_field(out / f"{system}-field.json", result.field, seed=result.seed,
+                         system=system)
     _json_dump(out / f"{system}-train-report.json", result.report(cfg))
     print(f"best loss {result.best_loss:.6e}; checkpoint {out}/{system}-field.json")
     return EXIT_OK
@@ -220,7 +223,7 @@ def cmd_cv(args) -> int:
     _json_dump(out / f"{system}-cv-report.json", report.to_dict())
     if report.final is not None:
         field_mod.save_field(out / f"{system}-field.json", report.final.field,
-                             seed=report.final.seed)
+                             seed=report.final.seed, system=system)
     print(f"selected architecture: {report.selected}; report {out}/{system}-cv-report.json")
     return EXIT_OK
 
@@ -245,17 +248,21 @@ def _residual_fn(system, fld):
 
 
 def _load_field_arg(args) -> field_mod.StructuredField:
-    """The --field checkpoint; a missing, unreadable or malformed file is a
-    config error."""
+    """The --field checkpoint; a missing, unreadable or malformed file, or
+    one trained for another system, is a config error."""
     if not args.field:
         raise ConfigError("--field CHECKPOINT is required unless --oracle is set")
     try:
-        fld = field_mod.load_field(args.field)
+        fld, system = field_mod.read_checkpoint(args.field)
     # json.JSONDecodeError is a ValueError; TypeError is a document of the
     # wrong shape, such as a list where an object belongs
     except (OSError, KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"cannot load field checkpoint {args.field!r}: "
                           f"{type(err).__name__}: {err}")
+    # a checkpoint written before systems were recorded holds none
+    if system is not None and system != args.system:
+        raise ConfigError(f"field checkpoint {args.field!r} was trained for {system!r}, "
+                          f"not {args.system!r}")
     dims = benchmarks.SYSTEM_DIMS[args.system]
     if (fld.dim, fld.control_dim) != dims:
         raise ConfigError(f"field checkpoint {args.field!r} has (state, control) dims "
@@ -283,12 +290,9 @@ def cmd_simulate(args) -> int:
         rhs = lambda x, u: field_mod.eval_velocity(fld, x, u)
         tag = "model"
 
-    states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid)
+    states = rk4_solve_batch(rhs, pairs_x, pairs_u, grid, every=stride)
     times = grid.times()[::stride]
-    trajs = [
-        Trajectory(times, states[i, ::stride], pairs_u[i], traj_id=i)
-        for i in range(len(pairs_x))
-    ]
+    trajs = [Trajectory(times, states[i], pairs_u[i], traj_id=i) for i in range(len(pairs_x))]
     path = out / f"{system}-simulate-{tag}.csv"
     write_trajectories_csv(path, trajs)
     print(f"wrote {len(trajs)} simulated trajectories to {path}")

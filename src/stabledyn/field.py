@@ -13,9 +13,13 @@ batch size. Each map a caller differentiates has one cached forward and one
 reverse that replays its cache, so a caller that needs both value and
 gradient runs each net once:
 
-- velocity: `velocity_cached` keeps both nets' caches and
-  `velocity_vjp_cached` replays them; `velocity_vjp` is a checked-input
-  wrapper around that pair.
+- velocity: `velocity_cached` keeps both nets' caches, written into the
+  caller's `nnet.hidden_arrays` when it passes them (the RK4 stage tape of
+  `integrate` does), and `velocity_vjp_cached` replays them;
+  `velocity_vjp` is a checked-input wrapper around that pair.
+  `velocity_input_vjp_cached` replays the same cache for the input
+  gradients only, through `nnet.input_vjp_from_cache` on both nets, as
+  `target_vjp` does; the RK4 stage Jacobians are built from it.
 - target: `target_cached` keeps the target net's cache and `target_vjp`
   replays it when given; without one it runs `target_cached` itself.
   `target_vjp` returns the input gradients (x_grad, u_grad) only, through
@@ -159,19 +163,27 @@ def target_input(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np
     return np.concatenate([feats, u2d], axis=1)
 
 
-def _decay_forward(field: StructuredField, x2d: np.ndarray, cached: bool = False):
-    """decay(x) on a batch of states; with ``cached``, (decay(x), cache)."""
-    run = nnet.forward_cached if cached else nnet.forward
-    return run(field.decay_spec, field.decay_params, x2d, layers=field.decay_layers())
+def _decay_forward(field: StructuredField, x2d: np.ndarray, cached: bool = False, out=None):
+    """decay(x) on a batch of states; with ``cached``, (decay(x), cache),
+    the hidden layers written into ``out`` when it is given."""
+    if not cached:
+        return nnet.forward(field.decay_spec, field.decay_params, x2d,
+                            layers=field.decay_layers())
+    return nnet.forward_cached(field.decay_spec, field.decay_params, x2d,
+                               layers=field.decay_layers(), out=out)
 
 
 def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,
-                    cached: bool = False):
+                    cached: bool = False, out=None):
     """target(x,u) on a batch of states and controls; with ``cached``,
-    (target(x,u), cache)."""
-    run = nnet.forward_cached if cached else nnet.forward
-    return run(field.target_spec, field.target_params, target_input(field, x2d, u2d),
-               layers=field.target_layers())
+    (target(x,u), cache), the hidden layers written into ``out`` when it is
+    given."""
+    x_in = target_input(field, x2d, u2d)
+    if not cached:
+        return nnet.forward(field.target_spec, field.target_params, x_in,
+                            layers=field.target_layers())
+    return nnet.forward_cached(field.target_spec, field.target_params, x_in,
+                               layers=field.target_layers(), out=out)
 
 
 def eval_decay(field: StructuredField, x) -> np.ndarray:
@@ -243,13 +255,17 @@ def target_vjp(field: StructuredField, x, u, cotangent, cache=None):
     return gx, gu
 
 
-def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray):
+def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray, out=None):
     """Batched velocity plus the caches needed to replay the reverse pass.
 
     Hot path for unrolled solvers: no dim re-validation, 2-d arrays only.
+    ``out``, when given, is a (decay, target) pair of `nnet.hidden_arrays`
+    of the batch's row count; the nets' hidden layers are written into them
+    (same bits), and the cache holds them until the caller reuses them.
     """
-    f, f_cache = _decay_forward(field, x2d, cached=True)
-    g, g_cache = _target_forward(field, x2d, u2d, cached=True)
+    f_out, g_out = (None, None) if out is None else out
+    f, f_cache = _decay_forward(field, x2d, cached=True, out=f_out)
+    g, g_cache = _target_forward(field, x2d, u2d, cached=True, out=g_out)
     diff = x2d - g
     return f * diff, (x2d, f, diff, f_cache, g_cache)
 
@@ -266,6 +282,20 @@ def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
     ggrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
     gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
     return np.concatenate([fgrad, ggrad]), cotangent2d * f + fx + gx_t, gu
+
+
+def velocity_input_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
+    """Reverse pass over a `velocity_cached` evaluation in the inputs only.
+
+    Returns (x_grad, u_grad) per row, the same bits as
+    ``velocity_vjp_cached(...)[1:]``; both nets' reverses run through
+    `nnet.input_vjp_from_cache`, so no parameter gradient is built.
+    """
+    x2d, f, diff, f_cache, g_cache = cache
+    fx = nnet.input_vjp_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
+    gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
+    gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
+    return cotangent2d * f + fx + gx_t, gu
 
 
 def velocity_vjp(field: StructuredField, x, u, cotangent):
@@ -285,7 +315,10 @@ def velocity_vjp(field: StructuredField, x, u, cotangent):
 
 # --- checkpointing -----------------------------------------------------------
 
-def field_to_dict(field: StructuredField, seed: int | None = None) -> dict:
+def field_to_dict(field: StructuredField, seed: int | None = None,
+                  system: str | None = None) -> dict:
+    """The checkpoint document; ``system``, the benchmark system the field
+    was trained for, is recorded when given."""
     feat = None
     if field.featurizer is not None:
         feat = {
@@ -294,7 +327,7 @@ def field_to_dict(field: StructuredField, seed: int | None = None) -> dict:
             "num_modes": field.featurizer.num_modes,
             "enabled": True,
         }
-    return {
+    doc = {
         "dim": field.dim,
         "control_dim": field.control_dim,
         "decay": nnet.checkpoint_to_dict(field.decay_spec, field.decay_params, seed),
@@ -302,6 +335,9 @@ def field_to_dict(field: StructuredField, seed: int | None = None) -> dict:
         "featurizer": feat,
         "domain": None if field.domain is None else field.domain.tolist(),
     }
+    if system is not None:
+        doc["system"] = system
+    return doc
 
 
 def field_from_dict(doc: dict) -> StructuredField:
@@ -330,11 +366,19 @@ def field_from_dict(doc: dict) -> StructuredField:
     )
 
 
-def save_field(path, field: StructuredField, seed: int | None = None) -> None:
+def save_field(path, field: StructuredField, seed: int | None = None,
+               system: str | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(field_to_dict(field, seed), fh)
+        json.dump(field_to_dict(field, seed, system), fh)
+
+
+def read_checkpoint(path) -> tuple[StructuredField, str | None]:
+    """The field of a checkpoint file and the system it records (None for a
+    checkpoint that records none)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    return field_from_dict(doc), doc.get("system")
 
 
 def load_field(path) -> StructuredField:
-    with open(path) as fh:
-        return field_from_dict(json.load(fh))
+    return read_checkpoint(path)[0]

@@ -5,7 +5,12 @@ trajectory functionals differentiate the computed RK4 recursion
 (discretize-then-differentiate), so they are exact for the trajectory the
 solver returned: `rk4_solve_unrolled_grad` takes the states of one value
 forward, re-linearizes the four stages of every step in four wide calls,
-and runs the reverse over steps on the stage Jacobians. The stochastic
+and runs the reverse over steps on the stage Jacobians, which it builds
+from the input-only `field.velocity_input_vjp_cached`. The wide stage
+caches go into a `StageTape` that the caller owns and passes to every
+call (`training.TrajMatchingObjective` keeps one), so repeated gradients
+reuse the same memory. `rk4_solve_batch` records every node, or only
+every k-th one for callers that keep a sample stride. The stochastic
 (Euler-Maruyama) loop of closed-loop control lives in
 `control.feedback_simulate`.
 
@@ -24,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import StructuredField, velocity_cached, velocity_vjp_cached
-from .nnet import NonFiniteError
+from .field import (StructuredField, velocity_cached, velocity_input_vjp_cached,
+                    velocity_vjp_cached)
+from .nnet import NonFiniteError, hidden_arrays
 
 
 class DatasetError(ValueError):
@@ -90,16 +96,24 @@ def rk4_step_batch(rhs, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_solve_batch(rhs, x0: np.ndarray, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Integrate a batch of initial states; returns (B, n_steps+1, d)."""
+def rk4_solve_batch(rhs, x0: np.ndarray, u: np.ndarray, grid: TimeGrid,
+                    every: int = 1) -> np.ndarray:
+    """Integrate a batch of initial states and record the nodes 0, every,
+    2 * every, ..., n_steps; returns (B, n_steps // every + 1, d). Every
+    step is taken (and checked) either way, so the recorded nodes have the
+    bits of the full solve's ``[:, ::every]``."""
+    if every < 1 or grid.n_steps % every:
+        raise ValueError(f"every must be a positive divisor of n_steps {grid.n_steps}, "
+                         f"got {every}")
     x = np.asarray(x0, dtype=float)
-    out = np.empty((x.shape[0], grid.n_steps + 1, x.shape[1]))
+    out = np.empty((x.shape[0], grid.n_steps // every + 1, x.shape[1]))
     out[:, 0] = x
     h = grid.h
-    for n in range(grid.n_steps):
+    for n in range(1, grid.n_steps + 1):
         x = rk4_step_batch(rhs, x, u, h)
-        _check_finite(x, n + 1)
-        out[:, n + 1] = x
+        _check_finite(x, n)
+        if n % every == 0:
+            out[:, n // every] = x
     return out
 
 
@@ -112,24 +126,61 @@ def rk4_solve(rhs, x0, u, grid: TimeGrid, traj_id: int = 0) -> Trajectory:
     return Trajectory(grid.times(), states, u, traj_id=traj_id)
 
 
+class StageTape:
+    """The hidden-layer arrays of the four wide stage linearizations in
+    `rk4_solve_unrolled_grad`, kept from one call to the next.
+
+    A training loop that passes one tape to every call writes each batch's
+    stage caches into the same memory, so the allocator neither hands those
+    megabytes back to the OS after a batch nor faults them in again for the
+    next. The capacity only grows, to the largest row count asked for; a
+    smaller call writes into ``[:rows]`` views. Arrays are made anew only
+    when a call needs more rows or nets of other widths. A tape serves one
+    call at a time: each call overwrites the caches of the one before.
+    """
+
+    def __init__(self):
+        self._widths, self._rows, self._arrays = None, 0, None
+
+    def stages(self, field: StructuredField, rows: int):
+        """Four (decay, target) pairs of `nnet.hidden_arrays`, one per RK4
+        stage, each of ``rows`` rows; the arrays of the previous call are
+        overwritten."""
+        widths = (field.decay_spec.layer_sizes[1:-1], field.target_spec.layer_sizes[1:-1])
+        if widths != self._widths or rows > self._rows:
+            self._widths, self._rows = widths, rows
+            self._arrays = [(hidden_arrays(field.decay_spec, rows),
+                             hidden_arrays(field.target_spec, rows)) for _ in range(4)]
+        return [(_first_rows(f, rows), _first_rows(g, rows)) for f, g in self._arrays]
+
+
+def _first_rows(arrays, rows: int):
+    """The first ``rows`` rows of each array of `nnet.hidden_arrays`."""
+    return [tuple(a[:rows] for a in triple) for triple in arrays]
+
+
 def rk4_solve_unrolled_grad(
     field: StructuredField,
     states: np.ndarray,
     u: np.ndarray,
     grid: TimeGrid,
     cotangents: np.ndarray,
+    tape: StageTape | None = None,
 ) -> np.ndarray:
     """Exact parameter gradient of sum_i <cotangent_i, x(t_i)> through RK4.
 
     ``states`` is the (B, n_steps+1, d) solve `rk4_solve_batch` returned for
     this field, ``u`` is (B, q), ``cotangents`` is (B, n_steps+1, d). Returns
-    the flat parameter gradient.
+    the flat parameter gradient. The stage caches are written into
+    ``tape``, a `StageTape` the caller keeps across calls; without one they
+    go into a tape of this call only.
 
     Given the states, no step's stage inputs depend on another step, so the
     four RK4 stages of all steps are re-linearized in four wide calls on
     (n_steps*B)-row step-major stacks. The reverse over steps then runs on
-    each row's stage Jacobians dv/dx (d unit-cotangent VJPs per stage) and
-    calls no net; the parameter gradient is one wide VJP per stage.
+    each row's stage Jacobians dv/dx (d unit-cotangent input-only VJPs per
+    stage) and calls no net; the parameter gradient is one wide VJP per
+    stage.
     """
     states = np.asarray(states, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -144,10 +195,11 @@ def rk4_solve_unrolled_grad(
     # row n*B + b is trajectory b at the start of step n
     x = states[:, :-1].transpose(1, 0, 2).reshape(n_steps * B, d)
     uu = np.tile(u, (n_steps, 1))
-    k1, c1 = velocity_cached(field, x, uu)
-    k2, c2 = velocity_cached(field, x + (0.5 * h) * k1, uu)
-    k3, c3 = velocity_cached(field, x + (0.5 * h) * k2, uu)
-    _, c4 = velocity_cached(field, x + h * k3, uu)
+    out = (StageTape() if tape is None else tape).stages(field, n_steps * B)
+    k1, c1 = velocity_cached(field, x, uu, out[0])
+    k2, c2 = velocity_cached(field, x + (0.5 * h) * k1, uu, out[1])
+    k3, c3 = velocity_cached(field, x + (0.5 * h) * k2, uu, out[2])
+    _, c4 = velocity_cached(field, x + h * k3, uu, out[3])
     caches = (c1, c2, c3, c4)
 
     # jac[s][r, i, j] = d v_i / d x_j at stage s + 1 of row r
@@ -156,7 +208,7 @@ def rk4_solve_unrolled_grad(
     for i in range(d):
         unit[:, i] = 1.0
         for s, cache in enumerate(caches):
-            row_i = velocity_vjp_cached(field, cache, unit)[1]
+            row_i = velocity_input_vjp_cached(field, cache, unit)[0]
             jac[s, :, :, i] = row_i.reshape(n_steps, B, d)
         unit[:, i] = 0.0
 

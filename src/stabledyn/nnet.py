@@ -5,12 +5,16 @@ Parameters for one MLP live in a single flat float64 vector. Layout, per
 layer: weight matrix (rows = output units) flattened row-major, then the
 bias vector. Everything here is a pure function of its explicit inputs,
 so forward/backward are safe to evaluate concurrently over shared params.
+The module keeps no arrays between calls: a caller that repeats wide
+cached passes may own `hidden_arrays` and hand them to `forward_cached`,
+which writes its hidden layers there instead of allocating them (so
+concurrent calls need arrays of their own).
 
 The passes come in two pairs, each pair sharing one routine, so a pair's
 members give the same bits on the rows they share:
 
 - forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
-  what the reverse pass needs.
+  what the reverse pass needs, in fresh or caller-given hidden arrays.
 - reverse (`_reverse_layers`, replaying a `forward_cached` cache):
   `backward_from_cache` returns the batch-summed parameter gradient and the
   per-row input gradient, `input_vjp_from_cache` the input gradient only.
@@ -115,14 +119,14 @@ def split_params(spec: MlpSpec, params: np.ndarray) -> list[tuple[np.ndarray, np
 _INPLACE_MIN = 4096
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     """1 / (1 + exp(-z)) for a numpy array or scalar; one new array when
-    z is large."""
+    z is large, none when ``out`` (an array of z's shape) takes the result."""
     # exponent capped below the overflow threshold; deep-negative z then
     # yields ~1e-308 instead of exactly 0, which is what we want anyway
-    if z.size < _INPLACE_MIN:
+    if out is None and z.size < _INPLACE_MIN:
         return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
-    s = np.negative(z)
+    s = np.negative(z, out=out)
     np.minimum(s, 709.0, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -165,18 +169,29 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
 _BLOCK_ROWS = 1024
 
 
-def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool):
+def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
     """The layer arithmetic of every forward pass: (outputs, cache) where the
-    cache is None unless ``keep`` asks for what the reverse pass needs."""
+    cache is None unless ``keep`` asks for what the reverse pass needs. With
+    ``keep``, ``out`` may give one (z, s, a) triple of (N, width) arrays per
+    hidden layer (`hidden_arrays`) for the pre-activation, its sigmoid and
+    the SiLU output; the cache then holds those arrays."""
     acts = [x2d]
     hidden = []
     a = x2d
-    for w, b in layers[:-1]:
-        z = a @ w.T
-        z += b
-        s = _sigmoid(z)
+    for l, (w, b) in enumerate(layers[:-1]):
+        # the operator forms where no arrays are given: a 1-row call pays
+        # for every keyword a ufunc parses
+        if out is None:
+            z = a @ w.T
+            z += b
+            s = _sigmoid(z)
+        else:
+            z, s, a_out = out[l]
+            np.matmul(a, w.T, out=z)
+            z += b
+            _sigmoid(z, out=s)
         if keep:
-            a = z * s  # SiLU
+            a = z * s if out is None else np.multiply(z, s, out=a_out)  # SiLU
             hidden.append((z, s))
             acts.append(a)
         else:
@@ -214,16 +229,27 @@ def forward(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=None) -> 
     return y
 
 
-def forward_cached(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=None):
+def forward_cached(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=None,
+                   out=None):
     """Batched forward pass returning (outputs, cache) for backward reuse.
 
     ``x2d`` is (N, in_dim); outputs are (N, out_dim). The cache holds layer
     inputs, hidden pre-activations with their sigmoids, and the output-layer
-    sigmoid values. Callers in hot loops may pass pre-split ``layers``.
+    sigmoid values. Callers in hot loops may pass pre-split ``layers``, and
+    callers that repeat wide passes may pass ``out``, the `hidden_arrays` of
+    N rows, for the hidden layers to be written into instead of allocated;
+    either way the outputs and cache hold the same bits.
     """
     if layers is None:
         layers = split_params(spec, params)
-    return _run_layers(spec, layers, x2d, keep=True)
+    return _run_layers(spec, layers, x2d, keep=True, out=out)
+
+
+def hidden_arrays(spec: MlpSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One uninitialized (z, s, a) triple of (rows, width) arrays per hidden
+    layer: the ``out`` that `forward_cached` writes its hidden layers into."""
+    return [tuple(np.empty((rows, width)) for _ in range(3))
+            for width in spec.layer_sizes[1:-1]]
 
 
 def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):

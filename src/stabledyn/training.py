@@ -6,6 +6,9 @@ and penalizes the mean squared gap to the observed samples. Trajectories
 that share a time grid are stacked into one block; its gradient takes one
 value forward per block, then a reverse that re-linearizes every RK4 stage
 about the solved states in wide calls (`integrate.rk4_solve_unrolled_grad`).
+The objective owns one `integrate.StageTape` for those calls, so every
+batch writes its stage caches into the same arrays; the tape grows to the
+largest block seen and smaller blocks use its first rows.
 Gradient matching skips the solver: it penalizes the gap between the model
 vector field and finite-difference derivative estimates at the observed
 states. Batches are whole trajectories in both cases.
@@ -21,8 +24,8 @@ import numpy as np
 
 from . import nnet
 from .field import StructuredField, eval_velocity, velocity_cached, velocity_vjp_cached
-from .integrate import (DatasetError, TimeGrid, Trajectory, finite_diff, rk4_solve_batch,
-                        rk4_solve_unrolled_grad)
+from .integrate import (DatasetError, StageTape, TimeGrid, Trajectory, finite_diff,
+                        rk4_solve_batch, rk4_solve_unrolled_grad)
 
 TRAJ_MATCHING = "traj-matching"
 GRAD_MATCHING = "grad-matching"
@@ -121,6 +124,8 @@ class TrajMatchingObjective:
             self._blocks.append((grid, obs[:, 0], np.array([t.control for t in members]), obs))
         self._where = np.stack([block, row], axis=1)
         self.n_traj = len(trajectories)
+        # every gradient writes its stage caches into this one tape
+        self._tape = StageTape()
 
     def _solve(self, field: StructuredField, idxs):
         """Per block of the chosen trajectories (rows in the order chosen):
@@ -149,7 +154,8 @@ class TrajMatchingObjective:
         parts, count = self._solve(field, idxs)
         grad = np.zeros_like(field.params)
         for grid, u, states, res in parts:
-            grad += rk4_solve_unrolled_grad(field, states, u, grid, (2.0 / count) * res)
+            grad += rk4_solve_unrolled_grad(field, states, u, grid, (2.0 / count) * res,
+                                            self._tape)
         return sum(float(np.sum(res * res)) for *_, res in parts) / count, grad
 
 

@@ -413,6 +413,28 @@ class TestWrongSystem:
         err = capsys.readouterr().err
         assert "(2, 2); sym-hysteresis needs (1, 1)" in err
 
+    def test_trained_checkpoint_for_another_system_with_the_same_dims(self, tiny_dataset,
+                                                                       tmp_path, capsys):
+        # sym-hysteresis and budworm both have one state and one control, so
+        # only the recorded system tells them apart
+        assert main(["train", "--system", "sym-hysteresis", "--data", str(tiny_dataset),
+                     "--out", str(tmp_path), "--epochs", "1"]) == EXIT_OK
+        path = tmp_path / "sym-hysteresis-field.json"
+        assert json.loads(path.read_text())["system"] == "sym-hysteresis"
+        rc = main(["control", "--system", "budworm", "--field", str(path), "--targets", "1",
+                   "--trials", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "was trained for 'sym-hysteresis', not 'budworm'" in capsys.readouterr().err
+        # the system it was trained for runs it
+        assert main(["equilibria", "--system", "sym-hysteresis", "--field", str(path),
+                     "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_cv_checkpoint_records_its_system(self, tiny_dataset, tmp_path):
+        assert main(["cv", "--data", str(tiny_dataset), "--out", str(tmp_path), "--epochs", "1",
+                     "--folds", "2", "--restarts", "1"]) == EXIT_OK
+        doc = json.loads((tmp_path / "sym-hysteresis-field.json").read_text())
+        assert doc["system"] == "sym-hysteresis"
+
     @pytest.mark.parametrize("command", ["train", "cv", "control"])
     def test_dataset_for_another_system(self, tiny_dataset, tmp_path, capsys, command):
         argv = [command, "--data", str(tiny_dataset), "--out", str(tmp_path)]

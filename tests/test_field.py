@@ -16,12 +16,14 @@ from stabledyn.field import (
     field_from_dict,
     field_to_dict,
     load_field,
+    read_checkpoint,
     residual,
     save_field,
     target_cached,
     target_input,
     target_vjp,
     velocity_cached,
+    velocity_input_vjp_cached,
     velocity_vjp,
     velocity_vjp_cached,
 )
@@ -260,6 +262,39 @@ class TestSinglePath:
             assert np.array_equal(xg, xgrad[rows])
             assert np.array_equal(ug, ugrad[rows])
 
+    @pytest.mark.parametrize("featurizer,dim,q,rows", [(None, 2, 2, 7), (HYST_FEAT, 1, 1, 7),
+                                                      (HYST_FEAT, 1, 1, 300)])
+    def test_input_only_reverse_equals_full_reverse(self, featurizer, dim, q, rows):
+        # 300 rows of a 6-wide layer take the in-place kernels
+        fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=31)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1.5, 1.5, size=(rows, dim))
+        u = rng.uniform(-1, 1, size=(rows, q))
+        w = rng.normal(size=(rows, dim))
+        _, cache = velocity_cached(fld, x, u)
+        _, xgrad, ugrad = velocity_vjp_cached(fld, cache, w)
+        xg, ug = velocity_input_vjp_cached(fld, cache, w)
+        assert np.array_equal(xg, xgrad)
+        assert np.array_equal(ug, ugrad)
+
+    @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])
+    def test_given_hidden_arrays_give_the_same_bits(self, featurizer, dim, q):
+        fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=37,
+                         hidden=(5, 4))
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.5, 1.5, size=(900, dim))
+        u = rng.uniform(-1, 1, size=(900, q))
+        w = rng.normal(size=(900, dim))
+        out = (nnet.hidden_arrays(fld.decay_spec, 900), nnet.hidden_arrays(fld.target_spec, 900))
+        v, cache = velocity_cached(fld, x, u)
+        v_out, cache_out = velocity_cached(fld, x, u, out)
+        assert np.array_equal(v, v_out)
+        # the caches hold the given arrays
+        assert cache_out[3][2][0][0] is out[0][0][0] and cache_out[4][1][-1] is out[1][-1][2]
+        for want, got in zip(velocity_vjp_cached(fld, cache, w),
+                             velocity_vjp_cached(fld, cache_out, w)):
+            assert np.array_equal(want, got)
+
     @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])
     def test_value_calls_equal_cached_pair_across_blocks(self, featurizer, dim, q):
         fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=29)
@@ -317,6 +352,14 @@ class TestCheckpoint:
         doc = json.loads(CHECKPOINT.read_text())
         save_field(tmp_path / "field.json", fld, seed=doc["decay"]["seed"])
         assert (tmp_path / "field.json").read_bytes() == CHECKPOINT.read_bytes()
+
+    def test_recorded_system_reads_back(self, tmp_path):
+        fld = load_field(CHECKPOINT)
+        assert read_checkpoint(CHECKPOINT)[1] is None  # written before systems were recorded
+        save_field(tmp_path / "field.json", fld, seed=3, system="sym-hysteresis")
+        loaded, system = read_checkpoint(tmp_path / "field.json")
+        assert system == "sym-hysteresis"
+        assert np.array_equal(loaded.params, fld.params)
 
     def test_other_activation_refused(self, tmp_path):
         doc = json.loads(CHECKPOINT.read_text())

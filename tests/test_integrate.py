@@ -50,6 +50,28 @@ class TestRk4:
             single = rk4_solve(decay_rhs, x0, NO_U, grid)
             assert_close(batch[i], single.states, rtol=1e-13, floor=1e-13)
 
+    @pytest.mark.parametrize("every", [1, 2, 5, 10])
+    def test_every_kth_node_equals_the_full_solve_sliced(self, every):
+        grid = TimeGrid(0.0, 2.0, 10)
+        x0 = np.array([[0.2, -1.0], [1.5, 0.3], [-0.7, 0.9]])
+        u = np.array([[0.1], [0.4], [-0.3]])
+        rhs = lambda x, uu: uu - x**3 + np.sin(x[:, ::-1])
+        full = rk4_solve_batch(rhs, x0, u, grid)
+        kept = rk4_solve_batch(rhs, x0, u, grid, every=every)
+        assert kept.shape == (3, 10 // every + 1, 2)
+        assert np.array_equal(kept, full[:, ::every])
+
+    @pytest.mark.parametrize("every", [0, 3, 11])
+    def test_every_must_divide_the_step_count(self, every):
+        with pytest.raises(ValueError, match="divisor of n_steps 10"):
+            rk4_solve_batch(decay_rhs, np.ones((1, 1)), np.zeros((1, 0)),
+                            TimeGrid(0.0, 1.0, 10), every=every)
+
+    def test_nonfinite_state_between_kept_nodes_reports_step(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="step"):
+            rk4_solve_batch(lambda x, u: x * x, np.array([[5.0]]), np.zeros((1, 0)),
+                            TimeGrid(0, 10, 100), every=100)
+
     def test_nonfinite_state_reports_step(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="step"):
             rk4_solve(lambda x, u: x * x, [5.0], NO_U, TimeGrid(0, 10, 100))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn.benchmarks import TOGGLE_SWITCH, DataProtocol, gen_dataset
-from stabledyn.field import eval_velocity
+from stabledyn.field import eval_velocity, velocity_cached
 from stabledyn.integrate import DatasetError, TimeGrid, Trajectory, rk4_solve_batch
 from stabledyn.training import (
     GRAD_MATCHING,
@@ -149,14 +149,15 @@ class TestTrajMatchingLoss:
         assert_close(grad, central_diff_grad(f, fld.params), rtol=1e-3, floor=1e-6)
 
     def test_batch_linearizes_each_stage_once(self, monkeypatch):
-        # one value forward, then four wide stage linearizations and d + 1
-        # wide reverses per stage, whatever the step count
+        # one value forward, then four wide stage linearizations; per stage
+        # d wide input-only reverses for the Jacobian and one wide reverse
+        # for the parameter gradient, whatever the step count
         from stabledyn import integrate, training
 
         fld = make_field(dim=2, control_dim=2, seed=16, hidden=(4,),
                          decay_bounds=(-1.0, 0.0), target_bounds=(0.0, 1.0))
         trajs = field_generated_trajectories(fld, n_traj=3, n_samples=7, seed=17)
-        calls = {"solve": 0, "velocity": 0, "vjp": 0}
+        calls = {"solve": 0, "velocity": 0, "vjp": 0, "input_vjp": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -170,8 +171,51 @@ class TestTrajMatchingLoss:
                             counted("velocity", integrate.velocity_cached))
         monkeypatch.setattr(integrate, "velocity_vjp_cached",
                             counted("vjp", integrate.velocity_vjp_cached))
+        monkeypatch.setattr(integrate, "velocity_input_vjp_cached",
+                            counted("input_vjp", integrate.velocity_input_vjp_cached))
         TrajMatchingObjective(trajs).loss_and_grad(fld)
-        assert calls == {"solve": 1, "velocity": 4, "vjp": 4 * (fld.dim + 1)}
+        assert calls == {"solve": 1, "velocity": 4, "vjp": 4, "input_vjp": 4 * fld.dim}
+
+    def test_reused_tape_gives_a_fresh_objectives_gradient(self):
+        # batches that shrink and grow (50 -> 1 -> 50 trajectories) over two
+        # interleaved time grids write into one tape; each gradient has the
+        # bits of an objective that has never run
+        fld = make_field(dim=1, control_dim=1, seed=26, hidden=(5,))
+        first = field_generated_trajectories(fld, n_traj=50, n_samples=6, seed=27)
+        second = field_generated_trajectories(fld, n_traj=50, n_samples=4, horizon=0.3,
+                                              seed=28)
+        trajs = [Trajectory(t.times, t.states + 0.02 * np.sin(7.0 * t.times)[:, None],
+                            t.control, traj_id=i)
+                 for i, t in enumerate(x for pair in zip(first, second) for x in pair)]
+        objective = TrajMatchingObjective(trajs)
+        # 125 + 75 stage rows, then 3, then 250 (the tape grows), 5 + 3, 150
+        batches = [np.arange(50)[::-1], [3], np.arange(0, 100, 2), [41, 40],
+                   np.arange(1, 100, 2)]
+        for batch in batches:
+            loss, grad = objective.loss_and_grad(fld, batch)
+            fresh_loss, fresh_grad = TrajMatchingObjective(trajs).loss_and_grad(fld, batch)
+            assert loss == fresh_loss
+            assert np.array_equal(grad, fresh_grad)
+
+    def test_second_batch_writes_into_the_first_batchs_arrays(self, monkeypatch):
+        from stabledyn import integrate
+
+        fld = make_field(dim=1, control_dim=1, seed=30, hidden=(5,))
+        trajs = field_generated_trajectories(fld, n_traj=4, n_samples=6, seed=31)
+        objective = TrajMatchingObjective(trajs)
+        written = []
+
+        def spy(field, x2d, u2d, out=None):
+            written.append([a for net in out for triple in net for a in triple])
+            return velocity_cached(field, x2d, u2d, out)
+
+        monkeypatch.setattr(integrate, "velocity_cached", spy)
+        objective.loss_and_grad(fld)  # 4 trajectories x 5 steps: 20 rows per stage
+        objective.loss_and_grad(fld, [0, 2])  # 10 rows per stage
+        assert len(written) == 8
+        for first, second in zip(written[:4], written[4:]):
+            assert all(a.shape[0] == 20 and b.shape[0] == 10 for a, b in zip(first, second))
+            assert all(b.base is a.base is not None for a, b in zip(first, second))
 
     def test_gradient_matches_fd_two_grids(self):
         # step-major stacking and the sum over blocks, with the two grids'
