@@ -13,14 +13,15 @@ central_diff: the Newton Jacobian, the stability Jacobians and slopes, the
 sampled contraction bound, and control's gradient of a callable target
 map. Tolerances and step sizes are module constants.
 
-In one dimension a single batched engine serves find_equilibria_1d (one
-control value) and bifurcation_sweep (many): residuals take arrays and are
-evaluated elementwise, the (control x state) scan grid is evaluated in
-blocks of whole control rows, every bracket of every control is bisected
-together, and every root is classified from the residual's own slope
-(velocity = decay * residual with decay < 0). No call gets more than
-_BLOCK_ROWS points, which bounds the peak resident memory of a sweep; the
-per-bracket arithmetic is that of a scalar scan and bisection.
+In one dimension every root search is a bifurcation_sweep, the
+equilibria at a single control value being a one-control sweep: residuals
+take arrays and are evaluated elementwise, the (control x state) scan grid
+is evaluated in blocks of whole control rows, every bracket of every
+control is bisected together, and every root is classified from the
+residual's own slope (velocity = decay * residual with decay < 0). No call
+gets more than _BLOCK_ROWS points, which bounds the peak resident memory
+of a sweep; the per-bracket arithmetic is that of a scalar scan and
+bisection.
 """
 
 from __future__ import annotations
@@ -197,19 +198,6 @@ def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int):
     return ctrl[keep], roots[keep], res[keep]
 
 
-def find_equilibria_1d(residual_fn, interval, n_scan: int = 400) -> np.ndarray:
-    """Roots of a continuous scalar residual on an interval, sorted.
-
-    Uniform scan over n_scan cells, bisection on each sign change. A cell
-    whose bisection limit still has |r| > _ROOT_TOL hides a discontinuity,
-    not a root, and is dropped. ``residual_fn`` is evaluated elementwise on
-    a 1-d state array of at most _BLOCK_ROWS entries; it is the one-control
-    case of the engine behind bifurcation_sweep.
-    """
-    _, roots, _ = _equilibria(lambda c: residual_fn, np.zeros(1), interval, n_scan)
-    return roots
-
-
 # --- multivariate root finding ---------------------------------------------------
 
 def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6):
@@ -309,7 +297,8 @@ def _classify_1d(residual_of, c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def bifurcation_sweep(residual_of, control_values, state_interval,
                       n_scan: int = 400) -> BifurcationDiagram:
     """Scalar-state sweep: equilibria with stability per control value, plus
-    the control values where the equilibrium count changes.
+    the control values where the equilibrium count changes. One control
+    value gives the equilibria at that control.
 
     ``residual_of(c)`` receives a 1-d array of control values and returns a
     function evaluated elementwise on a state array of the same shape; the

@@ -77,10 +77,11 @@ _INT_MIN = {
 }
 _FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
 _FLOAT_NONNEGATIVE = ("sigma",)
-# `simulate` refuses a solve of more state values than this over all its RK4
-# nodes (1 GiB of doubles); it keeps only the sampled nodes, so the bound now
-# caps the steps taken rather than the memory held
-_SIMULATE_MAX_VALUES = 2**27
+# `simulate` refuses a solve whose RK4 steps, counted as state values over
+# every node of every trajectory (trajectories x dims x (steps + 1)), exceed
+# this; the solve keeps only the sampled nodes, so this caps the step work,
+# not the memory held
+_SIMULATE_MAX_STEP_VALUES = 2**27
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
                "oracle": bool, "paper_scale": bool}
@@ -278,9 +279,10 @@ def cmd_simulate(args) -> int:
     pairs_x, pairs_u = proto.pairs()
     if args.limit is not None:
         pairs_x, pairs_u = pairs_x[: args.limit], pairs_u[: args.limit]
-    if pairs_x.size * (grid.n_steps + 1) > _SIMULATE_MAX_VALUES:
-        raise ConfigError(f"--horizon {grid.t1} takes {grid.n_steps} RK4 steps at the system's "
-                          f"step, too many for {len(pairs_x)} trajectories; lower it or --limit")
+    if pairs_x.size * (grid.n_steps + 1) > _SIMULATE_MAX_STEP_VALUES:
+        raise ConfigError(f"--horizon {grid.t1} takes {grid.n_steps} RK4 steps per trajectory "
+                          f"at the system's step: too many RK4 steps for {len(pairs_x)} "
+                          f"trajectories; lower it or --limit")
 
     if args.oracle:
         rhs = benchmarks.rhs_fn(system)

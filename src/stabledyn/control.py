@@ -105,16 +105,15 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
     x_ref = np.atleast_1d(np.asarray(x_ref, dtype=float))
     if isinstance(target_map, StructuredField):
         # one cached target pass per level; the reverse replays each cache
-        levels = []
+        caches = []
         cur = x
         for _ in range(k):
-            nxt, cache = target_cached(target_map, cur, u)
-            levels.append((cur, cache))
-            cur = nxt
+            cur, cache = target_cached(target_map, cur, u)
+            caches.append(cache)
         cot = cur - x_ref
         ugrad = np.zeros_like(u)
-        for x_in, cache in reversed(levels):
-            xg, ug = target_vjp(target_map, x_in, u, cot, cache=cache)
+        for cache in reversed(caches):
+            xg, ug = target_vjp(target_map, cache, cot)
             ugrad += ug
             cot = xg
         return ugrad

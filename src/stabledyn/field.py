@@ -15,17 +15,18 @@ gradient runs each net once:
 
 - velocity: `velocity_cached` keeps both nets' caches, written into the
   caller's `nnet.hidden_arrays` when it passes them (the RK4 stage tape of
-  `integrate` does), and `velocity_vjp_cached` replays them;
-  `velocity_vjp` is a checked-input wrapper around that pair.
+  `integrate` does), and `velocity_vjp_cached` replays them.
   `velocity_input_vjp_cached` replays the same cache for the input
   gradients only, through `nnet.input_vjp_from_cache` on both nets, as
   `target_vjp` does; the RK4 stage Jacobians are built from it.
-- target: `target_cached` keeps the target net's cache and `target_vjp`
-  replays it when given; without one it runs `target_cached` itself.
-  `target_vjp` returns the input gradients (x_grad, u_grad) only, through
-  `nnet.input_vjp_from_cache`: feedback control and equilibrium Jacobians
-  read nothing else, and training takes the target net's parameter
-  gradient from `velocity_vjp_cached`.
+- target: `target_cached` keeps the target net's cache and
+  `target_vjp(field, cache, cotangent)` replays it. It returns the input
+  gradients (x_grad, u_grad) only, through `nnet.input_vjp_from_cache`:
+  feedback control reads nothing else, and training takes the target
+  net's parameter gradient from `velocity_vjp_cached`.
+
+Checkpoints are read by `read_checkpoint`, which returns the field and the
+system it was trained for.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class Featurizer:
     num_modes: int = 4
 
     def __post_init__(self):
-        if not (self.a < self.b):
-            raise ValueError("featurizer requires a < b")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"featurizer requires finite a < b, got a={self.a}, b={self.b}")
         # no modes is no featurizer: StructuredField(featurizer=None)
         if self.num_modes < 1:
             raise ValueError("num_modes must be >= 1")
@@ -233,19 +234,14 @@ def target_cached(field: StructuredField, x, u):
     return (g[0] if single else g), (x2d, single, g_cache)
 
 
-def target_vjp(field: StructuredField, x, u, cotangent, cache=None):
-    """Reverse-mode grads of <cotangent, target(x,u)> in the inputs.
+def target_vjp(field: StructuredField, cache, cotangent):
+    """Reverse-mode grads of <cotangent, target(x,u)> in the inputs, replaying
+    the cache `target_cached` returned for (x, u).
 
     Returns (x_grad, u_grad), per row (squeezed for single inputs). The
     target net's parameter gradient is not built; training gets it from
-    `velocity_vjp_cached`. ``cache`` is what `target_cached` returned for
-    this same (x, u); it is replayed instead of running the net again, and
-    x and u are then not read, so a cache from other inputs silently gives
-    another point's gradient. Without a cache, the forward runs here through
-    `target_cached`.
+    `velocity_vjp_cached`.
     """
-    if cache is None:
-        _, cache = target_cached(field, x, u)
     x2d, single, g_cache = cache
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
     gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, c2d)
@@ -296,21 +292,6 @@ def velocity_input_vjp_cached(field: StructuredField, cache, cotangent2d: np.nda
     gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
     gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
     return cotangent2d * f + fx + gx_t, gu
-
-
-def velocity_vjp(field: StructuredField, x, u, cotangent):
-    """Reverse-mode grads of <cotangent, velocity(x,u)>.
-
-    Returns (decay_param_grad, target_param_grad, x_grad, u_grad).
-    """
-    x2d, u2d, single = _batch_xu(field, x, u)
-    c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-    _, cache = velocity_cached(field, x2d, u2d)
-    pgrad, gx, gu = velocity_vjp_cached(field, cache, c2d)
-    fgrad, ggrad = np.split(pgrad, [field.decay_params.size])
-    if single:
-        return fgrad, ggrad, gx[0], gu[0]
-    return fgrad, ggrad, gx, gu
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -378,7 +359,3 @@ def read_checkpoint(path) -> tuple[StructuredField, str | None]:
     with open(path) as fh:
         doc = json.load(fh)
     return field_from_dict(doc), doc.get("system")
-
-
-def load_field(path) -> StructuredField:
-    return read_checkpoint(path)[0]

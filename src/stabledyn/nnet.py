@@ -11,19 +11,23 @@ which writes its hidden layers there instead of allocating them (so
 concurrent calls need arrays of their own).
 
 The passes come in two pairs, each pair sharing one routine, so a pair's
-members give the same bits on the rows they share:
+members give the same bits on the rows they share; every pass takes
+(N, width) row batches, a single input being one row:
 
 - forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
   what the reverse pass needs, in fresh or caller-given hidden arrays.
 - reverse (`_reverse_layers`, replaying a `forward_cached` cache):
   `backward_from_cache` returns the batch-summed parameter gradient and the
   per-row input gradient, `input_vjp_from_cache` the input gradient only.
+
+`AdamState` and `PlateauState` hold only optimizer state; their settings
+are the module constants ADAM_* and PLATEAU_*.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +41,7 @@ class MlpSpec:
     """Topology of one MLP: layer sizes (SiLU hidden layers), output bounds.
 
     Outputs are mapped through ``lo + (hi - lo) * sigmoid(z)``, so they are
-    strictly inside ``(lo, hi)`` for every input.
+    strictly inside ``(lo, hi)`` for every input; both bounds are finite.
     """
 
     layer_sizes: tuple[int, ...]
@@ -49,8 +53,8 @@ class MlpSpec:
         if len(sizes) < 2 or any(n < 1 for n in sizes):
             raise ValueError(f"layer_sizes must have >=2 entries, all >=1: {sizes}")
         lo, hi = self.output_bounds
-        if not (lo < hi):
-            raise ValueError(f"output bounds require lo < hi, got ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"output bounds must be finite with lo < hi, got ({lo}, {hi})")
 
     @property
     def in_dim(self) -> int:
@@ -287,29 +291,13 @@ def input_vjp_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.nd
     return _reverse_layers(spec, cache, cotangent2d)
 
 
-def mlp_forward(spec: MlpSpec, params: np.ndarray, x) -> np.ndarray:
-    """Evaluate the network; accepts a single input vector or an (N, d) batch."""
-    x2d, single = _as_batch(x, spec.in_dim, "input")
-    y = forward(spec, params, x2d)
-    return y[0] if single else y
-
-
-def mlp_backward(spec: MlpSpec, params: np.ndarray, x, cotangent):
-    """Exact reverse-mode gradient of <cotangent, mlp_forward(x)>.
-
-    Returns (param_gradient, input_gradient); for batched inputs the param
-    gradient is summed over rows and the input gradient is per-row.
-    """
-    x2d, single = _as_batch(x, spec.in_dim, "input")
-    c2d, csingle = _as_batch(cotangent, spec.out_dim, "cotangent")
-    if single != csingle or c2d.shape[0] != x2d.shape[0]:
-        raise ValueError("input and cotangent batch shapes disagree")
-    _, cache = forward_cached(spec, params, x2d)
-    pgrad, xgrad = backward_from_cache(spec, cache, c2d)
-    return (pgrad, xgrad[0]) if single else (pgrad, xgrad)
-
-
 # --- Adam ------------------------------------------------------------------
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -317,9 +305,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(n_params: int, lr: float) -> AdamState:
@@ -336,47 +321,46 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     if not np.all(np.isfinite(grad)):
         raise NonFiniteError("non-finite gradient passed to adam_step")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, replace(state, first_moment=m, second_moment=v, step_count=t)
 
 
 # --- ReduceLROnPlateau-style scheduler --------------------------------------
+
+# epochs without improvement before lr is cut, the cut factor, the lr floor,
+# and the relative loss decrease that counts as an improvement
+PLATEAU_PATIENCE = 25
+PLATEAU_FACTOR = 0.5
+PLATEAU_MIN_LR = 1e-5
+PLATEAU_REL_THRESHOLD = 1e-4
+
 
 @dataclass(frozen=True)
 class PlateauState:
     lr: float
     best_loss: float = math.inf
     epochs_since_improve: int = 0
-    patience: int = 25
-    factor: float = 0.5
-    min_lr: float = 1e-5
-    rel_threshold: float = 1e-4
-
-    def __post_init__(self):
-        if not (0.0 < self.factor < 1.0):
-            raise ValueError("factor must be in (0,1)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
 
 def plateau_step(state: PlateauState, epoch_loss: float) -> PlateauState:
-    """Reduce lr by `factor` after `patience` epochs without relative
-    improvement above `rel_threshold`, never going below `min_lr`."""
+    """Multiply lr by PLATEAU_FACTOR after PLATEAU_PATIENCE epochs without a
+    relative improvement above PLATEAU_REL_THRESHOLD, never going below
+    PLATEAU_MIN_LR."""
     if not math.isfinite(epoch_loss):
         raise NonFiniteError("non-finite epoch loss passed to plateau_step")
-    if epoch_loss < state.best_loss * (1.0 - state.rel_threshold) or not math.isfinite(
+    if epoch_loss < state.best_loss * (1.0 - PLATEAU_REL_THRESHOLD) or not math.isfinite(
         state.best_loss
     ):
         return replace(state, best_loss=min(epoch_loss, state.best_loss), epochs_since_improve=0)
     stagnant = state.epochs_since_improve + 1
-    if stagnant >= state.patience:
+    if stagnant >= PLATEAU_PATIENCE:
         return replace(
             state,
-            lr=max(state.lr * state.factor, state.min_lr),
+            lr=max(state.lr * PLATEAU_FACTOR, PLATEAU_MIN_LR),
             epochs_since_improve=0,
         )
     return replace(state, epochs_since_improve=stagnant)

@@ -18,7 +18,7 @@ from stabledyn.benchmarks import (
     TWO_TANKS,
 )
 from stabledyn.integrate import TimeGrid, rk4_solve_batch, rk4_solve_unrolled_grad
-from util import central_diff_grad, make_field
+from util import central_diff_grad, make_field, roots_at
 
 TIP = 2.0 / np.sqrt(27.0)
 
@@ -49,11 +49,14 @@ class TestCriterion1Gradients:
             lo = float(rng.uniform(-3, 0))
             spec = nnet.MlpSpec(tuple(sizes), output_bounds=(lo, lo + float(rng.uniform(0.5, 3))))
             params = rng.normal(size=nnet.param_count(spec))
-            x = rng.normal(size=spec.in_dim)
-            cot = rng.normal(size=spec.out_dim)
-            pg, xg = nnet.mlp_backward(spec, params, x, cot)
-            fd_p = central_diff_grad(lambda p: float(cot @ nnet.mlp_forward(spec, p, x)), params)
-            fd_x = central_diff_grad(lambda xx: float(cot @ nnet.mlp_forward(spec, params, xx)), x)
+            x = rng.normal(size=(1, spec.in_dim))
+            cot = rng.normal(size=(1, spec.out_dim))
+            _, cache = nnet.forward_cached(spec, params, x)
+            pg, xg = nnet.backward_from_cache(spec, cache, cot)
+            fd_p = central_diff_grad(lambda p: float(np.sum(cot * nnet.forward(spec, p, x))),
+                                     params)
+            fd_x = central_diff_grad(lambda xx: float(np.sum(cot * nnet.forward(spec, params, xx))),
+                                     x)
             worst_plain = max(worst_plain, rel_err(pg, fd_p), rel_err(xg, fd_x))
 
         # 40 composed structured fields: params, state, and control grads
@@ -65,7 +68,8 @@ class TestCriterion1Gradients:
             x = rng.uniform(-1.5, 1.5, fld.dim)
             u = rng.uniform(-1, 1, fld.control_dim)
             w = rng.normal(size=fld.dim)
-            fg, gg, xg, ug = field_mod.velocity_vjp(fld, x, u, w)
+            _, cache = field_mod.velocity_cached(fld, x[None, :], u[None, :])
+            pg, xg, ug = field_mod.velocity_vjp_cached(fld, cache, w[None, :])
             fd_full = central_diff_grad(
                 lambda p: float(w @ field_mod.eval_velocity(fld.with_params(p), x, u)),
                 fld.params,
@@ -73,8 +77,7 @@ class TestCriterion1Gradients:
             fd_x = central_diff_grad(lambda xx: float(w @ field_mod.eval_velocity(fld, xx, u)), x)
             fd_u = central_diff_grad(lambda uu: float(w @ field_mod.eval_velocity(fld, x, uu)), u)
             worst_field = max(worst_field,
-                              rel_err(np.concatenate([fg, gg]), fd_full),
-                              rel_err(xg, fd_x), rel_err(ug, fd_u))
+                              rel_err(pg, fd_full), rel_err(xg[0], fd_x), rel_err(ug[0], fd_u))
 
         # 20 unrolled-RK4 parameter gradients (rel 1e-3)
         for _ in range(20):
@@ -153,26 +156,34 @@ class TestCriterion4TheorySuite:
         checked = 0
         ok = True
         # hysteresis sweep: stability sign vs target-slope condition at roots
-        for lam in np.linspace(-1, 1, 101):
-            for root in analysis.find_equilibria_1d(lambda x: x**3 - x - lam, (-2, 2)):
-                if abs(root) < 1e-3:
-                    continue  # split target undefined at x=0
-                g = lambda x: (x + lam) / x**2
-                slope_g = (g(root + h) - g(root - h)) / (2 * h)
-                vel = lambda x: lam + x - x**3
-                slope_F = (vel(root + h) - vel(root - h)) / (2 * h)
-                ok = ok and ((slope_F < 0) == (slope_g < 1))
-                checked += 1
+        sweep = analysis.bifurcation_sweep(lambda lam: (lambda x: x**3 - x - lam),
+                                           np.linspace(-1, 1, 101), (-2, 2))
+        for p in sweep.points:
+            lam, root = p.u[0], p.x_star[0]
+            if abs(root) < 1e-3:
+                continue  # split target undefined at x=0
+            g = lambda x: (x + lam) / x**2
+            slope_g = (g(root + h) - g(root - h)) / (2 * h)
+            vel = lambda x: lam + x - x**3
+            slope_F = (vel(root + h) - vel(root - h)) / (2 * h)
+            ok = ok and ((slope_F < 0) == (slope_g < 1))
+            checked += 1
         # budworm sweep
         r = 0.56
-        for kappa in np.linspace(4.45, 11.99, 101):
-            g = lambda x: (r / kappa) * (1 + x * x) * (kappa - x)
+
+        def budworm_target(kappa):
+            return lambda x: (r / kappa) * (1 + x * x) * (kappa - x)
+
+        sweep = analysis.bifurcation_sweep(lambda kappa: (lambda x: x - budworm_target(kappa)(x)),
+                                           np.linspace(4.45, 11.99, 101), (0.1, 10.0))
+        for p in sweep.points:
+            kappa, root = p.u[0], p.x_star[0]
+            g = budworm_target(kappa)
             vel = lambda x: r * x * (1 - x / kappa) - x * x / (1 + x * x)
-            for root in analysis.find_equilibria_1d(lambda x: x - g(x), (0.1, 10.0)):
-                slope_g = (g(root + h) - g(root - h)) / (2 * h)
-                slope_F = (vel(root + h) - vel(root - h)) / (2 * h)
-                ok = ok and ((slope_F < 0) == (slope_g < 1))
-                checked += 1
+            slope_g = (g(root + h) - g(root - h)) / (2 * h)
+            slope_F = (vel(root + h) - vel(root - h)) / (2 * h)
+            ok = ok and ((slope_F < 0) == (slope_g < 1))
+            checked += 1
         report(4, f"(a) stability sign equals (d target/dx < 1) at {checked} oracle "
                   f"equilibria across both sweeps", ok and checked > 300)
 
@@ -200,7 +211,7 @@ class TestCriterion4TheorySuite:
 
     def test_remark_counterexample(self):
         lam = 1.0
-        roots = analysis.find_equilibria_1d(lambda x: x**3 - x - lam, (-2, 2))
+        roots = roots_at(lambda x: x**3 - x - lam, (-2, 2))
         x_star = roots[0]
         g = lambda x: (x + lam) / x**2
         L, is_contraction = analysis.contraction_bound(g, x_star, 0.05)

@@ -12,7 +12,6 @@ from stabledyn.analysis import (
     central_diff,
     classify_stability,
     contraction_bound,
-    find_equilibria_1d,
     find_equilibria_nd,
     iqr,
     nrmse,
@@ -20,8 +19,8 @@ from stabledyn.analysis import (
     sweep_to_rows,
 )
 from stabledyn.benchmarks import BUDWORM, SYM_HYSTERESIS, analytic_split, system_rhs
-from stabledyn.field import eval_velocity, load_field, residual
-from util import CHECKPOINT, assert_close
+from stabledyn.field import eval_velocity, read_checkpoint, residual
+from util import CHECKPOINT, assert_close, roots_at
 
 TIP = 2.0 / np.sqrt(27.0)
 
@@ -50,7 +49,7 @@ def budworm_velocity(kappa, r=0.56):
 def checkpoint_fns():
     """(residual_of, velocity_of) of the trained sym-hysteresis field; both
     take a control and a state of one shape, scalar or 1-d."""
-    fld = load_field(CHECKPOINT)
+    fld = read_checkpoint(CHECKPOINT)[0]
 
     def of(fn):
         return lambda c: (lambda x: fn(fld, np.reshape(x, (-1, 1)),
@@ -61,25 +60,25 @@ def checkpoint_fns():
 
 class TestFindEquilibria1d:
     def test_hysteresis_split_residual_skips_blowup(self):
-        roots = find_equilibria_1d(hysteresis_split_residual(0.0), (-2, 2), n_scan=400)
+        roots = roots_at(hysteresis_split_residual(0.0), (-2, 2), n_scan=400)
         assert_close(roots, [-1.0, 1.0], rtol=1e-9)
 
     def test_hysteresis_rhs_residual_finds_origin(self):
-        roots = find_equilibria_1d(hysteresis_rhs_residual(0.0), (-2, 2), n_scan=400)
+        roots = roots_at(hysteresis_rhs_residual(0.0), (-2, 2), n_scan=400)
         assert_close(roots, [-1.0, 0.0, 1.0], rtol=1e-9, floor=1e-11)
 
     def test_single_root_cubic(self):
-        roots = find_equilibria_1d(hysteresis_rhs_residual(1.0), (-2, 2), n_scan=400)
+        roots = roots_at(hysteresis_rhs_residual(1.0), (-2, 2), n_scan=400)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(1.3247179572447454, abs=1e-9)
 
     def test_positive_residual_empty(self):
-        roots = find_equilibria_1d(lambda x: x * x + 1.0, (-3, 3))
+        roots = roots_at(lambda x: x * x + 1.0, (-3, 3))
         assert len(roots) == 0
 
     def test_root_magnitudes_below_tol(self):
         f = hysteresis_rhs_residual(0.3)
-        for r in find_equilibria_1d(f, (-2, 2)):
+        for r in roots_at(f, (-2, 2)):
             assert abs(f(r)) <= 1e-10
 
 
@@ -223,15 +222,15 @@ class TestBifurcationSweep:
         # for the oracle split: stable <=> d(target)/dx < 1 at the root
         grid = np.linspace(-0.9, 0.9, 41)
         h = 1e-6
-        for lam in grid:
+        for p in bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2)).points:
+            lam, root = p.u[0], p.x_star[0]
+            if abs(root) < 1e-3:
+                continue  # split target undefined at 0
             vel = hysteresis_velocity(lam)
-            for root in find_equilibria_1d(hysteresis_rhs_residual(lam), (-2, 2)):
-                if abs(root) < 1e-3:
-                    continue  # split target undefined at 0
-                g = lambda x: (x + lam) / x**2
-                slope_g = (g(root + h) - g(root - h)) / (2 * h)
-                slope_F = (vel(root + h) - vel(root - h)) / (2 * h)
-                assert (slope_F < 0) == (slope_g < 1)
+            g = lambda x: (x + lam) / x**2
+            slope_g = (g(root + h) - g(root - h)) / (2 * h)
+            slope_F = (vel(root + h) - vel(root - h)) / (2 * h)
+            assert (slope_F < 0) == (slope_g < 1)
 
     def test_rows_sorted(self):
         grid = np.linspace(-1, 1, 21)

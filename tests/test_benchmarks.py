@@ -359,7 +359,7 @@ class TestControlTrials:
         # batched target-net rows may round apart from 1-row calls in the
         # last bit, so a trial in a batch stays within 1e-9 of its solo run
         if system == SYM_HYSTERESIS:
-            target_map = field.load_field(CHECKPOINT)
+            target_map = field.read_checkpoint(CHECKPOINT)[0]
         else:
             target_map = split_target_fn(system)
         recipe = replace(default_control_recipe(system), t_per_target=t_per_target)

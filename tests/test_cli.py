@@ -346,8 +346,9 @@ class TestSimulate:
                                                       ("toggle-switch", "10000", [])],
                              ids=["budworm-1e300", "toggle-whole-grid"])
     def test_solve_too_large_to_hold(self, tmp_path, capsys, system, horizon, limit):
-        # refused before the solve allocates: 1e300 once ran one huge step
-        # (exit 3), and the whole toggle grid at 10000 would hold 4.2 GB
+        # refused before the solve starts: 1e300 once ran one huge step
+        # (exit 3), and the whole toggle grid at 10000 takes 6561 x 40,000
+        # RK4 steps, though it would hold only its sampled nodes (5.4 MB)
         assert main(["simulate", "--system", system, "--oracle", "--out", str(tmp_path),
                      "--horizon", horizon, *limit]) == EXIT_CONFIG
         assert "lower it or --limit" in capsys.readouterr().err
@@ -382,13 +383,26 @@ def _inf_domain(doc):
     doc["domain"][0][1] = float("inf")
 
 
+def _inf_featurizer(doc):
+    # every cosine feature would be a constant
+    doc["featurizer"]["a"] = -float("inf")
+
+
+def _inf_bound(doc):
+    doc["decay"]["bounds"][0] = -float("inf")
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
     @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json",
                                          pytest.param(_edited_checkpoint(_tanh), id="tanh"),
                                          pytest.param(_edited_checkpoint(_nan_weight), id="nan"),
                                          pytest.param(_edited_checkpoint(_inf_domain),
-                                                      id="inf-domain")])
+                                                      id="inf-domain"),
+                                         pytest.param(_edited_checkpoint(_inf_featurizer),
+                                                      id="inf-featurizer"),
+                                         pytest.param(_edited_checkpoint(_inf_bound),
+                                                      id="inf-bound")])
     def test_config_error_in_every_command(self, tmp_path, capsys, command, content):
         path = tmp_path / "field.json"
         path.write_text(content)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,8 +19,6 @@ from stabledyn.nnet import (
     forward_cached,
     init_params,
     input_vjp_from_cache,
-    mlp_backward,
-    mlp_forward,
     param_count,
     plateau_step,
 )
@@ -65,27 +64,37 @@ class TestSpecAndInit:
             MlpSpec((3, 0, 1))
         with pytest.raises(ValueError):
             MlpSpec((1, 1), output_bounds=(1.0, 1.0))
+        for bounds in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                MlpSpec((1, 1), output_bounds=bounds)
+
+
+def _grads(spec, params, x2d, cot2d):
+    """(param gradient, input gradient) of <cot2d, forward(x2d)>, through the
+    cached forward and the reverse that training runs."""
+    _, cache = forward_cached(spec, params, x2d)
+    return backward_from_cache(spec, cache, cot2d)
 
 
 class TestForward:
     def test_zero_params_hit_bound_midpoint(self):
         spec = MlpSpec((2, 4, 3), output_bounds=(-1.0, 0.0))
-        y = mlp_forward(spec, np.zeros(param_count(spec)), np.array([0.3, -2.0]))
-        assert_close(y, [-0.5, -0.5, -0.5], rtol=1e-12)
+        y = forward(spec, np.zeros(param_count(spec)), np.array([[0.3, -2.0]]))
+        assert_close(y, [[-0.5, -0.5, -0.5]], rtol=1e-12)
 
     def test_single_layer_sigmoid(self):
         # [1,1] net, w=1, b=0, bounds (0,1): y = sigmoid(x)
         spec = MlpSpec((1, 1), output_bounds=(0.0, 1.0))
-        y = mlp_forward(spec, np.array([1.0, 0.0]), np.array([1.0]))
-        assert_close(y, [0.7310585786300049], rtol=1e-12)
+        y = forward(spec, np.array([1.0, 0.0]), np.array([[1.0]]))
+        assert_close(y, [[0.7310585786300049]], rtol=1e-12)
 
     def test_silu_zero_at_zero(self):
         # one hidden unit, all-zero first layer: hidden activation is SiLU(0)=0,
         # so output depends only on the last bias
         spec = MlpSpec((1, 1, 1), output_bounds=(0.0, 1.0))
         params = np.array([5.0, 0.0, 3.0, 0.0])  # w1=5, b1=0 -> z=5x
-        y0 = mlp_forward(spec, params, np.array([0.0]))
-        assert_close(y0, [0.5], rtol=1e-12)
+        y0 = forward(spec, params, np.array([[0.0]]))
+        assert_close(y0, [[0.5]], rtol=1e-12)
 
     def test_outputs_strictly_inside_bounds(self):
         rng = np.random.default_rng(0)
@@ -93,7 +102,7 @@ class TestForward:
             spec = random_spec(rng)
             params = rng.normal(size=param_count(spec)) * 3.0
             x = rng.uniform(-1e3, 1e3, size=(20, spec.in_dim))
-            y = mlp_forward(spec, params, x)
+            y = forward(spec, params, x)
             lo, hi = spec.output_bounds
             assert np.all(y > lo) and np.all(y < hi)
             assert np.all(np.isfinite(y))
@@ -103,15 +112,15 @@ class TestForward:
         spec = random_spec(rng)
         params = rng.normal(size=param_count(spec))
         xs = rng.normal(size=(7, spec.in_dim))
-        batched = mlp_forward(spec, params, xs)
-        rows = np.stack([mlp_forward(spec, params, x) for x in xs])
+        batched = forward(spec, params, xs)
+        rows = np.concatenate([forward(spec, params, x[None, :]) for x in xs])
         # BLAS may reorder sums between batched and row-at-a-time paths
         assert_close(batched, rows, rtol=1e-13, floor=1e-13)
 
     def test_dimension_mismatch(self):
-        spec = MlpSpec((2, 3))
-        with pytest.raises(ValueError):
-            mlp_forward(spec, init_params(spec, 0), np.zeros(3))
+        # the check every field entry point runs on its inputs
+        with pytest.raises(ValueError, match="trailing dimension 2"):
+            nnet._as_batch(np.zeros(3), MlpSpec((2, 3)).in_dim, "input")
 
 
 class TestBackward:
@@ -119,15 +128,15 @@ class TestBackward:
         rng = np.random.default_rng(2)
         spec = random_spec(rng)
         params = rng.normal(size=param_count(spec))
-        x = rng.normal(size=spec.in_dim)
-        pg, xg = mlp_backward(spec, params, x, np.zeros(spec.out_dim))
+        x = rng.normal(size=(1, spec.in_dim))
+        pg, xg = _grads(spec, params, x, np.zeros((1, spec.out_dim)))
         assert not pg.any() and not xg.any()
 
     def test_constant_map_zero_input_grad(self):
         spec = MlpSpec((2, 3, 2), output_bounds=(0.0, 1.0))
         params = np.zeros(param_count(spec))
-        _, xg = mlp_backward(spec, params, np.array([0.4, -1.0]), np.ones(2))
-        assert_close(xg, [0.0, 0.0], rtol=1e-12)
+        _, xg = _grads(spec, params, np.array([[0.4, -1.0]]), np.ones((1, 2)))
+        assert_close(xg, [[0.0, 0.0]], rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         # >=100 random (spec, params, input, cotangent) draws
@@ -135,15 +144,15 @@ class TestBackward:
         for _ in range(100):
             spec = random_spec(rng)
             params = rng.normal(size=param_count(spec))
-            x = rng.normal(size=spec.in_dim)
-            cot = rng.normal(size=spec.out_dim)
-            pg, xg = mlp_backward(spec, params, x, cot)
+            x = rng.normal(size=(1, spec.in_dim))
+            cot = rng.normal(size=(1, spec.out_dim))
+            pg, xg = _grads(spec, params, x, cot)
 
             def loss_p(p):
-                return float(cot @ mlp_forward(spec, p, x))
+                return float(np.sum(cot * forward(spec, p, x)))
 
             def loss_x(xx):
-                return float(cot @ mlp_forward(spec, params, xx))
+                return float(np.sum(cot * forward(spec, params, xx)))
 
             assert_close(pg, central_diff_grad(loss_p, params), rtol=1e-4, label="params")
             assert_close(xg, central_diff_grad(loss_x, x), rtol=1e-4, label="input")
@@ -154,8 +163,8 @@ class TestBackward:
         params = rng.normal(size=param_count(spec))
         xs = rng.normal(size=(5, spec.in_dim))
         cots = rng.normal(size=(5, spec.out_dim))
-        pg, xg = mlp_backward(spec, params, xs, cots)
-        pg_sum = sum(mlp_backward(spec, params, x, c)[0] for x, c in zip(xs, cots))
+        pg, xg = _grads(spec, params, xs, cots)
+        pg_sum = sum(_grads(spec, params, x[None, :], c[None, :])[0] for x, c in zip(xs, cots))
         assert_close(pg, pg_sum, rtol=1e-12)
         assert xg.shape == (5, spec.in_dim)
 
@@ -289,28 +298,61 @@ class TestAdam:
         with pytest.raises(NonFiniteError):
             adam_step(state, np.array([0.0]), np.array([np.nan]))
 
+    def test_first_two_updates_are_the_closed_form(self):
+        # bias-corrected Adam at beta1 0.9, beta2 0.999, eps 1e-8, written out
+        lr = 0.05
+        p0 = np.array([0.3, -0.7, 2.0, 0.0])
+        g1 = np.array([0.1, -2.0, 1e-3, 7.5])
+        g2 = np.array([-0.4, 0.5, 3.0, 1e-6])
+        m1 = (1.0 - 0.9) * g1
+        v1 = (1.0 - 0.999) * g1 * g1
+        p1 = p0 - lr * (m1 / (1.0 - 0.9)) / (np.sqrt(v1 / (1.0 - 0.999)) + 1e-8)
+        m2 = 0.9 * m1 + (1.0 - 0.9) * g2
+        v2 = 0.999 * v1 + (1.0 - 0.999) * g2 * g2
+        p2 = p1 - lr * (m2 / (1.0 - 0.9**2)) / (np.sqrt(v2 / (1.0 - 0.999**2)) + 1e-8)
+
+        got1, state = adam_step(adam_init(4, lr), p0, g1)
+        got2, state = adam_step(state, got1, g2)
+        assert np.array_equal(got1, p1) and np.array_equal(got2, p2)
+        assert np.array_equal(state.first_moment, m2)
+        assert np.array_equal(state.second_moment, v2)
+        assert state.step_count == 2 and state.lr == lr
+
 
 class TestPlateau:
     def test_decreasing_losses_keep_lr(self):
-        st = PlateauState(lr=0.01, patience=3)
+        st = PlateauState(lr=0.01)
         loss = 1.0
-        for _ in range(20):
+        for _ in range(60):
             st = plateau_step(st, loss)
             loss *= 0.9
         assert st.lr == 0.01
 
     def test_constant_loss_halves_once(self):
-        st = PlateauState(lr=0.01, patience=3, factor=0.5)
-        for _ in range(4):  # patience+1 epochs of the same loss
+        st = plateau_step(PlateauState(lr=0.01), 1.0)  # sets the best loss
+        for _ in range(24):
             st = plateau_step(st, 1.0)
-        assert st.lr == pytest.approx(0.005)
+        assert st.lr == 0.01 and st.epochs_since_improve == 24
+        st = plateau_step(st, 1.0)  # the 25th stagnant epoch
+        assert st.lr == 0.005
         assert st.epochs_since_improve == 0
 
     def test_min_lr_floor(self):
-        st = PlateauState(lr=2e-5, patience=1, factor=0.5, min_lr=1e-5)
-        for _ in range(10):
+        # 3e-5 halves to 1.5e-5, then stops at the 1e-5 floor
+        st = PlateauState(lr=3e-5)
+        lrs = []
+        for _ in range(1 + 3 * 25):
             st = plateau_step(st, 1.0)
-        assert st.lr == 1e-5
+            lrs.append(st.lr)
+        assert lrs[24:26] == [3e-5, 1.5e-5] and lrs[49:51] == [1.5e-5, 1e-5]
+        assert lrs[-1] == 1e-5 and min(lrs) == 1e-5
+
+
+def test_optimizer_states_hold_only_state():
+    assert [f.name for f in dataclasses.fields(AdamState)] == [
+        "first_moment", "second_moment", "step_count", "lr"]
+    assert [f.name for f in dataclasses.fields(PlateauState)] == [
+        "lr", "best_loss", "epochs_since_improve"]
 
 
 class TestCheckpoint:

@@ -1,12 +1,15 @@
 """Shared test oracles: central finite differences and tolerance helpers.
 
-These stay independent of the library's own derivative code paths.
+These stay independent of the library's own derivative code paths. Also
+the test fields, the benchmark checkpoint, and the roots of a scalar
+residual at one control.
 """
 
 from pathlib import Path
 
 import numpy as np
 
+from stabledyn.analysis import bifurcation_sweep
 from stabledyn.field import Featurizer, StructuredField
 from stabledyn.nnet import MlpSpec, init_params, param_count
 
@@ -81,3 +84,10 @@ def assert_close(actual, expected, rtol, floor=1e-6, label=""):
     err = np.abs(actual - expected)
     worst = np.max(err / scale) if err.size else 0.0
     assert np.all(err <= rtol * scale), f"{label} worst rel err {worst:.3e} > {rtol:.1e}"
+
+
+def roots_at(residual_fn, interval, n_scan=400):
+    """Sorted roots of an elementwise scalar residual on the interval: the
+    one-control sweep that `equilibria` runs for a scalar-state system."""
+    diagram = bifurcation_sweep(lambda c: residual_fn, [0.0], interval, n_scan)
+    return np.array([p.x_star[0] for p in diagram.points])
