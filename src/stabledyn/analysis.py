@@ -9,19 +9,20 @@ without a sign change can be missed; scan densities are chosen below
 benchmark feature scales.
 
 Every central-difference derivative in the package is one routine,
-central_diff: the Newton Jacobian, the stability Jacobians and slopes, the
-sampled contraction bound, and control's gradient of a callable target
-map. Tolerances and step sizes are module constants.
+central_diff: the Newton Jacobian, the stability Jacobians, the sampled
+contraction bound, and control's gradient of a callable target map.
+Tolerances and step sizes are module constants.
 
 In one dimension every root search is a bifurcation_sweep, the
 equilibria at a single control value being a one-control sweep: residuals
 take arrays and are evaluated elementwise, the (control x state) scan grid
-is evaluated in blocks of whole control rows, every bracket of every
-control is bisected together, and every root is classified from the
-residual's own slope (velocity = decay * residual with decay < 0). No call
-gets more than _BLOCK_ROWS points, which bounds the peak resident memory
-of a sweep; the per-bracket arithmetic is that of a scalar scan and
-bisection.
+is evaluated in blocks of whole control rows, and every bracket of every
+control is bisected together. Each root is labelled by the direction in
+which the residual crosses zero over its bracket, read off the scan
+(velocity = decay * residual with decay < 0, so a rising residual is a
+stable root), with no further residual call. No call gets more than
+_BLOCK_ROWS points, which bounds the peak resident memory of a sweep; the
+per-bracket arithmetic is that of a scalar scan and bisection.
 """
 
 from __future__ import annotations
@@ -35,24 +36,16 @@ UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
-    x_star: np.ndarray
-    u: np.ndarray
-    stability: str
-    residual_norm: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_star", np.atleast_1d(np.asarray(self.x_star, dtype=float)))
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-
-
 @dataclass
 class BifurcationDiagram:
     control_values: np.ndarray
-    points: list[EquilibriumPoint]
     tipping_points: list[float]
-    counts: np.ndarray  # equilibria per control value
+    counts: np.ndarray          # equilibria per control value
+    # one entry per equilibrium, in control-index then state order
+    u: np.ndarray               # its control value
+    x_star: np.ndarray
+    stability: np.ndarray       # STABLE, UNSTABLE or MARGINAL
+    residual_norm: np.ndarray
 
 
 @dataclass
@@ -80,12 +73,12 @@ class MetricsReport:
 # --- scalar root finding -------------------------------------------------------
 
 # Most (control, state) points passed to one residual call. The scan runs
-# in blocks of whole control rows under this cap, and bisection and
-# stability evaluate their brackets and roots in chunks of it, so no
-# call and no array grows with (controls x scan points). Peak RSS of a
-# learned 401 x 401 `bifurcate` run (2-core x86-64, numpy 2.4, OpenBLAS):
-# 36.3 MB at 1024 points per call, 40.1 MB at 4096, 200 MB with the whole
-# grid in one call, which was also slower; 1024 is as fast as 4096.
+# in blocks of whole control rows under this cap, and bisection
+# evaluates its brackets in chunks of it, so no call and no array grows
+# with (controls x scan points). Peak RSS of a learned 401 x 401
+# `bifurcate` run (2-core x86-64, numpy 2.4, OpenBLAS): 36.3 MB at 1024
+# points per call, 40.1 MB at 4096, 200 MB with the whole grid in one
+# call, which was also slower; 1024 is as fast as 4096.
 _BLOCK_ROWS = 1024
 
 _ROOT_TOL = 1e-10
@@ -93,7 +86,6 @@ _ROOT_DEDUP = 1e-6
 _NEWTON_TOL = 1e-8
 _NEWTON_DEDUP = 1e-4
 _NEWTON_MAX_ITER = 80
-# the sweep classification needs no _EQUILIBRIUM_TOL: its roots have |r| <= _ROOT_TOL
 _EQUILIBRIUM_TOL = 1e-6
 _EIG_TOL = 1e-8
 _FD_STEP = 1e-6
@@ -151,51 +143,63 @@ def _bisect(residual_of, c, a, b, fa):
     return m, _call_in_blocks(residual_of, c, m)
 
 
+def _crossing_label(before, after) -> np.ndarray:
+    """Stability labels of scalar roots from the residual at the two ends of
+    each root's bracket. Velocity = decay * residual with decay < 0, so a
+    residual that rises through zero (sign(after) - sign(before) > 0) is a
+    stable root and one that falls an unstable one; ends of one sign, as at
+    a tangency, or a non-finite end give no crossing: marginal."""
+    finite = np.isfinite(before) & np.isfinite(after)
+    rise = np.where(finite, np.sign(after) - np.sign(before), 0.0)
+    return _label(-rise)
+
+
 def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int):
     """Roots of ``residual_of(c)(x)`` on the interval for every control value.
 
-    Returns (control index, root, residual) arrays, sorted by control index
-    then root, with roots of one control closer than _ROOT_DEDUP merged.
+    Returns (control index, root, residual, stability label) arrays, sorted
+    by control index then root, with roots of one control closer than
+    _ROOT_DEDUP merged. A bisected root is labelled from its scan cell's
+    ends, an exact zero on the scan grid from its two neighbours in the
+    scan (one past the interval's end counts as 0); see _crossing_label.
     """
     lo, hi = float(interval[0]), float(interval[1])
     xs = np.linspace(lo, hi, n_scan + 1)
     per_block = max(1, _BLOCK_ROWS // len(xs))
-    # exact zeros on the grid, then sign-change cells: (control index, x)
-    # and (control index, a, b, r(a))
-    zero_i, cell_i = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    zero_x, cell_a, cell_b, cell_fa = ([np.empty(0)] for _ in range(4))
+    # exact zeros on the grid: (control index, x, r before x, r after x);
+    # sign-change cells: (control index, a, b, r(a), r(b))
+    zeros = [(np.empty(0, dtype=int),) + (np.empty(0),) * 3]
+    cells = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, len(controls), per_block):
             idx = np.arange(start, min(start + per_block, len(controls)))
             vals = _call_in_blocks(residual_of, np.repeat(controls[idx], len(xs)),
                                    np.tile(xs, len(idx))).reshape(len(idx), len(xs))
+            padded = np.pad(vals, ((0, 0), (1, 1)))
             zi, zj = np.nonzero(vals == 0.0)
-            zero_i.append(idx[zi])
-            zero_x.append(xs[zj])
+            zeros.append((idx[zi], xs[zj], padded[zi, zj], padded[zi, zj + 2]))
             fa, fb = vals[:, :-1], vals[:, 1:]
             ci, cj = np.nonzero(~((fa == 0.0) | (fb == 0.0) | (np.sign(fa) == np.sign(fb))))
-            cell_i.append(idx[ci])
-            cell_a.append(xs[cj])
-            cell_b.append(xs[cj + 1])
-            cell_fa.append(fa[ci, cj])
-        cell_i = np.concatenate(cell_i)
-        m, r = _bisect(residual_of, controls[cell_i], np.concatenate(cell_a),
-                       np.concatenate(cell_b), np.concatenate(cell_fa))
+            cells.append((idx[ci], xs[cj], xs[cj + 1], fa[ci, cj], fb[ci, cj]))
+        zero_i, zero_x, zero_before, zero_after = map(np.concatenate, zip(*zeros))
+        cell_i, cell_a, cell_b, cell_fa, cell_fb = map(np.concatenate, zip(*cells))
+        m, r = _bisect(residual_of, controls[cell_i], cell_a, cell_b, cell_fa)
         # a cell whose bisection limit still has |r| > _ROOT_TOL hides a discontinuity
         kept = np.abs(r) <= _ROOT_TOL
-    zero_x = np.concatenate(zero_x)
-    ctrl = np.concatenate(zero_i + [cell_i[kept]])
+    ctrl = np.concatenate([zero_i, cell_i[kept]])
     roots = np.concatenate([zero_x, m[kept]])
     res = np.concatenate([np.zeros(len(zero_x)), r[kept]])
+    labels = _crossing_label(np.concatenate([zero_before, cell_fa[kept]]),
+                             np.concatenate([zero_after, cell_fb[kept]]))
     order = np.lexsort((roots, ctrl))
-    ctrl, roots, res = ctrl[order], roots[order], res[order]
+    ctrl, roots, res, labels = ctrl[order], roots[order], res[order], labels[order]
     keep = np.zeros(len(roots), dtype=bool)
     last = -1
     for k in range(len(roots)):
         keep[k] = last < 0 or ctrl[k] != ctrl[last] or abs(roots[k] - roots[last]) > _ROOT_DEDUP
         if keep[k]:
             last = k
-    return ctrl[keep], roots[keep], res[keep]
+    return ctrl[keep], roots[keep], res[keep], labels[keep]
 
 
 # --- multivariate root finding ---------------------------------------------------
@@ -280,18 +284,6 @@ def classify_stability(velocity_fn, x_star) -> str:
     return str(_label(max_real))
 
 
-def _classify_1d(residual_of, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stability labels of many scalar equilibria x at controls c, from the
-    residual's central-difference slope (one batched residual evaluation
-    per side, in calls of at most _BLOCK_ROWS points). Contract: velocity =
-    decay * residual with decay < 0, as for the learned field (x - target),
-    the true rhs (-rhs, decay -1) and the analytic splits. At a root the
-    negated residual slope then has the velocity slope's sign, and
-    classify_stability's rule applies."""
-    slope = central_diff(lambda xs: _call_in_blocks(residual_of, c, xs[:, 0]), x[:, None])
-    return _label(-slope[:, 0])
-
-
 # --- bifurcation sweeps -----------------------------------------------------------
 
 def bifurcation_sweep(residual_of, control_values, state_interval,
@@ -303,35 +295,22 @@ def bifurcation_sweep(residual_of, control_values, state_interval,
     ``residual_of(c)`` receives a 1-d array of control values and returns a
     function evaluated elementwise on a state array of the same shape; the
     velocity must be ``decay * residual`` with ``decay < 0``. Every control
-    value is scanned and bisected, and every root classified (_classify_1d),
-    by one engine in calls of at most _BLOCK_ROWS points (a bound on peak
-    memory). Tipping points are the midpoints of the grid cells where the
-    count changes (true fold within one grid cell).
+    value is scanned and bisected by one engine in calls of at most
+    _BLOCK_ROWS points (a bound on peak memory), and every root's label is
+    read off its bracket (_crossing_label), so no residual call follows
+    bisection's final check. Tipping points are the midpoints of the grid
+    cells where the count changes (true fold within one grid cell).
     """
     control_values = np.asarray(control_values, dtype=float)
-    ctrl, roots, res = _equilibria(residual_of, control_values, state_interval, n_scan)
-    stability = _classify_1d(residual_of, control_values[ctrl], roots)
-    points = [
-        EquilibriumPoint([x], [control_values[i]], str(stab), abs(float(r)))
-        for i, x, r, stab in zip(ctrl, roots, res, stability)
-    ]
+    ctrl, roots, res, labels = _equilibria(residual_of, control_values, state_interval, n_scan)
     counts = np.bincount(ctrl, minlength=len(control_values))
     tipping = [
         float(0.5 * (control_values[i] + control_values[i + 1]))
         for i in range(len(control_values) - 1)
         if counts[i] != counts[i + 1]
     ]
-    return BifurcationDiagram(control_values, points, tipping, counts)
-
-
-def sweep_to_rows(diagram: BifurcationDiagram) -> list[tuple]:
-    """Rows `(control_value, x*..., stability)` sorted by control then state."""
-    rows = [
-        (float(p.u[0]), *[float(v) for v in p.x_star], p.stability)
-        for p in diagram.points
-    ]
-    rows.sort(key=lambda r: (r[0], r[1:-1]))
-    return rows
+    return BifurcationDiagram(control_values, tipping, counts, control_values[ctrl], roots,
+                              labels, np.abs(res))
 
 
 # --- metrics ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .analysis import iqr, nrmse
+from .control import ControlPolicyCfg, active_targets, feedback_simulate
 from .field import Featurizer, StructuredField
 from .integrate import (
     DatasetError,
@@ -29,6 +31,7 @@ from .integrate import (
     write_trajectories_csv,
 )
 from .nnet import MlpSpec, init_params
+from .training import GRAD_MATCHING, TRAJ_MATCHING, TrainConfig
 
 TWO_TANKS = "two-tanks"
 SYM_HYSTERESIS = "sym-hysteresis"
@@ -452,8 +455,6 @@ def candidate_models(system: str) -> list[tuple[str, ModelRecipe]]:
 
 def default_train_recipe(system: str):
     """Objective and hyperparameters per system: (full-data config, cv epochs)."""
-    from .training import GRAD_MATCHING, TRAJ_MATCHING, TrainConfig
-
     if system == TWO_TANKS:
         return TrainConfig(GRAD_MATCHING, epochs=1000, batch_size=50, lr0=0.01), 1000
     if system == SYM_HYSTERESIS:
@@ -504,8 +505,6 @@ def default_control_recipe(system: str) -> ControlRecipe:
 
 def system_magnitude(system: str, trajectories=None) -> np.ndarray:
     """Normalization for nRMSE: output range where known, IQR otherwise."""
-    from .analysis import iqr
-
     if system == TWO_TANKS:
         return np.array([1.0, 1.0])
     if system == SYM_HYSTERESIS:
@@ -567,8 +566,6 @@ def run_control_trials(system: str, target_map, targets: np.ndarray,
     """Steer the true (stochastic) system through each trial's target list,
     all trials at once; ``targets`` is (trials, n_targets, d) and ``seeds``
     holds one noise seed per trial. Returns one trace per trial."""
-    from .control import ControlPolicyCfg, feedback_simulate
-
     targets = np.asarray(targets, dtype=float)
     starts, grid = _control_schedule(recipe, targets.shape[1])
     return feedback_simulate(
@@ -600,8 +597,6 @@ def _control_schedule(recipe: ControlRecipe, n_targets: int):
 def unrecorded_targets(recipe: ControlRecipe, n_targets: int, record_every: int) -> list[int]:
     """Targets that no recorded node of `run_control_trials` would belong
     to, so `evaluate_trace` could not score them."""
-    from .control import active_targets
-
     starts, grid = _control_schedule(recipe, n_targets)
     recorded = active_targets(starts, grid.times()[::record_every])
     return sorted(set(range(n_targets)) - set(recorded.tolist()))
@@ -619,8 +614,6 @@ def _trial_start(system: str) -> np.ndarray:
 def evaluate_trace(trace, magnitude):
     """Per-target nRMSE over the final 20% of each target's recorded nodes, and
     at least over its last one; targets with no recorded node are skipped."""
-    from .analysis import nrmse
-
     per_target = []
     for i, (_, ref) in enumerate(trace.targets):
         mask = trace.target_index == i

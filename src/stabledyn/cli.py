@@ -77,11 +77,11 @@ _INT_MIN = {
 }
 _FLOAT_POSITIVE = ("lr", "horizon", "eta", "t_per_target")
 _FLOAT_NONNEGATIVE = ("sigma",)
-# `simulate` refuses a solve whose RK4 steps, counted as state values over
-# every node of every trajectory (trajectories x dims x (steps + 1)), exceed
-# this; the solve keeps only the sampled nodes, so this caps the step work,
-# not the memory held
-_SIMULATE_MAX_STEP_VALUES = 2**27
+# `gen-data` and `simulate` refuse a solve whose RK4 steps, counted as state
+# values over every node of every trajectory (trajectories x dims x
+# (steps + 1)), exceed this; the solve keeps only the sampled nodes, so this
+# caps the step work, not the memory held
+_MAX_STEP_VALUES = 2**27
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
                "oracle": bool, "paper_scale": bool}
@@ -139,6 +139,16 @@ def _protocol(args) -> benchmarks.DataProtocol:
                                        samples_per_traj=args.samples)
 
 
+def _check_step_work(pairs_x: np.ndarray, grid, option: str, remedy: str) -> None:
+    """Refuse, before it starts, a solve of the initial states ``pairs_x``
+    over ``grid`` that takes more than _MAX_STEP_VALUES; ``option`` names
+    the flag that set the grid and ``remedy`` how to shrink the solve."""
+    if pairs_x.size * (grid.n_steps + 1) > _MAX_STEP_VALUES:
+        raise ConfigError(f"{option} takes {grid.n_steps} RK4 steps per trajectory at the "
+                          f"system's step: too many RK4 steps for {len(pairs_x)} "
+                          f"trajectories; {remedy}")
+
+
 def _json_dump(path: Path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -151,6 +161,8 @@ def cmd_gen_data(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
     proto = _protocol(args)
+    _check_step_work(proto.pairs()[0], proto.sampling()[0], f"--samples {args.samples}",
+                     "lower it")
     dataset = benchmarks.gen_dataset(system, proto)
     dataset.seed = args.seed
     manifest = benchmarks.save_dataset(out / f"{system}-data", dataset)
@@ -275,14 +287,14 @@ def cmd_simulate(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
     proto = _protocol(args)
-    grid, stride = proto.sampling(args.horizon)
+    try:
+        grid, stride = proto.sampling(args.horizon)
+    except ValueError as err:  # a horizon too short for one RK4 step
+        raise ConfigError(f"--horizon {args.horizon}: {err}")
     pairs_x, pairs_u = proto.pairs()
     if args.limit is not None:
         pairs_x, pairs_u = pairs_x[: args.limit], pairs_u[: args.limit]
-    if pairs_x.size * (grid.n_steps + 1) > _SIMULATE_MAX_STEP_VALUES:
-        raise ConfigError(f"--horizon {grid.t1} takes {grid.n_steps} RK4 steps per trajectory "
-                          f"at the system's step: too many RK4 steps for {len(pairs_x)} "
-                          f"trajectories; lower it or --limit")
+    _check_step_work(pairs_x, grid, f"--horizon {grid.t1}", "lower it or --limit")
 
     if args.oracle:
         rhs = benchmarks.rhs_fn(system)
@@ -323,7 +335,7 @@ def cmd_equilibria(args) -> int:
     if d == 1:
         # every scalar-state system has one control, so u is a one-point sweep
         diagram = analysis.bifurcation_sweep(_sweep_form(res), u, box[0], n_scan=args.scan)
-        rows = [(p.x_star[0], p.stability, p.residual_norm) for p in diagram.points]
+        rows = list(zip(diagram.x_star, diagram.stability.tolist(), diagram.residual_norm))
     else:
         if fld is None:
             vel = lambda x: benchmarks.system_rhs(system, x, u)
@@ -372,13 +384,11 @@ def cmd_bifurcate(args) -> int:
 
     diagram = analysis.bifurcation_sweep(_sweep_form(_residual_fn(system, fld)), grid,
                                          interval, n_scan=args.scan)
-    rows = analysis.sweep_to_rows(diagram)
     csv_path = out / f"{system}-bifurcation.csv"
     with open(csv_path, "w") as fh:
-        fh.write("control_value," + ",".join(f"x_{i}" for i in range(d)) + ",stability\n")
-        for row in rows:
-            cells = [format(v, ".17g") for v in row[:-1]] + [row[-1]]
-            fh.write(",".join(cells) + "\n")
+        fh.write("control_value,x_0,stability\n")
+        for u, x, stab in zip(diagram.u, diagram.x_star, diagram.stability):
+            fh.write(f"{u:.17g},{x:.17g},{stab}\n")
     _json_dump(out / f"{system}-tipping.json",
                {"system": system, "tipping_points": diagram.tipping_points})
     print(f"swept {len(grid)} control values; tipping points: "

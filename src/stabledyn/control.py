@@ -25,7 +25,7 @@ import numpy as np
 from . import nnet
 from .analysis import central_diff
 from .field import StructuredField, eval_target, target_cached, target_vjp
-from .integrate import TimeGrid
+from .integrate import TimeGrid, rk4_solve_batch
 from .nnet import NonFiniteError
 
 
@@ -283,8 +283,6 @@ def gd_linear(prob: LinearControlProblem, u0, eta: float, iters: int) -> GdResul
 
 def gradient_flow_linear(prob: LinearControlProblem, u0, eta: float, grid: TimeGrid):
     """Integrate du/dt = -eta G^T (G u - x_ref) with RK4; returns (times, u(t))."""
-    from .integrate import rk4_solve_batch
-
     G = prob.G
 
     def rhs(u_batch, _):

@@ -49,6 +49,8 @@ class TimeGrid:
             raise ValueError("need t1 > t0")
         if self.n_steps < 1:
             raise ValueError("need n_steps >= 1")
+        if not self.h > 0.0:  # (t1 - t0) / n_steps can underflow to 0
+            raise ValueError(f"the step (t1 - t0) / n_steps = {self.h!r} is not positive")
 
     @property
     def h(self) -> float:

@@ -158,8 +158,7 @@ class TestCriterion4TheorySuite:
         # hysteresis sweep: stability sign vs target-slope condition at roots
         sweep = analysis.bifurcation_sweep(lambda lam: (lambda x: x**3 - x - lam),
                                            np.linspace(-1, 1, 101), (-2, 2))
-        for p in sweep.points:
-            lam, root = p.u[0], p.x_star[0]
+        for lam, root in zip(sweep.u, sweep.x_star):
             if abs(root) < 1e-3:
                 continue  # split target undefined at x=0
             g = lambda x: (x + lam) / x**2
@@ -176,8 +175,7 @@ class TestCriterion4TheorySuite:
 
         sweep = analysis.bifurcation_sweep(lambda kappa: (lambda x: x - budworm_target(kappa)(x)),
                                            np.linspace(4.45, 11.99, 101), (0.1, 10.0))
-        for p in sweep.points:
-            kappa, root = p.u[0], p.x_star[0]
+        for kappa, root in zip(sweep.u, sweep.x_star):
             g = budworm_target(kappa)
             vel = lambda x: r * x * (1 - x / kappa) - x * x / (1 + x * x)
             slope_g = (g(root + h) - g(root - h)) / (2 * h)

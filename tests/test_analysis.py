@@ -16,7 +16,6 @@ from stabledyn.analysis import (
     iqr,
     nrmse,
     summarize_targets,
-    sweep_to_rows,
 )
 from stabledyn.benchmarks import BUDWORM, SYM_HYSTERESIS, analytic_split, system_rhs
 from stabledyn.field import eval_velocity, read_checkpoint, residual
@@ -222,8 +221,8 @@ class TestBifurcationSweep:
         # for the oracle split: stable <=> d(target)/dx < 1 at the root
         grid = np.linspace(-0.9, 0.9, 41)
         h = 1e-6
-        for p in bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2)).points:
-            lam, root = p.u[0], p.x_star[0]
+        diagram = bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2))
+        for lam, root in zip(diagram.u, diagram.x_star):
             if abs(root) < 1e-3:
                 continue  # split target undefined at 0
             vel = hysteresis_velocity(lam)
@@ -235,9 +234,10 @@ class TestBifurcationSweep:
     def test_rows_sorted(self):
         grid = np.linspace(-1, 1, 21)
         diagram = bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2))
-        rows = sweep_to_rows(diagram)
-        assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
-        assert all(r[-1] in (STABLE, UNSTABLE, MARGINAL) for r in rows)
+        rows = list(zip(diagram.u.tolist(), diagram.x_star.tolist()))
+        assert rows == sorted(rows)
+        assert len(set(rows)) == len(rows) == diagram.counts.sum()
+        assert set(diagram.stability) <= {STABLE, UNSTABLE, MARGINAL}
 
 
 def reference_sweep(residual_of, velocity_of, controls, interval, n_scan=400,
@@ -284,24 +284,35 @@ def reference_sweep(residual_of, velocity_of, controls, interval, n_scan=400,
     return counts, all_roots, labels, tipping
 
 
+# the default scan grid of (-2, 2): controls taken from it put every root
+# of the residuals below on a scan point, an exact zero between neighbours
+SCAN = np.linspace(-2, 2, 401)
+
+
 class TestSweepEngine:
     @pytest.mark.parametrize("residual_of, velocity_of, grid, interval", [
         (hysteresis_rhs_residual, hysteresis_velocity, np.linspace(-1, 1, 401), (-2, 2)),
         (budworm_residual, budworm_velocity, np.linspace(4.45, 11.99, 401), (0.1, 10.0)),
         (*checkpoint_fns(), np.linspace(-1, 1, 41), (-2, 2)),
-    ], ids=["hysteresis", "budworm", "learned-field"])
+        # both ends included: a neighbour past the end counts as 0
+        (lambda c: (lambda x: x - c), lambda c: (lambda x: c - x), SCAN[::40], (-2, 2)),
+        (lambda c: (lambda x: c - x), lambda c: (lambda x: x - c), SCAN[::40], (-2, 2)),
+        (lambda c: (lambda x: (x - c) ** 2), lambda c: (lambda x: -(x - c) ** 2),
+         SCAN[20:-1:40], (-2, 2)),
+    ], ids=["hysteresis", "budworm", "learned-field", "grid-zero-rising",
+            "grid-zero-falling", "grid-zero-tangent"])
     def test_matches_scalar_reference(self, residual_of, velocity_of, grid, interval):
-        # the sweep labels roots from the residual alone, the reference from
-        # the velocity: they agree when velocity = decay * residual, decay < 0
+        # the sweep labels roots from the residual's sign change over each
+        # bracket, the reference from the velocity's central-difference
+        # slope: they agree when velocity = decay * residual, decay < 0
         counts, roots, labels, tipping = reference_sweep(residual_of, velocity_of,
                                                          grid, interval)
         diagram = bifurcation_sweep(residual_of, grid, interval)
         assert diagram.counts.tolist() == counts
-        assert [p.stability for p in diagram.points] == labels
+        assert diagram.stability.tolist() == labels
         assert diagram.tipping_points == tipping
-        got = np.array([p.x_star[0] for p in diagram.points])
-        assert np.max(np.abs(got - np.array(roots))) <= 1e-12
-        assert [p.u[0] for p in diagram.points] == np.repeat(grid, counts).tolist()
+        assert np.max(np.abs(diagram.x_star - np.array(roots))) <= 1e-12
+        assert diagram.u.tolist() == np.repeat(grid, counts).tolist()
 
     @pytest.mark.parametrize("residual_of", [
         lambda c: (lambda x: x - c),
@@ -323,14 +334,13 @@ class TestSweepEngine:
 
         diagram = bifurcation_sweep(counted, grid, (-2, 2), n_scan=n_scan)
         scan_blocks = math.ceil(len(grid) / (_BLOCK_ROWS // (n_scan + 1)))
-        assert len(diagram.points) <= _BLOCK_ROWS  # every bracket fits one call
+        assert len(diagram.x_star) <= _BLOCK_ROWS  # every bracket fits one call
         # one call per scan block, one per bisection step (at most 200), one
         # final residual check: independent of how many brackets there are;
-        # then x + h and x - h for every root
-        stability_calls = math.ceil(2 * len(diagram.points) / _BLOCK_ROWS)
-        assert len(rows) <= scan_blocks + 200 + 1 + stability_calls
+        # the labels come from the brackets, so no call follows
+        assert len(rows) <= scan_blocks + 200 + 1
         assert max(rows) <= _BLOCK_ROWS
-        assert len(diagram.points) >= len(grid)
+        assert len(diagram.x_star) >= len(grid)
 
     def test_split_residual_drops_blowup_cell(self):
         # x - (x + c)/x^2 has the cubic's roots except x = 0, where it blows
@@ -339,11 +349,10 @@ class TestSweepEngine:
         split = bifurcation_sweep(hysteresis_split_residual, grid, (-2, 2))
         cubic = bifurcation_sweep(hysteresis_rhs_residual, grid, (-2, 2))
         assert split.counts.tolist() == [3, 2, 3]
-        expected = [p for p in cubic.points if abs(p.x_star[0]) > 1e-3]
-        assert [(p.u[0], p.stability) for p in split.points] == \
-            [(p.u[0], p.stability) for p in expected]
-        assert_close([p.x_star[0] for p in split.points],
-                     [p.x_star[0] for p in expected], rtol=1e-9)
+        expected = np.abs(cubic.x_star) > 1e-3
+        assert split.u.tolist() == cubic.u[expected].tolist()
+        assert split.stability.tolist() == cubic.stability[expected].tolist()
+        assert_close(split.x_star, cubic.x_star[expected], rtol=1e-9)
 
 
 class TestMetrics:

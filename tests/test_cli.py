@@ -77,6 +77,14 @@ class TestGenData:
         assert (a / "budworm-data.csv").read_bytes() == (b / "budworm-data.csv").read_bytes()
         assert (a / "budworm-data.json").read_bytes() == (b / "budworm-data.json").read_bytes()
 
+    def test_solve_too_large_is_refused(self, tmp_path, capsys):
+        # 2601 trajectories of 10^9 samples once ended in a MemoryError
+        # traceback (exit 1) from the solve
+        assert main(["gen-data", "--system", "sym-hysteresis", "--out", str(tmp_path),
+                     "--samples", "1000000000"]) == EXIT_CONFIG
+        assert "--samples 1000000000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_train_writes_checkpoint_and_report(self, tiny_dataset, tmp_path, capsys):
@@ -352,6 +360,14 @@ class TestSimulate:
         assert main(["simulate", "--system", system, "--oracle", "--out", str(tmp_path),
                      "--horizon", horizon, *limit]) == EXIT_CONFIG
         assert "lower it or --limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_horizon_too_short_for_one_step(self, tmp_path, capsys):
+        # the step (5e-324 / 50) underflows to 0: this once ran the solve and
+        # then failed on equal sample times (exit 1)
+        assert main(["simulate", "--system", "budworm", "--oracle", "--out", str(tmp_path),
+                     "--horizon", "5e-324", "--limit", "1"]) == EXIT_CONFIG
+        assert "not positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_requires_field_or_oracle(self, tmp_path):

@@ -24,6 +24,17 @@ def decay_rhs(x, u):
     return -x
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t0, t1, n_steps, reason", [
+        (1.0, 1.0, 10, "need t1 > t0"),
+        (0.0, 1.0, 0, "need n_steps >= 1"),
+        (0.0, 5e-324, 50, "not positive"),  # the step underflows to 0
+    ], ids=["empty-span", "no-step", "underflowing-step"])
+    def test_refuses_a_grid_without_a_positive_step(self, t0, t1, n_steps, reason):
+        with pytest.raises(ValueError, match=reason):
+            TimeGrid(t0, t1, n_steps)
+
+
 class TestRk4:
     def test_exponential_decay(self):
         traj = rk4_solve(decay_rhs, [1.0], NO_U, TimeGrid(0.0, 1.0, 100))

@@ -90,4 +90,4 @@ def roots_at(residual_fn, interval, n_scan=400):
     """Sorted roots of an elementwise scalar residual on the interval: the
     one-control sweep that `equilibria` runs for a scalar-state system."""
     diagram = bifurcation_sweep(lambda c: residual_fn, [0.0], interval, n_scan)
-    return np.array([p.x_star[0] for p in diagram.points])
+    return diagram.x_star
