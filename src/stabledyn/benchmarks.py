@@ -210,17 +210,22 @@ class DataProtocol:
         return (np.repeat(self.ic_grid, len(self.control_grid), axis=0),
                 np.tile(self.control_grid, (len(self.ic_grid), 1)))
 
-    def sampling(self, horizon: float | None = None) -> tuple[TimeGrid, int]:
-        """The RK4 grid over [0, horizon] (default: the protocol's) and its
-        stride, the fewest whole steps per sample interval whose step is no
-        longer than the protocol's."""
+    def stride(self, horizon: float | None = None) -> int:
+        """The fewest whole RK4 steps per sample interval over [0, horizon]
+        (default: the protocol's) whose step is no longer than the
+        protocol's; exact however large it is."""
         horizon = self.horizon if horizon is None else horizon
         intervals = self.samples_per_traj - 1
         # ceil((horizon / self.horizon) * rk4_steps / intervals) in exact integers
         num, den = float(horizon).as_integer_ratio()
         own_num, own_den = float(self.horizon).as_integer_ratio()
-        stride = -(-(num * own_den * self.rk4_steps) // (den * own_num * intervals))
-        return TimeGrid(0.0, horizon, intervals * stride), stride
+        return -(-(num * own_den * self.rk4_steps) // (den * own_num * intervals))
+
+    def sampling(self, horizon: float | None = None) -> tuple[TimeGrid, int]:
+        """The RK4 grid over [0, horizon] (default: the protocol's), and its `stride`."""
+        horizon = self.horizon if horizon is None else horizon
+        stride = self.stride(horizon)
+        return TimeGrid(0.0, horizon, (self.samples_per_traj - 1) * stride), stride
 
     def meta(self) -> dict:
         return {
@@ -228,7 +233,7 @@ class DataProtocol:
             "n_controls": len(self.control_grid),
             "horizon": self.horizon,
             "samples_per_traj": self.samples_per_traj,
-            "substeps": self.sampling()[1],
+            "substeps": self.stride(),
             "transient_truncate": self.transient_truncate,
             "transient_threshold": TRANSIENT_THRESHOLD,
         }

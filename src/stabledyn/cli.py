@@ -80,7 +80,8 @@ _FLOAT_NONNEGATIVE = ("sigma",)
 # `gen-data` and `simulate` refuse a solve whose RK4 steps, counted as state
 # values over every node of every trajectory (trajectories x dims x
 # (steps + 1)), exceed this; the solve keeps only the sampled nodes, so this
-# caps the step work, not the memory held
+# caps the step work, not the memory held. `control` refuses trials whose
+# Euler steps, counted the same way over its trials, exceed it.
 _MAX_STEP_VALUES = 2**27
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
@@ -139,12 +140,21 @@ def _protocol(args) -> benchmarks.DataProtocol:
                                        samples_per_traj=args.samples)
 
 
-def _check_step_work(pairs_x: np.ndarray, grid, option: str, remedy: str) -> None:
-    """Refuse, before it starts, a solve of the initial states ``pairs_x``
-    over ``grid`` that takes more than _MAX_STEP_VALUES; ``option`` names
-    the flag that set the grid and ``remedy`` how to shrink the solve."""
-    if pairs_x.size * (grid.n_steps + 1) > _MAX_STEP_VALUES:
-        raise ConfigError(f"{option} takes {grid.n_steps} RK4 steps per trajectory at the "
+def _count(n) -> str:
+    """A step count, exact below 10^6, else to 3 digits; an int stays exact."""
+    # only a refusal needs it; imported at start-up it adds 0.4 MB peak RSS
+    from decimal import Decimal
+    return f"{n:.0f}" if n < 1e6 else format(Decimal(n), ".3g")
+
+
+def _check_step_work(proto, pairs_x: np.ndarray, horizon, option: str, remedy: str) -> None:
+    """Refuse, before its grid is built, a solve of the initial states
+    ``pairs_x`` over [0, horizon] that takes more than _MAX_STEP_VALUES;
+    ``option`` names the flag that set the grid and ``remedy`` how to shrink
+    the solve. The step count is exact, however large."""
+    steps = (proto.samples_per_traj - 1) * proto.stride(horizon)
+    if pairs_x.size * (steps + 1) > _MAX_STEP_VALUES:
+        raise ConfigError(f"{option} takes {_count(steps)} RK4 steps per trajectory at the "
                           f"system's step: too many RK4 steps for {len(pairs_x)} "
                           f"trajectories; {remedy}")
 
@@ -161,7 +171,7 @@ def cmd_gen_data(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
     proto = _protocol(args)
-    _check_step_work(proto.pairs()[0], proto.sampling()[0], f"--samples {args.samples}",
+    _check_step_work(proto, proto.pairs()[0], proto.horizon, f"--samples {args.samples}",
                      "lower it")
     dataset = benchmarks.gen_dataset(system, proto)
     dataset.seed = args.seed
@@ -287,14 +297,15 @@ def cmd_simulate(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
     proto = _protocol(args)
-    try:
-        grid, stride = proto.sampling(args.horizon)
-    except ValueError as err:  # a horizon too short for one RK4 step
-        raise ConfigError(f"--horizon {args.horizon}: {err}")
+    horizon = proto.horizon if args.horizon is None else args.horizon
     pairs_x, pairs_u = proto.pairs()
     if args.limit is not None:
         pairs_x, pairs_u = pairs_x[: args.limit], pairs_u[: args.limit]
-    _check_step_work(pairs_x, grid, f"--horizon {grid.t1}", "lower it or --limit")
+    _check_step_work(proto, pairs_x, horizon, f"--horizon {horizon}", "lower it or --limit")
+    try:
+        grid, stride = proto.sampling(horizon)
+    except ValueError as err:  # a horizon too short for one RK4 step
+        raise ConfigError(f"--horizon {horizon}: {err}")
 
     if args.oracle:
         rhs = benchmarks.rhs_fn(system)
@@ -412,6 +423,14 @@ def cmd_control(args) -> int:
     if args.t_per_target is not None:
         recipe = replace(recipe, t_per_target=args.t_per_target)
 
+    d, q = benchmarks.SYSTEM_DIMS[system]
+    # counted before rounding, so a count past float range is refused too
+    steps = recipe.t_per_target * args.targets / recipe.step
+    if args.trials * d * (steps + 1) > _MAX_STEP_VALUES:
+        raise ConfigError(f"{args.targets} targets of --t-per-target {recipe.t_per_target} "
+                          f"take {_count(steps)} Euler steps of {recipe.step} per trial: too "
+                          f"many for --trials {args.trials}; lower --t-per-target, --targets "
+                          f"or --trials")
     if benchmarks.control_steps(recipe, args.targets) < 1:
         raise ConfigError(f"{args.targets} targets of --t-per-target {recipe.t_per_target} "
                           f"round to 0 control steps of {recipe.step}; raise --t-per-target")
@@ -436,7 +455,6 @@ def cmd_control(args) -> int:
     results = [(trace, benchmarks.evaluate_trace(trace, magnitude)) for trace in traces]
 
     csv_path = out / f"{system}-control-trials.csv"
-    d, q = benchmarks.SYSTEM_DIMS[system]
     with open(csv_path, "w") as fh:
         header = (["trial_id", "target_id", "t"]
                   + [f"x_{i}" for i in range(d)] + [f"u_{i}" for i in range(q)]

@@ -9,21 +9,19 @@ Every evaluation runs the two nets through `_decay_forward` and
 `_target_forward`. Value-only calls (`eval_decay`, `eval_target`,
 `eval_velocity`, `residual`) take the cache-free, row-blocked
 `nnet.forward`, so they hold at most one block of activations whatever the
-batch size. Each map a caller differentiates has one cached forward and one
-reverse that replays its cache, so a caller that needs both value and
+batch size. Each map a caller differentiates has one cached forward, and
+its reverses replay that cache, so a caller that needs both value and
 gradient runs each net once:
 
 - velocity: `velocity_cached` keeps both nets' caches, written into the
   caller's `nnet.hidden_arrays` when it passes them (the RK4 stage tape of
-  `integrate` does), and `velocity_vjp_cached` replays them.
-  `velocity_input_vjp_cached` replays the same cache for the input
-  gradients only, through `nnet.input_vjp_from_cache` on both nets, as
-  `target_vjp` does; the RK4 stage Jacobians are built from it.
+  `integrate` does). `velocity_vjp_cached` replays them for the flat
+  parameter gradient only (training reads nothing else), and
+  `velocity_input_vjp_cached` for the input gradients only, from which
+  the RK4 stage Jacobians are built.
 - target: `target_cached` keeps the target net's cache and
-  `target_vjp(field, cache, cotangent)` replays it. It returns the input
-  gradients (x_grad, u_grad) only, through `nnet.input_vjp_from_cache`:
-  feedback control reads nothing else, and training takes the target
-  net's parameter gradient from `velocity_vjp_cached`.
+  `target_vjp(field, cache, cotangent)` replays it for the input gradients
+  (x_grad, u_grad) only: feedback control reads nothing else.
 
 Checkpoints are read by `read_checkpoint`, which returns the field and the
 system it was trained for.
@@ -118,18 +116,9 @@ class StructuredField:
             raise ValueError("target net must output the state dim")
         if self.domain is not None:
             self.domain = np.asarray(self.domain, dtype=float).reshape(self.dim, 2)
-        self._decay_layers = None
-        self._target_layers = None
-
-    def decay_layers(self):
-        if self._decay_layers is None:
-            self._decay_layers = nnet.split_params(self.decay_spec, self.decay_params)
-        return self._decay_layers
-
-    def target_layers(self):
-        if self._target_layers is None:
-            self._target_layers = nnet.split_params(self.target_spec, self.target_params)
-        return self._target_layers
+        # each net's weights as every net pass takes them
+        self.decay_layers = nnet.split_params(self.decay_spec, self.decay_params)
+        self.target_layers = nnet.split_params(self.target_spec, self.target_params)
 
     @property
     def feature_dim(self) -> int:
@@ -168,10 +157,8 @@ def _decay_forward(field: StructuredField, x2d: np.ndarray, cached: bool = False
     """decay(x) on a batch of states; with ``cached``, (decay(x), cache),
     the hidden layers written into ``out`` when it is given."""
     if not cached:
-        return nnet.forward(field.decay_spec, field.decay_params, x2d,
-                            layers=field.decay_layers())
-    return nnet.forward_cached(field.decay_spec, field.decay_params, x2d,
-                               layers=field.decay_layers(), out=out)
+        return nnet.forward(field.decay_spec, field.decay_layers, x2d)
+    return nnet.forward_cached(field.decay_spec, field.decay_layers, x2d, out)
 
 
 def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,
@@ -181,10 +168,8 @@ def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,
     given."""
     x_in = target_input(field, x2d, u2d)
     if not cached:
-        return nnet.forward(field.target_spec, field.target_params, x_in,
-                            layers=field.target_layers())
-    return nnet.forward_cached(field.target_spec, field.target_params, x_in,
-                               layers=field.target_layers(), out=out)
+        return nnet.forward(field.target_spec, field.target_layers, x_in)
+    return nnet.forward_cached(field.target_spec, field.target_layers, x_in, out)
 
 
 def eval_decay(field: StructuredField, x) -> np.ndarray:
@@ -239,8 +224,7 @@ def target_vjp(field: StructuredField, cache, cotangent):
     the cache `target_cached` returned for (x, u).
 
     Returns (x_grad, u_grad), per row (squeezed for single inputs). The
-    target net's parameter gradient is not built; training gets it from
-    `velocity_vjp_cached`.
+    target net's parameter gradient is not built.
     """
     x2d, single, g_cache = cache
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
@@ -266,25 +250,21 @@ def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray, ou
     return f * diff, (x2d, f, diff, f_cache, g_cache)
 
 
-def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
-    """Reverse pass over a `velocity_cached` evaluation.
-
-    Returns (flat_param_grad, x_grad, u_grad); the flat gradient covers decay
-    params then target params, summed over the batch, and the state/control
-    grads are per row.
-    """
-    x2d, f, diff, f_cache, g_cache = cache
-    fgrad, fx = nnet.backward_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
-    ggrad, gin_grad = nnet.backward_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
-    gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
-    return np.concatenate([fgrad, ggrad]), cotangent2d * f + fx + gx_t, gu
+def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray) -> np.ndarray:
+    """Reverse pass over a `velocity_cached` evaluation in the parameters
+    only: the flat gradient over decay params then target params, summed
+    over the batch. No input gradient is built; `velocity_input_vjp_cached`
+    replays the same cache for those."""
+    _, f, diff, f_cache, g_cache = cache
+    fgrad = nnet.backward_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
+    ggrad = nnet.backward_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
+    return np.concatenate([fgrad, ggrad])
 
 
 def velocity_input_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
     """Reverse pass over a `velocity_cached` evaluation in the inputs only.
 
-    Returns (x_grad, u_grad) per row, the same bits as
-    ``velocity_vjp_cached(...)[1:]``; both nets' reverses run through
+    Returns (x_grad, u_grad) per row; both nets' reverses run through
     `nnet.input_vjp_from_cache`, so no parameter gradient is built.
     """
     x2d, f, diff, f_cache, g_cache = cache

@@ -6,12 +6,13 @@ trajectory functionals differentiate the computed RK4 recursion
 solver returned: `rk4_solve_unrolled_grad` takes the states of one value
 forward, re-linearizes the four stages of every step in four wide calls,
 and runs the reverse over steps on the stage Jacobians, which it builds
-from the input-only `field.velocity_input_vjp_cached`. The wide stage
-caches go into a `StageTape` that the caller owns and passes to every
-call (`training.TrajMatchingObjective` keeps one), so repeated gradients
-reuse the same memory. `rk4_solve_batch` records every node, or only
-every k-th one for callers that keep a sample stride. The stochastic
-(Euler-Maruyama) loop of closed-loop control lives in
+from the input-only `field.velocity_input_vjp_cached`, and takes the
+parameter gradient from the parameter-only `field.velocity_vjp_cached`.
+The wide stage caches go into a `StageTape` that the caller owns and
+passes to every call (`training.TrajMatchingObjective` keeps one), so
+repeated gradients reuse the same memory. `rk4_solve_batch` records every
+node, or only every k-th one for callers that keep a sample stride. The
+stochastic (Euler-Maruyama) loop of closed-loop control lives in
 `control.feedback_simulate`.
 
 Trajectory CSV format: one table per file, header then one row per sample,
@@ -167,22 +168,21 @@ def rk4_solve_unrolled_grad(
     u: np.ndarray,
     grid: TimeGrid,
     cotangents: np.ndarray,
-    tape: StageTape | None = None,
+    tape: StageTape,
 ) -> np.ndarray:
     """Exact parameter gradient of sum_i <cotangent_i, x(t_i)> through RK4.
 
     ``states`` is the (B, n_steps+1, d) solve `rk4_solve_batch` returned for
     this field, ``u`` is (B, q), ``cotangents`` is (B, n_steps+1, d). Returns
     the flat parameter gradient. The stage caches are written into
-    ``tape``, a `StageTape` the caller keeps across calls; without one they
-    go into a tape of this call only.
+    ``tape``, a `StageTape` the caller keeps across calls.
 
     Given the states, no step's stage inputs depend on another step, so the
     four RK4 stages of all steps are re-linearized in four wide calls on
     (n_steps*B)-row step-major stacks. The reverse over steps then runs on
     each row's stage Jacobians dv/dx (d unit-cotangent input-only VJPs per
-    stage) and calls no net; the parameter gradient is one wide VJP per
-    stage.
+    stage) and calls no net; the parameter gradient is one wide
+    parameter-only VJP per stage.
     """
     states = np.asarray(states, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -197,7 +197,7 @@ def rk4_solve_unrolled_grad(
     # row n*B + b is trajectory b at the start of step n
     x = states[:, :-1].transpose(1, 0, 2).reshape(n_steps * B, d)
     uu = np.tile(u, (n_steps, 1))
-    out = (StageTape() if tape is None else tape).stages(field, n_steps * B)
+    out = tape.stages(field, n_steps * B)
     k1, c1 = velocity_cached(field, x, uu, out[0])
     k2, c2 = velocity_cached(field, x + (0.5 * h) * k1, uu, out[1])
     k3, c3 = velocity_cached(field, x + (0.5 * h) * k2, uu, out[2])
@@ -231,7 +231,7 @@ def rk4_solve_unrolled_grad(
 
     pgrad = np.zeros(field.params.shape)
     for s, cache in enumerate(caches):
-        pgrad += velocity_vjp_cached(field, cache, dk[s].reshape(n_steps * B, d))[0]
+        pgrad += velocity_vjp_cached(field, cache, dk[s].reshape(n_steps * B, d))
     return pgrad
 
 

@@ -11,14 +11,16 @@ which writes its hidden layers there instead of allocating them (so
 concurrent calls need arrays of their own).
 
 The passes come in two pairs, each pair sharing one routine, so a pair's
-members give the same bits on the rows they share; every pass takes
-(N, width) row batches, a single input being one row:
+members agree bit for bit on what they share; the forwards take the
+weights as the per-layer (W, b) views of `split_params`, and every pass
+takes (N, width) row batches, a single input being one row:
 
 - forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
   what the reverse pass needs, in fresh or caller-given hidden arrays.
-- reverse (`_reverse_layers`, replaying a `forward_cached` cache):
-  `backward_from_cache` returns the batch-summed parameter gradient and the
-  per-row input gradient, `input_vjp_from_cache` the input gradient only.
+- reverse (`_reverse_layers`, replaying a `forward_cached` cache), each
+  building only the gradient it returns: `backward_from_cache` the
+  batch-summed parameter gradient, `input_vjp_from_cache` the per-row
+  input gradient.
 
 `AdamState` and `PlateauState` hold only optimizer state; their settings
 are the module constants ADAM_* and PLATEAU_*.
@@ -211,14 +213,12 @@ def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
     return y, ((layers, acts, hidden, s_out) if keep else None)
 
 
-def forward(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=None) -> np.ndarray:
+def forward(spec: MlpSpec, layers, x2d: np.ndarray) -> np.ndarray:
     """Batched value-only forward pass: (N, in_dim) -> (N, out_dim).
 
     Keeps no cache and runs the rows in blocks of at most ``_BLOCK_ROWS``;
     every output row is bit-for-bit the row ``forward_cached`` gives.
     """
-    if layers is None:
-        layers = split_params(spec, params)
     n = x2d.shape[0]
     if n <= _BLOCK_ROWS:
         return _run_layers(spec, layers, x2d, keep=False)[0]
@@ -233,19 +233,16 @@ def forward(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=None) -> 
     return y
 
 
-def forward_cached(spec: MlpSpec, params: np.ndarray, x2d: np.ndarray, layers=None,
-                   out=None):
-    """Batched forward pass returning (outputs, cache) for backward reuse.
+def forward_cached(spec: MlpSpec, layers, x2d: np.ndarray, out=None):
+    """Batched forward pass returning (outputs, cache) for the reverse
+    passes to replay.
 
     ``x2d`` is (N, in_dim); outputs are (N, out_dim). The cache holds layer
     inputs, hidden pre-activations with their sigmoids, and the output-layer
-    sigmoid values. Callers in hot loops may pass pre-split ``layers``, and
-    callers that repeat wide passes may pass ``out``, the `hidden_arrays` of
-    N rows, for the hidden layers to be written into instead of allocated;
-    either way the outputs and cache hold the same bits.
+    sigmoid values. Callers that repeat wide passes may pass ``out``, the
+    `hidden_arrays` of N rows, for the hidden layers to be written into
+    instead of allocated; the outputs and cache hold the same bits.
     """
-    if layers is None:
-        layers = split_params(spec, params)
     return _run_layers(spec, layers, x2d, keep=True, out=out)
 
 
@@ -257,37 +254,36 @@ def hidden_arrays(spec: MlpSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray
 
 
 def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
-    """The delta chain of every reverse pass: the per-row input gradient of
-    <cotangent, forward(x)>. Each layer's weight and bias gradients, summed
-    over the batch, are written into ``flat`` only when one is given."""
+    """The delta chain of every reverse pass of <cotangent, forward(x)>: with
+    ``flat``, it writes each layer's batch-summed weight and bias gradients
+    there and stops at the first layer's delta; without, it returns the
+    per-row input gradient."""
     layers, acts, hidden, s_out = cache
     lo, hi = spec.output_bounds
     delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
     layout = _layout(spec)
     for l in range(len(layers) - 1, -1, -1):
-        w, _ = layers[l]
         if flat is not None:
             w_off, b_off, n_out, n_in = layout[l]
             np.matmul(delta.T, acts[l], out=flat[w_off:b_off].reshape(n_out, n_in))
             np.add.reduce(delta, axis=0, out=flat[b_off : b_off + n_out])
-        da = delta @ w
-        if l > 0:
-            z, s = hidden[l - 1]
-            delta = _silu_vjp(z, s, da)
-    return da
+        if l == 0:
+            break
+        z, s = hidden[l - 1]
+        delta = _silu_vjp(z, s, delta @ layers[l][0])
+    return flat if flat is not None else delta @ layers[0][0]
 
 
-def backward_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray):
-    """Reverse pass of <cotangent, forward(x)>: flat param grad summed over
-    the batch plus per-row input gradients."""
+def backward_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
+    """Flat parameter gradient of <cotangent, forward(x)>, summed over the
+    batch; no input gradient is built."""
     _, b_off, n_out, _ = _layout(spec)[-1]
-    flat = np.empty(b_off + n_out)
-    return flat, _reverse_layers(spec, cache, cotangent2d, flat)
+    return _reverse_layers(spec, cache, cotangent2d, np.empty(b_off + n_out))
 
 
 def input_vjp_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
-    """Per-row input gradient of <cotangent, forward(x)>, the same bits as
-    ``backward_from_cache(...)[1]``, without building the parameter gradient."""
+    """Per-row input gradient of <cotangent, forward(x)>; no parameter
+    gradient is built."""
     return _reverse_layers(spec, cache, cotangent2d)
 
 

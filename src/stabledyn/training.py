@@ -94,7 +94,7 @@ class GradMatchingObjective:
         res = d - v
         loss = float(np.mean(np.sum(res * res, axis=1)))
         cot = (-2.0 / len(x)) * res
-        return loss, velocity_vjp_cached(field, cache, cot)[0]
+        return loss, velocity_vjp_cached(field, cache, cot)
 
 
 class TrajMatchingObjective:

@@ -17,7 +17,7 @@ from stabledyn.benchmarks import (
     TOGGLE_SWITCH,
     TWO_TANKS,
 )
-from stabledyn.integrate import TimeGrid, rk4_solve_batch, rk4_solve_unrolled_grad
+from stabledyn.integrate import StageTape, TimeGrid, rk4_solve_batch, rk4_solve_unrolled_grad
 from util import central_diff_grad, make_field, roots_at
 
 TIP = 2.0 / np.sqrt(27.0)
@@ -51,12 +51,15 @@ class TestCriterion1Gradients:
             params = rng.normal(size=nnet.param_count(spec))
             x = rng.normal(size=(1, spec.in_dim))
             cot = rng.normal(size=(1, spec.out_dim))
-            _, cache = nnet.forward_cached(spec, params, x)
-            pg, xg = nnet.backward_from_cache(spec, cache, cot)
-            fd_p = central_diff_grad(lambda p: float(np.sum(cot * nnet.forward(spec, p, x))),
-                                     params)
-            fd_x = central_diff_grad(lambda xx: float(np.sum(cot * nnet.forward(spec, params, xx))),
-                                     x)
+            _, cache = nnet.forward_cached(spec, nnet.split_params(spec, params), x)
+            pg = nnet.backward_from_cache(spec, cache, cot)
+            xg = nnet.input_vjp_from_cache(spec, cache, cot)
+
+            def value(p, xx):
+                return float(np.sum(cot * nnet.forward(spec, nnet.split_params(spec, p), xx)))
+
+            fd_p = central_diff_grad(lambda p: value(p, x), params)
+            fd_x = central_diff_grad(lambda xx: value(params, xx), x)
             worst_plain = max(worst_plain, rel_err(pg, fd_p), rel_err(xg, fd_x))
 
         # 40 composed structured fields: params, state, and control grads
@@ -69,7 +72,8 @@ class TestCriterion1Gradients:
             u = rng.uniform(-1, 1, fld.control_dim)
             w = rng.normal(size=fld.dim)
             _, cache = field_mod.velocity_cached(fld, x[None, :], u[None, :])
-            pg, xg, ug = field_mod.velocity_vjp_cached(fld, cache, w[None, :])
+            pg = field_mod.velocity_vjp_cached(fld, cache, w[None, :])
+            xg, ug = field_mod.velocity_input_vjp_cached(fld, cache, w[None, :])
             fd_full = central_diff_grad(
                 lambda p: float(w @ field_mod.eval_velocity(fld.with_params(p), x, u)),
                 fld.params,
@@ -93,7 +97,7 @@ class TestCriterion1Gradients:
                     lambda x, uu: field_mod.eval_velocity(fld.with_params(p), x, uu),
                     x0, u, grid)
 
-            grad = rk4_solve_unrolled_grad(fld, solve(fld.params), u, grid, cots)
+            grad = rk4_solve_unrolled_grad(fld, solve(fld.params), u, grid, cots, StageTape())
 
             def objective(p):
                 return float(np.sum(cots * solve(p)))

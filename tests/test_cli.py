@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,19 @@ class TestGenData:
                      "--samples", "1000000000"]) == EXIT_CONFIG
         assert "--samples 1000000000" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_step_count_past_float_range_is_refused(self, tmp_path, capsys):
+        # 10^400 samples once overflowed the grid's step (exit 1); the count
+        # is exact, so the refusal comes before any float holds it
+        assert main(["gen-data", "--system", "budworm", "--out", str(tmp_path),
+                     "--samples", str(10**400)]) == EXIT_CONFIG
+        assert _step_count(capsys.readouterr().err) == "1.00e+400"
+        assert list(tmp_path.iterdir()) == []
+
+
+def _step_count(err: str) -> str:
+    """The RK4 step count a refusal message names."""
+    return re.search(r"takes (\S+) RK4 steps", err).group(1)
 
 
 class TestTrain:
@@ -350,16 +364,24 @@ class TestSimulate:
         box = np.array(benchmarks.default_model(system).domain)
         assert np.all(states >= box[:, 0]) and np.all(states <= box[:, 1])
 
-    @pytest.mark.parametrize("system,horizon,limit", [("budworm", "1e300", ["--limit", "1"]),
-                                                      ("toggle-switch", "10000", [])],
-                             ids=["budworm-1e300", "toggle-whole-grid"])
-    def test_solve_too_large_to_hold(self, tmp_path, capsys, system, horizon, limit):
+    @pytest.mark.parametrize("system,horizon,limit,count", [
+        ("budworm", "1e300", ["--limit", "1"], "1.00e+301"),
+        ("toggle-switch", "10000", [], "40000"),
+        ("sym-hysteresis", "1e306", ["--limit", "1"], "2.00e+308"),
+        ("budworm", "1e308", ["--limit", "1"], "1.00e+309"),
+    ], ids=["budworm-1e300", "toggle-whole-grid", "hysteresis-1e306", "budworm-1e308"])
+    def test_solve_too_large_to_hold(self, tmp_path, capsys, system, horizon, limit, count):
         # refused before the solve starts: 1e300 once ran one huge step
         # (exit 3), and the whole toggle grid at 10000 takes 6561 x 40,000
-        # RK4 steps, though it would hold only its sampled nodes (5.4 MB)
+        # RK4 steps, though it would hold only its sampled nodes (5.4 MB).
+        # The count is exact and printed compactly: 1e300 once printed 302
+        # digits, and past float range (1e306, 1e308) the grid's step once
+        # raised OverflowError (exit 1)
         assert main(["simulate", "--system", system, "--oracle", "--out", str(tmp_path),
                      "--horizon", horizon, *limit]) == EXIT_CONFIG
-        assert "lower it or --limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "lower it or --limit" in err
+        assert _step_count(err) == count
         assert list(tmp_path.iterdir()) == []
 
     def test_horizon_too_short_for_one_step(self, tmp_path, capsys):
@@ -601,6 +623,20 @@ class TestControl:
                    "--trials", "1", "--targets", "1"])
         assert rc == EXIT_CONFIG
         assert "use a trained --field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets,t_per_target", [("1", "1e10"), ("10", "1e307")],
+                             ids=["2e12-steps", "steps-overflow"])
+    def test_too_many_steps_is_refused(self, tmp_path, capsys, targets, t_per_target):
+        # 2e12 Euler steps once ended in a MemoryError traceback from the
+        # recording check (exit 1), and 10 x 1e307 overflowed to an infinite
+        # step count (exit 1); both are refused before any array is built
+        rc = main(["control", "--system", "sym-hysteresis", "--field", str(CHECKPOINT),
+                   "--out", str(tmp_path), "--targets", targets, "--trials", "1",
+                   "--t-per-target", t_per_target])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--t-per-target", "--targets", "--trials"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_reproducible_with_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

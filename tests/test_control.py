@@ -222,7 +222,7 @@ def _two_pass_grad(fld, x, u, x_ref, k):
         x2d, u2d, single = _batch_xu(fld, levels[j - 1], u)
         c2d = np.asarray(cot, dtype=float).reshape(x2d.shape[0], fld.dim)
         _, cache = _target_forward(fld, x2d, u2d, cached=True)
-        _, gin_grad = nnet.backward_from_cache(fld.target_spec, cache, c2d)
+        gin_grad = nnet.input_vjp_from_cache(fld.target_spec, cache, c2d)
         gx, gu = _target_input_vjp(fld, x2d, gin_grad)
         ugrad += gu[0]
         cot = gx[0]

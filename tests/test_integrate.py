@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from stabledyn.control import ControlPolicyCfg, feedback_simulate
-from stabledyn.field import eval_target, eval_velocity, velocity_cached, velocity_vjp_cached
+from stabledyn.field import (eval_target, eval_velocity, velocity_cached,
+                             velocity_input_vjp_cached, velocity_vjp_cached)
 from stabledyn.integrate import (
     DatasetError,
+    StageTape,
     TimeGrid,
     Trajectory,
     finite_diff,
@@ -90,7 +92,8 @@ class TestRk4:
 
 def reference_unrolled_grad(fld, x0, u, grid, cotangents):
     """The RK4 parameter gradient step by step: a cached forward per stage
-    of every step, then a reverse that replays each stage's VJP."""
+    of every step, then a reverse that replays each stage's parameter and
+    input VJPs."""
     h = grid.h
     x, caches = x0, []
     for _ in range(grid.n_steps):
@@ -106,8 +109,9 @@ def reference_unrolled_grad(fld, x0, u, grid, cotangents):
         dxn, dy = lam, 0.0
         # stages 4..1 with their RK4 weights and the step each feeds back
         for cache, weight, back in zip(caches[n][::-1], (1, 2, 2, 1), (h, 0.5 * h, 0.5 * h, 0)):
-            pg, dy_next, _ = velocity_vjp_cached(fld, cache, (weight * h / 6.0) * lam + dy)
-            pgrad += pg
+            cot = (weight * h / 6.0) * lam + dy
+            pgrad += velocity_vjp_cached(fld, cache, cot)
+            dy_next, _ = velocity_input_vjp_cached(fld, cache, cot)
             dxn = dxn + dy_next
             dy = back * dy_next
         lam = dxn + cotangents[:, n]
@@ -128,7 +132,8 @@ class TestUnrolledGrad:
         x0 = rng.uniform(0, 1, size=(batch, d))
         u = rng.uniform(0, 1, size=(batch, q))
         cots = rng.normal(size=(batch, n_steps + 1, d))
-        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots)
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots,
+                                       StageTape())
         want = reference_unrolled_grad(fld, x0, u, grid, cots)
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -137,7 +142,7 @@ class TestUnrolledGrad:
         grid = TimeGrid(0, 0.5, 5)
         x0, u = np.array([[0.1], [0.4]]), np.array([[0.0], [0.2]])
         grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid,
-                                       np.zeros((2, 6, 1)))
+                                       np.zeros((2, 6, 1)), StageTape())
         assert not grad.any()
 
     def test_shape_mismatch_rejected(self):
@@ -146,9 +151,10 @@ class TestUnrolledGrad:
         x0, u = np.array([[0.1], [0.4]]), np.array([[0.0], [0.2]])
         states = self.solve(fld, x0, u, grid)
         with pytest.raises(ValueError, match="states"):
-            rk4_solve_unrolled_grad(fld, states, u, TimeGrid(0, 0.5, 4), np.zeros((2, 5, 1)))
+            rk4_solve_unrolled_grad(fld, states, u, TimeGrid(0, 0.5, 4), np.zeros((2, 5, 1)),
+                                    StageTape())
         with pytest.raises(ValueError, match="cotangent"):
-            rk4_solve_unrolled_grad(fld, states, u, grid, np.zeros((2, 5, 1)))
+            rk4_solve_unrolled_grad(fld, states, u, grid, np.zeros((2, 5, 1)), StageTape())
 
     @pytest.mark.parametrize("n_steps", [1, 7])
     def test_grad_matches_finite_differences(self, n_steps):
@@ -158,7 +164,8 @@ class TestUnrolledGrad:
         x0 = rng.uniform(-1, 1, size=(3, 1))
         u = rng.uniform(-1, 1, size=(3, 1))
         cots = rng.normal(size=(3, n_steps + 1, 1))
-        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots)
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots,
+                                       StageTape())
 
         def objective(p):
             return float(np.sum(cots * self.solve(fld.with_params(p), x0, u, grid)))
@@ -174,7 +181,8 @@ class TestUnrolledGrad:
         x0 = rng.uniform(0, 1, size=(2, 2))
         u = rng.uniform(0, 1, size=(2, 2))
         cots = rng.normal(size=(2, 5, 2))
-        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots)
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots,
+                                       StageTape())
 
         def objective(p):
             return float(np.sum(cots * self.solve(fld.with_params(p), x0, u, grid)))

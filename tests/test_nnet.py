@@ -21,6 +21,7 @@ from stabledyn.nnet import (
     input_vjp_from_cache,
     param_count,
     plateau_step,
+    split_params,
 )
 from util import assert_close, central_diff_grad
 
@@ -71,21 +72,21 @@ class TestSpecAndInit:
 
 def _grads(spec, params, x2d, cot2d):
     """(param gradient, input gradient) of <cot2d, forward(x2d)>, through the
-    cached forward and the reverse that training runs."""
-    _, cache = forward_cached(spec, params, x2d)
-    return backward_from_cache(spec, cache, cot2d)
+    cached forward and the two reverses that replay its cache."""
+    _, cache = forward_cached(spec, split_params(spec, params), x2d)
+    return backward_from_cache(spec, cache, cot2d), input_vjp_from_cache(spec, cache, cot2d)
 
 
 class TestForward:
     def test_zero_params_hit_bound_midpoint(self):
         spec = MlpSpec((2, 4, 3), output_bounds=(-1.0, 0.0))
-        y = forward(spec, np.zeros(param_count(spec)), np.array([[0.3, -2.0]]))
+        y = forward(spec, split_params(spec, np.zeros(param_count(spec))), np.array([[0.3, -2.0]]))
         assert_close(y, [[-0.5, -0.5, -0.5]], rtol=1e-12)
 
     def test_single_layer_sigmoid(self):
         # [1,1] net, w=1, b=0, bounds (0,1): y = sigmoid(x)
         spec = MlpSpec((1, 1), output_bounds=(0.0, 1.0))
-        y = forward(spec, np.array([1.0, 0.0]), np.array([[1.0]]))
+        y = forward(spec, split_params(spec, np.array([1.0, 0.0])), np.array([[1.0]]))
         assert_close(y, [[0.7310585786300049]], rtol=1e-12)
 
     def test_silu_zero_at_zero(self):
@@ -93,7 +94,7 @@ class TestForward:
         # so output depends only on the last bias
         spec = MlpSpec((1, 1, 1), output_bounds=(0.0, 1.0))
         params = np.array([5.0, 0.0, 3.0, 0.0])  # w1=5, b1=0 -> z=5x
-        y0 = forward(spec, params, np.array([[0.0]]))
+        y0 = forward(spec, split_params(spec, params), np.array([[0.0]]))
         assert_close(y0, [[0.5]], rtol=1e-12)
 
     def test_outputs_strictly_inside_bounds(self):
@@ -102,7 +103,7 @@ class TestForward:
             spec = random_spec(rng)
             params = rng.normal(size=param_count(spec)) * 3.0
             x = rng.uniform(-1e3, 1e3, size=(20, spec.in_dim))
-            y = forward(spec, params, x)
+            y = forward(spec, split_params(spec, params), x)
             lo, hi = spec.output_bounds
             assert np.all(y > lo) and np.all(y < hi)
             assert np.all(np.isfinite(y))
@@ -112,8 +113,9 @@ class TestForward:
         spec = random_spec(rng)
         params = rng.normal(size=param_count(spec))
         xs = rng.normal(size=(7, spec.in_dim))
-        batched = forward(spec, params, xs)
-        rows = np.concatenate([forward(spec, params, x[None, :]) for x in xs])
+        layers = split_params(spec, params)
+        batched = forward(spec, layers, xs)
+        rows = np.concatenate([forward(spec, layers, x[None, :]) for x in xs])
         # BLAS may reorder sums between batched and row-at-a-time paths
         assert_close(batched, rows, rtol=1e-13, floor=1e-13)
 
@@ -149,10 +151,10 @@ class TestBackward:
             pg, xg = _grads(spec, params, x, cot)
 
             def loss_p(p):
-                return float(np.sum(cot * forward(spec, p, x)))
+                return float(np.sum(cot * forward(spec, split_params(spec, p), x)))
 
             def loss_x(xx):
-                return float(np.sum(cot * forward(spec, params, xx)))
+                return float(np.sum(cot * forward(spec, split_params(spec, params), xx)))
 
             assert_close(pg, central_diff_grad(loss_p, params), rtol=1e-4, label="params")
             assert_close(xg, central_diff_grad(loss_x, x), rtol=1e-4, label="input")
@@ -176,7 +178,7 @@ def _reference_sigmoid(z):
 
 
 def _reference_forward(spec, params, x2d):
-    layers = nnet.split_params(spec, params)
+    layers = split_params(spec, params)
     acts, hidden, a = [x2d], [], x2d
     for w, b in layers[:-1]:
         z = a @ w.T + b
@@ -219,9 +221,10 @@ class TestKernels:
     def test_forward_equals_cached_forward(self, n):
         rng = np.random.default_rng(n)
         params = init_params(TANKS_TARGET, 5) * 2.0
+        layers = split_params(TANKS_TARGET, params)
         x = rng.normal(scale=2.0, size=(n, TANKS_TARGET.in_dim))
-        y, _ = forward_cached(TANKS_TARGET, params, x)
-        assert np.array_equal(forward(TANKS_TARGET, params, x), y)
+        y, _ = forward_cached(TANKS_TARGET, layers, x)
+        assert np.array_equal(forward(TANKS_TARGET, layers, x), y)
         assert np.array_equal(y, _reference_forward(TANKS_TARGET, params, x)[0])
 
     @pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1, 5 * B - 3])
@@ -234,28 +237,29 @@ class TestKernels:
             return run(spec, layers, x2d, keep)
 
         monkeypatch.setattr(nnet, "_run_layers", recorded)
-        forward(TANKS_TARGET, init_params(TANKS_TARGET, 0), np.zeros((n, 4)))
+        forward(TANKS_TARGET, split_params(TANKS_TARGET, init_params(TANKS_TARGET, 0)),
+                np.zeros((n, 4)))
         assert sum(sizes) == n and len(sizes) == -(-n // B)
         assert max(sizes) <= B and max(sizes) - min(sizes) <= 1
         assert min(sizes) >= 2 or n == 1
 
     @pytest.mark.parametrize("n", [1, 3, 50, 2550])
     def test_backward_equals_reference(self, n):
-        """Both reverse entry points: the full backward against the reference,
-        and the input-only reverse against the full backward's input grad."""
+        """Both reverse entry points against the reference: the parameter
+        reverse against its parameter gradient, the input-only reverse
+        against its input gradient."""
         rng = np.random.default_rng(10 + n)
         for spec in (TANKS_TARGET, HYST_TARGET, random_spec(rng),
                      random_spec(rng, max_hidden=3)):
             params = rng.normal(size=param_count(spec))
             x = rng.normal(scale=3.0, size=(n, spec.in_dim))
             cot = rng.normal(size=(n, spec.out_dim))
-            y, cache = forward_cached(spec, params, x)
+            y, cache = forward_cached(spec, split_params(spec, params), x)
             y_ref, ref_cache = _reference_forward(spec, params, x)
             assert np.array_equal(y, y_ref)
-            full = backward_from_cache(spec, cache, cot)
-            for got, want in zip(full, _reference_backward(spec, ref_cache, cot)):
-                assert np.array_equal(got, want)
-            assert np.array_equal(input_vjp_from_cache(spec, cache, cot), full[1])
+            want_p, want_x = _reference_backward(spec, ref_cache, cot)
+            assert np.array_equal(backward_from_cache(spec, cache, cot), want_p)
+            assert np.array_equal(input_vjp_from_cache(spec, cache, cot), want_x)
 
     def test_sigmoid_matches_reference_and_takes_scalars(self):
         small = np.array([-1e4, -745.0, -709.5, -30.0, -1.0, 0.0, 1e-9, 2.5, 40.0, 1e4])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn.benchmarks import TOGGLE_SWITCH, DataProtocol, gen_dataset
-from stabledyn.field import eval_velocity, velocity_cached
+from stabledyn.field import Featurizer, eval_velocity, velocity_cached
 from stabledyn.integrate import DatasetError, TimeGrid, Trajectory, rk4_solve_batch
 from stabledyn.training import (
     GRAD_MATCHING,
@@ -291,6 +291,32 @@ class TestTrajMatchingLoss:
         trajs = gen_dataset(TOGGLE_SWITCH, proto).trajectories
         assert len({traj.times[-1] for traj in trajs}) > 1
         assert TrajMatchingObjective(trajs).n_traj == 4
+
+
+class TestFeaturizedReverses:
+    @pytest.mark.parametrize("objective,calls", [(GradMatchingObjective, 0),
+                                                 (TrajMatchingObjective, 4)],
+                             ids=["grad-matching", "traj-matching"])
+    def test_featurize_dx_only_for_input_gradients(self, monkeypatch, objective, calls):
+        # the parameter reverses build no input gradient, so the features'
+        # derivative is taken only by the d = 1 input-only reverse of each of
+        # the four RK4 stages; gradient matching takes none
+        from stabledyn import field as field_mod
+
+        fld = make_field(dim=1, control_dim=1, seed=31, hidden=(4,),
+                         featurizer=Featurizer(-2.0, 2.0, num_modes=3))
+        trajs = field_generated_trajectories(fld, n_traj=3, n_samples=5, seed=32)
+        count = []
+        featurize_dx = field_mod.featurize_dx
+
+        def counted(*args, **kwargs):
+            count.append(1)
+            return featurize_dx(*args, **kwargs)
+
+        monkeypatch.setattr(field_mod, "featurize_dx", counted)
+        _, grad = objective(trajs).loss_and_grad(fld)
+        assert len(count) == calls
+        assert grad.shape == fld.params.shape
 
 
 class TestKfold:
