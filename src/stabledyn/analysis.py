@@ -1,5 +1,6 @@
 """Equilibrium discovery, stability classification, bifurcation sweeps,
-tipping-point detection, and evaluation metrics.
+tipping-point detection, and evaluation metrics (nRMSE, IQR and the
+control summary document).
 
 Root finding is deliberately simple and testable: a uniform scan with
 bisection on sign changes in one dimension, damped Newton from a grid of
@@ -27,7 +28,7 @@ per-bracket arithmetic is that of a scalar scan and bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,28 +47,6 @@ class BifurcationDiagram:
     x_star: np.ndarray
     stability: np.ndarray       # STABLE, UNSTABLE or MARGINAL
     residual_norm: np.ndarray
-
-
-@dataclass
-class MetricsReport:
-    nrmse_mean: np.ndarray          # per dimension
-    nrmse_std: np.ndarray
-    within_5pct: np.ndarray         # fraction per dimension
-    within_2pct: np.ndarray
-    magnitude: np.ndarray
-    magnitude_definition: str
-    per_target: list = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "nrmse_mean": self.nrmse_mean.tolist(),
-            "nrmse_std": self.nrmse_std.tolist(),
-            "within_5pct": self.within_5pct.tolist(),
-            "within_2pct": self.within_2pct.tolist(),
-            "magnitude": self.magnitude.tolist(),
-            "magnitude_definition": self.magnitude_definition,
-            "per_target": self.per_target,
-        }
 
 
 # --- scalar root finding -------------------------------------------------------
@@ -349,18 +328,18 @@ def contraction_bound(target_fn, x_star: float, radius: float):
     return L, L < 1.0
 
 
-def summarize_targets(per_target_nrmse: list[np.ndarray], magnitude,
-                      magnitude_definition: str) -> MetricsReport:
-    """Aggregate per-target nRMSE vectors into the trial metrics report."""
-    arr = np.asarray(per_target_nrmse, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return MetricsReport(
-        nrmse_mean=arr.mean(axis=0),
-        nrmse_std=arr.std(axis=0),
-        within_5pct=(arr <= 0.05).mean(axis=0),
-        within_2pct=(arr <= 0.02).mean(axis=0),
-        magnitude=np.atleast_1d(np.asarray(magnitude, dtype=float)),
-        magnitude_definition=magnitude_definition,
-        per_target=[row.tolist() for row in arr],
-    )
+def summarize_targets(scores, magnitude, magnitude_definition: str) -> dict:
+    """The control summary document of per-target nRMSE ``scores``, a
+    (trials, targets, d) array: mean, spread and the shares within 5% and
+    2% per dimension, over every (trial, target) pair in trial order."""
+    arr = np.asarray(scores, dtype=float)
+    arr = arr.reshape(-1, arr.shape[-1])
+    return {
+        "nrmse_mean": arr.mean(axis=0).tolist(),
+        "nrmse_std": arr.std(axis=0).tolist(),
+        "within_5pct": (arr <= 0.05).mean(axis=0).tolist(),
+        "within_2pct": (arr <= 0.02).mean(axis=0).tolist(),
+        "magnitude": np.atleast_1d(np.asarray(magnitude, dtype=float)).tolist(),
+        "magnitude_definition": magnitude_definition,
+        "per_target": arr.tolist(),
+    }

@@ -6,7 +6,10 @@ bistable scalar ODE dx/dt = u + x - x^3, the spruce budworm outbreak model
 with carrying capacity as control, and the two-gene toggle switch with
 four control parameters. Whole (ic, control) grids integrate in one
 solver call. Each system's `DataProtocol` fixes its RK4 step, and is the
-one place that turns it into a grid and a sample stride for any horizon.
+one place that turns it into a grid and a sample stride for any horizon;
+`control_schedule` is the one place that turns a control recipe into its
+target starts and Euler grid, and `evaluate_trace` scores every trial of
+a control trace at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .analysis import iqr, nrmse
-from .control import ControlPolicyCfg, active_targets, feedback_simulate
+from .control import ControlPolicyCfg, feedback_simulate
 from .field import Featurizer, StructuredField
 from .integrate import (
     DatasetError,
@@ -481,6 +484,7 @@ class ControlRecipe:
     sigma: float
     t_per_target: float
     step: float                       # Euler-Maruyama step
+    x0: tuple                         # every trial's start state
     u0: tuple
     bounds: tuple = ()                # one (lo, hi, rate) per control channel
     magnitude_definition: str = "range"
@@ -489,19 +493,19 @@ class ControlRecipe:
 def default_control_recipe(system: str) -> ControlRecipe:
     if system == TWO_TANKS:
         return ControlRecipe(k=10, eta=0.1, sigma=0.01, t_per_target=500.0, step=0.25,
-                             u0=(0.5, 0.5), bounds=((0.05, 0.95, 50.0),) * 2)
+                             x0=(0.5, 0.5), u0=(0.5, 0.5), bounds=((0.05, 0.95, 50.0),) * 2)
     if system == SYM_HYSTERESIS:
         return ControlRecipe(k=1, eta=5.0, sigma=0.03, t_per_target=10.0, step=0.005,
-                             u0=(0.0,))
+                             x0=(0.0,), u0=(0.0,))
     if system == BUDWORM:
         # growth near the lower branch is slow (dx/dt ~ 0.05), so climbing to
         # high targets needs a longer window than the hysteresis benchmark
         return ControlRecipe(k=1, eta=20.0, sigma=0.02, t_per_target=50.0, step=0.005,
-                             u0=(8.22,))
+                             x0=(5.0,), u0=(8.22,))
     if system == TOGGLE_SWITCH:
         return ControlRecipe(
             k=1, eta=1.0, sigma=0.05, t_per_target=20.0, step=0.01,
-            u0=(2.55, 2.55, 3.05, 3.05),
+            x0=(0.5, 0.5), u0=(2.55, 2.55, 3.05, 3.05),
             bounds=((0.1, math.inf, 200.0),) * 2 + ((1.1, math.inf, 200.0),) * 2,
             magnitude_definition="iqr",
         )
@@ -566,19 +570,29 @@ def sample_targets(system: str, n: int, seeds) -> np.ndarray:
     return settled.reshape(len(seeds), n, 2)
 
 
+def control_schedule(recipe: ControlRecipe, n_targets: int):
+    """Start time of each target and the Euler grid of a control run through
+    n_targets targets; a run that rounds to 0 steps is the grid's
+    ValueError."""
+    starts = [i * recipe.t_per_target for i in range(n_targets)]
+    total = recipe.t_per_target * n_targets
+    return starts, TimeGrid(0.0, total, int(round(total / recipe.step)))
+
+
 def run_control_trials(system: str, target_map, targets: np.ndarray,
-                       recipe: ControlRecipe, seeds, record_every: int = 1):
-    """Steer the true (stochastic) system through each trial's target list,
-    all trials at once; ``targets`` is (trials, n_targets, d) and ``seeds``
-    holds one noise seed per trial. Returns one trace per trial."""
+                       recipe: ControlRecipe, schedule, seeds, record_every: int = 1):
+    """Steer the true (stochastic) system through each trial's target list
+    on ``schedule`` (`control_schedule`), all trials at once; ``targets`` is
+    (trials, n_targets, d) and ``seeds`` holds one noise seed per trial.
+    Returns the one trace of all trials."""
     targets = np.asarray(targets, dtype=float)
-    starts, grid = _control_schedule(recipe, targets.shape[1])
+    starts, grid = schedule
     return feedback_simulate(
         plant_rhs=rhs_fn(system),
         target_map=target_map,
         policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, bounds=recipe.bounds),
         targets=list(zip(starts, targets.swapaxes(0, 1))),
-        x0=_trial_start(system),
+        x0=np.asarray(recipe.x0, dtype=float),
         u0=np.asarray(recipe.u0, dtype=float),
         grid=grid,
         sigma=recipe.sigma,
@@ -587,45 +601,16 @@ def run_control_trials(system: str, target_map, targets: np.ndarray,
     )
 
 
-def control_steps(recipe: ControlRecipe, n_targets: int) -> int:
-    """Euler steps of a control trial through n_targets targets."""
-    return int(round(recipe.t_per_target * n_targets / recipe.step))
-
-
-def _control_schedule(recipe: ControlRecipe, n_targets: int):
-    """Start time of each target and the time grid of a control trial."""
-    starts = [i * recipe.t_per_target for i in range(n_targets)]
-    total = recipe.t_per_target * n_targets
-    return starts, TimeGrid(0.0, total, control_steps(recipe, n_targets))
-
-
-def unrecorded_targets(recipe: ControlRecipe, n_targets: int, record_every: int) -> list[int]:
-    """Targets that no recorded node of `run_control_trials` would belong
-    to, so `evaluate_trace` could not score them."""
-    starts, grid = _control_schedule(recipe, n_targets)
-    recorded = active_targets(starts, grid.times()[::record_every])
-    return sorted(set(range(n_targets)) - set(recorded.tolist()))
-
-
-def _trial_start(system: str) -> np.ndarray:
-    d, _ = SYSTEM_DIMS[system]
-    if system == SYM_HYSTERESIS:
-        return np.zeros(1)
-    if system == BUDWORM:
-        return np.array([5.0])
-    return np.full(d, 0.5)
-
-
-def evaluate_trace(trace, magnitude):
-    """Per-target nRMSE over the final 20% of each target's recorded nodes, and
-    at least over its last one; targets with no recorded node are skipped."""
-    per_target = []
-    for i, (_, ref) in enumerate(trace.targets):
-        mask = trace.target_index == i
-        idx = np.nonzero(mask)[0]
-        if len(idx) == 0:
-            continue
-        start = int(np.ceil(len(idx) * 0.8))
-        tail = idx[min(start, len(idx) - 1):]
-        per_target.append(nrmse(trace.states[tail], ref, magnitude))
-    return np.asarray(per_target)
+def evaluate_trace(trace, magnitude) -> np.ndarray:
+    """nRMSE of every trial at every target, (trials, targets, d), over the
+    final 20% of each target's recorded nodes, and at least over its last
+    one; targets with no recorded node are skipped."""
+    windows = []
+    for j, refs in enumerate(trace.refs):
+        idx = np.nonzero(trace.target_index == j)[0]
+        if len(idx):
+            windows.append((idx[min(int(np.ceil(len(idx) * 0.8)), len(idx) - 1):], refs))
+    # each trial's window is a contiguous (m, d) slice, which keeps nrmse's
+    # reduction order: the bits of a one-trial run
+    return np.array([[nrmse(trace.states[tail, i], refs[i], magnitude) for tail, refs in windows]
+                     for i in range(trace.states.shape[1])])

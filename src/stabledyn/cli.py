@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, benchmarks, field as field_mod, training
+from . import analysis, benchmarks, control, field as field_mod, training
 from .integrate import DatasetError, Trajectory, rk4_solve_batch, write_trajectories_csv
 from .nnet import NonFiniteError
 
@@ -413,15 +413,9 @@ def cmd_control(args) -> int:
     fld = _field_for_analysis(args, system)
     target_map = fld if fld is not None else benchmarks.split_target_fn(system)
 
-    recipe = benchmarks.default_control_recipe(system)
-    if args.k is not None:
-        recipe = replace(recipe, k=args.k)
-    if args.eta is not None:
-        recipe = replace(recipe, eta=args.eta)
-    if args.sigma is not None:
-        recipe = replace(recipe, sigma=args.sigma)
-    if args.t_per_target is not None:
-        recipe = replace(recipe, t_per_target=args.t_per_target)
+    given = {name: getattr(args, name) for name in ("k", "eta", "sigma", "t_per_target")}
+    recipe = replace(benchmarks.default_control_recipe(system),
+                     **{name: value for name, value in given.items() if value is not None})
 
     d, q = benchmarks.SYSTEM_DIMS[system]
     # counted before rounding, so a count past float range is refused too
@@ -431,10 +425,13 @@ def cmd_control(args) -> int:
                           f"take {_count(steps)} Euler steps of {recipe.step} per trial: too "
                           f"many for --trials {args.trials}; lower --t-per-target, --targets "
                           f"or --trials")
-    if benchmarks.control_steps(recipe, args.targets) < 1:
+    try:
+        schedule = benchmarks.control_schedule(recipe, args.targets)
+    except ValueError:  # the run rounds to 0 steps
         raise ConfigError(f"{args.targets} targets of --t-per-target {recipe.t_per_target} "
                           f"round to 0 control steps of {recipe.step}; raise --t-per-target")
-    unscored = benchmarks.unrecorded_targets(recipe, args.targets, args.record_every)
+    _, recorded = control.recorded_nodes(*schedule, args.record_every)
+    unscored = sorted(set(range(args.targets)) - set(recorded.tolist()))
     if unscored:
         raise ConfigError(f"targets {unscored} would get no recorded node, so they could "
                           f"not be scored; lower --record-every or raise --t-per-target")
@@ -448,33 +445,28 @@ def cmd_control(args) -> int:
     trials = range(args.trials)
     targets = benchmarks.sample_targets(system, args.targets,
                                         [[args.seed, 7, trial] for trial in trials])
-    traces = benchmarks.run_control_trials(
-        system, target_map, targets, recipe, seeds=[[args.seed, 11, trial] for trial in trials],
-        record_every=args.record_every,
+    trace = benchmarks.run_control_trials(
+        system, target_map, targets, recipe, schedule,
+        seeds=[[args.seed, 11, trial] for trial in trials], record_every=args.record_every,
     )
-    results = [(trace, benchmarks.evaluate_trace(trace, magnitude)) for trace in traces]
 
-    csv_path = out / f"{system}-control-trials.csv"
-    with open(csv_path, "w") as fh:
-        header = (["trial_id", "target_id", "t"]
-                  + [f"x_{i}" for i in range(d)] + [f"u_{i}" for i in range(q)]
-                  + ["phase"])
-        fh.write(",".join(header) + "\n")
-        for trial, (trace, _) in enumerate(results):
-            for j in range(len(trace.times)):
-                row = ([str(trial), str(int(trace.target_index[j])),
-                        format(trace.times[j], ".17g")]
-                       + [format(v, ".17g") for v in trace.states[j]]
-                       + [format(v, ".17g") for v in trace.controls[j]]
-                       + [str(int(trace.target_index[j]))])
-                fh.write(",".join(row) + "\n")
+    index, times = trace.target_index.tolist(), trace.times.tolist()
+    row = ",%d" + ",%.17g" * (1 + d + q) + ",%d\n"  # '%.17g' % v is format(v, '.17g')
+    with open(out / f"{system}-control-trials.csv", "w") as fh:
+        fh.write(",".join(["trial_id", "target_id", "t"] + [f"x_{i}" for i in range(d)]
+                          + [f"u_{i}" for i in range(q)] + ["phase"]) + "\n")
+        for trial in trials:
+            # one row per recorded node: target, t, x, u and the target again as the phase
+            nodes = zip(index, times, *trace.states[:, trial].T.tolist(),
+                        *trace.controls[:, trial].T.tolist(), index)
+            fh.write((str(trial) + row) * len(times) % tuple(v for node in nodes for v in node))
 
-    per_target = [v for _, vals in results for v in vals]
-    report = analysis.summarize_targets(per_target, magnitude, recipe.magnitude_definition)
-    _json_dump(out / f"{system}-control-summary.json", report.to_dict())
-    print(f"nRMSE mean per dim: {np.round(report.nrmse_mean, 5).tolist()}")
-    print(f"within 5%: {np.round(report.within_5pct, 3).tolist()}  "
-          f"within 2%: {np.round(report.within_2pct, 3).tolist()}")
+    summary = analysis.summarize_targets(benchmarks.evaluate_trace(trace, magnitude), magnitude,
+                                         recipe.magnitude_definition)
+    _json_dump(out / f"{system}-control-summary.json", summary)
+    print(f"nRMSE mean per dim: {np.round(summary['nrmse_mean'], 5).tolist()}")
+    print(f"within 5%: {np.round(summary['within_5pct'], 3).tolist()}  "
+          f"within 2%: {np.round(summary['within_2pct'], 3).tolist()}")
     return EXIT_OK
 
 

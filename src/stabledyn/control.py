@@ -7,8 +7,9 @@ Heaviside steps so updates stall at per-channel control bounds.
 State and control are co-integrated: Euler-Maruyama on the plant with
 state-proportional noise, noise-free explicit Euler on the control. All
 trials of a run step together as rows of one batch, each with its own
-seeded noise stream; `feedback_simulate` is the package's only
-Euler-Maruyama loop.
+seeded noise stream. `feedback_simulate`, the package's only
+Euler-Maruyama loop, returns them as one `ControlTrace` that keeps the
+trial axis; `recorded_nodes` is the one rule for which nodes it keeps.
 
 Also included: the closed-form/iterative solutions for the linear
 simplification target(x,u) = G u (minimum-norm, ridge, gradient descent,
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import nnet
 from .analysis import central_diff
-from .field import StructuredField, eval_target, target_cached, target_vjp
+from .field import StructuredField, target_cached, target_vjp
 from .integrate import TimeGrid, rk4_solve_batch
 from .nnet import NonFiniteError
 
@@ -78,20 +79,15 @@ def control_gate(u, bounds) -> np.ndarray:
 
 
 def iterate_target(target_map, x, u, k: int) -> np.ndarray:
-    """k successive applications of the equilibrium map at fixed control."""
+    """k successive applications of the callable equilibrium map
+    ``target_map(x, u)`` at fixed control."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     for _ in range(k):
-        x = _apply_target(target_map, x, u)
+        x = np.atleast_1d(np.asarray(target_map(x, u), dtype=float))
     return x
-
-
-def _apply_target(target_map, x, u) -> np.ndarray:
-    if isinstance(target_map, StructuredField):
-        return eval_target(target_map, x, u)
-    return np.atleast_1d(np.asarray(target_map(x, u), dtype=float))
 
 
 def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
@@ -130,13 +126,14 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
 
 @dataclass
 class ControlTrace:
-    """Co-integrated trajectory of plant state and control signal."""
+    """Co-integrated plant states and control signals of a batch of trials
+    through one schedule of targets, at the recorded nodes."""
 
-    times: np.ndarray
-    states: np.ndarray       # (n, d)
-    controls: np.ndarray     # (n, q)
+    times: np.ndarray         # (n,)
     target_index: np.ndarray  # (n,) active target per node
-    targets: list            # [(t_start, x_ref), ...]
+    states: np.ndarray        # (n, trials, d)
+    controls: np.ndarray      # (n, trials, q)
+    refs: np.ndarray          # (targets, trials, d) each trial's x_ref per target
 
 
 def active_targets(starts, times) -> np.ndarray:
@@ -144,6 +141,13 @@ def active_targets(starts, times) -> np.ndarray:
     start at the ordered ``starts``: the last one started by then, and the
     first one before any has started."""
     return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+
+
+def recorded_nodes(starts, grid: TimeGrid, record_every: int):
+    """Times of the nodes 0, r, 2r, ... of ``grid`` that a run recording
+    every r-th node keeps, and the target active at each (`active_targets`)."""
+    times = grid.times()[::record_every]
+    return times, active_targets(starts, times)
 
 
 def feedback_simulate(
@@ -157,9 +161,9 @@ def feedback_simulate(
     sigma: float = 0.0,
     seeds=(0,),
     record_every: int = 1,
-) -> list[ControlTrace]:
+) -> ControlTrace:
     """Steer a batch of plants, one trial per seed, through one schedule of
-    targets; returns one ControlTrace per trial.
+    targets; returns the trace of all trials at `recorded_nodes`.
 
     ``targets`` is a time-ordered list of (t_start, x_ref); the last target
     whose start time is <= t is active (`active_targets`). Each x_ref, like
@@ -190,9 +194,9 @@ def feedback_simulate(
     times = grid.times()
     active_at = active_targets(starts, times)
 
-    recorded = np.arange(0, grid.n_steps + 1, record_every)
-    out_x = np.empty((len(recorded), n_trials, d))
-    out_u = np.empty((len(recorded), n_trials, u.shape[1]))
+    rec_times, rec_index = recorded_nodes(starts, grid, record_every)
+    out_x = np.empty((len(rec_times), n_trials, d))
+    out_u = np.empty((len(rec_times), n_trials, u.shape[1]))
     for n in range(grid.n_steps + 1):
         if n % record_every == 0:
             out_x[n // record_every] = x
@@ -207,9 +211,7 @@ def feedback_simulate(
         u = u - h * policy.eta * grad * gate
         if not (np.isfinite(x).all() and np.isfinite(u).all()):
             raise NonFiniteError(f"feedback simulation diverged at t={times[n]:.6g}")
-    return [ControlTrace(times[recorded], out_x[:, i], out_u[:, i], active_at[recorded],
-                         [(t, ref[i]) for t, ref in zip(starts, refs)])
-            for i in range(n_trials)]
+    return ControlTrace(rec_times, rec_index, out_x, out_u, refs)
 
 
 # --- linear control theory -----------------------------------------------------

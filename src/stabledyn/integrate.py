@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ class TimeGrid:
             raise ValueError("need t1 > t0")
         if self.n_steps < 1:
             raise ValueError("need n_steps >= 1")
+        if self.n_steps > sys.float_info.max:  # h divides by it as a float
+            raise ValueError("need n_steps within float range")
         if not self.h > 0.0:  # (t1 - t0) / n_steps can underflow to 0
             raise ValueError(f"the step (t1 - t0) / n_steps = {self.h!r} is not positive")
 

@@ -385,12 +385,10 @@ class TestMetrics:
         assert iqr([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.5)
 
     def test_summarize_targets(self):
-        report = summarize_targets(
-            [np.array([0.01]), np.array([0.04]), np.array([0.1])], [3.0], "range"
-        )
-        assert report.within_5pct[0] == pytest.approx(2.0 / 3.0)
-        assert report.within_2pct[0] == pytest.approx(1.0 / 3.0)
-        doc = report.to_dict()
+        # one trial through three targets of a scalar system: (1, 3, 1)
+        doc = summarize_targets(np.array([[[0.01], [0.04], [0.1]]]), [3.0], "range")
+        assert doc["within_5pct"][0] == pytest.approx(2.0 / 3.0)
+        assert doc["within_2pct"][0] == pytest.approx(1.0 / 3.0)
         assert doc["magnitude_definition"] == "range"
 
 

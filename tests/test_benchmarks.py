@@ -16,6 +16,7 @@ from stabledyn.benchmarks import (
     _git_blob_sha1,
     _logistic,
     analytic_split,
+    control_schedule,
     default_model,
     default_control_recipe,
     default_params,
@@ -177,6 +178,11 @@ class TestProtocols:
             if stride > 1:
                 assert grid.t1 / (50 * (stride - 1)) > default_grid.h
 
+    def test_horizon_past_float_steps_is_the_grids_refusal(self):
+        # 1e306 takes more RK4 steps than a float can hold
+        with pytest.raises(ValueError, match="float range"):
+            default_protocol(SYM_HYSTERESIS).sampling(1e306)
+
     def test_one_sample_rejected(self):
         with pytest.raises(ValueError, match="at least 2 samples"):
             default_protocol(BUDWORM, samples_per_traj=1)
@@ -302,29 +308,30 @@ class TestModelRecipes:
 
 class TestEvaluateTrace:
     @staticmethod
-    def _trace(records_per_target):
+    def _trace(records_per_target, refs=None):
+        # one trial of a scalar system, at x = node
         index = np.repeat(np.arange(len(records_per_target)), records_per_target)
-        states = np.arange(index.size, dtype=float)[:, None]
-        targets = [(float(i), np.array([0.0])) for i in range(len(records_per_target))]
-        return ControlTrace(states[:, 0], states, states, index, targets)
+        states = np.arange(index.size, dtype=float)[:, None, None]
+        if refs is None:
+            refs = np.zeros((len(records_per_target), 1, 1))
+        return ControlTrace(states[:, 0, 0], index, states, states, refs)
 
     @pytest.mark.parametrize("n", [5, 6, 10, 11, 23])
     def test_window_is_the_last_fifth(self, n):
         # nodes 0..n-1 with x = node; the window starts at ceil(0.8 n)
         start = int(np.ceil(0.8 * n))
         expected = np.sqrt(np.mean(np.arange(start, n, dtype=float) ** 2)) / 2.0
-        (got,) = evaluate_trace(self._trace([n]), 2.0)
+        (got,) = evaluate_trace(self._trace([n]), 2.0)[0]
         assert got[0] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_short_span_keeps_its_last_node(self, n):
-        (got,) = evaluate_trace(self._trace([n]), 2.0)
+        (got,) = evaluate_trace(self._trace([n]), 2.0)[0]
         assert got[0] == (n - 1) / 2.0
 
     def test_target_without_records_is_skipped(self):
-        trace = self._trace([5])
-        trace.targets.append((5.0, np.array([1.0])))
-        assert evaluate_trace(trace, 1.0).shape == (1, 1)
+        trace = self._trace([5], refs=np.array([[[0.0]], [[1.0]]]))
+        assert evaluate_trace(trace, 1.0).shape == (1, 1, 1)
 
 
 class TestSampleTargets:
@@ -366,14 +373,16 @@ class TestControlTrials:
         targets = sample_targets(system, 3, [[0, 7, i] for i in range(3)])
         seeds = [[0, 11, i] for i in range(3)]
         magnitude = system_magnitude(system)
-        batch = run_control_trials(system, target_map, targets, recipe, seeds, record_every=10)
-        assert len(batch) == 3
-        for i, trace in enumerate(batch):
-            [solo] = run_control_trials(system, target_map, targets[i:i + 1], recipe,
-                                        seeds[i:i + 1], record_every=10)
-            assert np.array_equal(trace.times, solo.times)
-            assert np.array_equal(trace.target_index, solo.target_index)
-            assert np.max(np.abs(trace.states - solo.states)) <= 1e-9
-            assert np.max(np.abs(trace.controls - solo.controls)) <= 1e-9
-            assert np.max(np.abs(evaluate_trace(trace, magnitude)
-                                 - evaluate_trace(solo, magnitude))) <= 1e-9
+        schedule = control_schedule(recipe, 3)
+        batch = run_control_trials(system, target_map, targets, recipe, schedule, seeds,
+                                   record_every=10)
+        assert batch.states.shape[1] == 3
+        scores = evaluate_trace(batch, magnitude)
+        for i in range(3):
+            solo = run_control_trials(system, target_map, targets[i:i + 1], recipe, schedule,
+                                      seeds[i:i + 1], record_every=10)
+            assert np.array_equal(batch.times, solo.times)
+            assert np.array_equal(batch.target_index, solo.target_index)
+            assert np.max(np.abs(batch.states[:, i] - solo.states[:, 0])) <= 1e-9
+            assert np.max(np.abs(batch.controls[:, i] - solo.controls[:, 0])) <= 1e-9
+            assert np.max(np.abs(scores[i] - evaluate_trace(solo, magnitude)[0])) <= 1e-9

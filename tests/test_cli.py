@@ -256,6 +256,22 @@ class TestUnusableData:
         err = self._run(capsys, out, ["train", "--data", str(prefix)])
         assert "config error: trajectory 7 is not evenly spaced" in err
 
+    @pytest.mark.parametrize("command,system", [("train", SYM_HYSTERESIS), ("cv", BUDWORM)],
+                             ids=["nan-state", "inf-control"])  # traj and grad matching
+    def test_non_finite_data(self, tmp_path, capsys, command, system):
+        # refused before any batch runs, not as a non-finite loss mid-training
+        trajs = [Trajectory([0.0, 0.1, 0.2], [[0.5], [0.6], [0.7]], [0.2], traj_id=i)
+                 for i in range(4)]
+        if system == SYM_HYSTERESIS:
+            trajs[2].states[1, 0] = np.nan
+        else:
+            trajs[3].control[0] = np.inf
+        prefix, out = _save_trajectories(tmp_path, system, trajs)
+        argv = [command, "--data", str(prefix)] + (["--folds", "2"] if command == "cv" else [])
+        err = self._run(capsys, out, argv)
+        bad = 2 if system == SYM_HYSTERESIS else 3
+        assert f"config error: trajectory {bad} has a non-finite state or control" in err
+
     @pytest.mark.parametrize("system", [SYM_HYSTERESIS, BUDWORM])  # traj and grad matching
     def test_no_trajectories(self, tmp_path, capsys, system):
         prefix, out = _save_csv_text(tmp_path, system, "traj_id,t,x_0,u_0\n")
@@ -604,6 +620,28 @@ class TestControl:
             outputs.append([(out / f"sym-hysteresis-control-{name}").read_bytes()
                             for name in ("trials.csv", "summary.json")])
         assert outputs[0] == outputs[1]
+
+    def test_summary_scores_each_trial_window_of_the_csv(self, tmp_path):
+        # 3 trials x 3 targets of a scalar system, all on one batch axis: each
+        # (trial, target) score is the nRMSE over the last fifth of that
+        # trial's CSV rows for the target, in trial-major order
+        assert main(["control", "--system", SYM_HYSTERESIS, "--field", str(CHECKPOINT),
+                     "--out", str(tmp_path), "--trials", "3", "--targets", "3",
+                     "--t-per-target", "2"]) == EXIT_OK
+        summary = json.loads((tmp_path / f"{SYM_HYSTERESIS}-control-summary.json").read_text())
+        rows = np.loadtxt(tmp_path / f"{SYM_HYSTERESIS}-control-trials.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(rows[:, 1], rows[:, 5])  # phase is the target
+        refs = benchmarks.sample_targets(SYM_HYSTERESIS, 3, [[0, 7, trial] for trial in range(3)])
+        magnitude = benchmarks.system_magnitude(SYM_HYSTERESIS)
+        want = []
+        for trial in range(3):
+            for target in range(3):
+                x = rows[(rows[:, 0] == trial) & (rows[:, 1] == target)][:, [3]]
+                window = x[min(int(np.ceil(0.8 * len(x))), len(x) - 1):]
+                rmse = np.sqrt(np.mean((window - refs[trial, target]) ** 2, axis=0))
+                want.append((rmse / magnitude).tolist())
+        assert summary["per_target"] == want
 
     def test_budworm_oracle_trial(self, tmp_path, capsys):
         rc = main(["control", "--system", "budworm", "--oracle", "--out", str(tmp_path),

@@ -141,7 +141,8 @@ class TestIterateTarget:
     def test_k1_equals_single_eval(self):
         fld = make_field(dim=1, control_dim=1, seed=0)
         x, u = np.array([0.4]), np.array([-0.2])
-        assert np.array_equal(iterate_target(fld, x, u, 1), eval_target(fld, x, u))
+        target_map = lambda x, u: eval_target(fld, x, u)
+        assert np.array_equal(iterate_target(target_map, x, u, 1), eval_target(fld, x, u))
 
     def test_linear_map_geometric_decay(self):
         halve = lambda x, u: x / 2.0
@@ -151,7 +152,8 @@ class TestIterateTarget:
     def test_fixed_point_stays(self):
         fld = make_constant_field()  # target identically 0.5
         for k in (1, 3, 10):
-            out = iterate_target(fld, np.array([0.5]), np.array([0.0]), k)
+            out = iterate_target(lambda x, u: eval_target(fld, x, u), np.array([0.5]),
+                                 np.array([0.0]), k)
             assert_close(out, [0.5], rtol=1e-12)
 
 
@@ -198,7 +200,7 @@ class TestControlObjectiveGrad:
         grad = control_objective_grad(fld, x, u, x_ref, k)
 
         def objective(uu):
-            r = iterate_target(fld, x, uu, k) - x_ref
+            r = iterate_target(lambda x, u: eval_target(fld, x, u), x, uu, k) - x_ref
             return 0.5 * float(r @ r)
 
         assert_close(grad, central_diff_grad(objective, u), rtol=1e-4, floor=1e-8)
@@ -293,7 +295,7 @@ class TestFeedbackSimulate:
     def test_stationary_at_satisfied_target(self):
         # plant = learned field, start at the field's own equilibrium for u
         fld = make_constant_field()  # equilibrium at 0.5 for every control
-        [trace] = feedback_simulate(
+        trace = feedback_simulate(
             plant_rhs=lambda x, u: eval_velocity(fld, x, u),
             target_map=fld,
             policy=ControlPolicyCfg(k=1, eta=1.0),
@@ -309,7 +311,7 @@ class TestFeedbackSimulate:
 
     def test_drives_scalar_plant_to_target(self):
         # plant dx/dt = u - x; target map g(x,u) = u exactly
-        [trace] = feedback_simulate(
+        trace = feedback_simulate(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=4.0),
@@ -320,15 +322,15 @@ class TestFeedbackSimulate:
             sigma=0.0,
             seeds=[0],
         )
-        mid = trace.states[trace.times <= 20.0]
+        mid = trace.states[trace.times <= 20.0, 0]
         assert abs(mid[-1, 0] - 1.2) <= 1e-3
-        assert abs(trace.states[-1, 0] + 0.7) <= 1e-3
+        assert abs(trace.states[-1, 0, 0] + 0.7) <= 1e-3
         assert trace.target_index[0] == 0 and trace.target_index[-1] == 1
 
     def test_gate_stalls_control_past_boundary(self):
         # pull toward an unreachable target: the gate saturates within 0.3 of
         # the boundary, so u stalls there and its velocity collapses
-        [trace] = feedback_simulate(
+        trace = feedback_simulate(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=0.5,
@@ -341,7 +343,7 @@ class TestFeedbackSimulate:
             seeds=[0],
         )
         assert np.max(trace.controls) < 0.95 + 0.3
-        late_steps = np.abs(np.diff(trace.controls[-50:, 0]))
+        late_steps = np.abs(np.diff(trace.controls[-50:, 0, 0]))
         assert np.max(late_steps) < 1e-5
 
     def test_noise_reproducible_per_seed(self):
@@ -355,14 +357,14 @@ class TestFeedbackSimulate:
             grid=TimeGrid(0.0, 5.0, 500),
             sigma=0.05,
         )
-        [a] = feedback_simulate(seeds=[[3, 1]], **args)
-        [b] = feedback_simulate(seeds=[[3, 1]], **args)
-        [c] = feedback_simulate(seeds=[[3, 2]], **args)
+        a = feedback_simulate(seeds=[[3, 1]], **args)
+        b = feedback_simulate(seeds=[[3, 1]], **args)
+        c = feedback_simulate(seeds=[[3, 2]], **args)
         assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.states, c.states)
 
     def test_record_every_thins_output(self):
-        [trace] = feedback_simulate(
+        trace = feedback_simulate(
             plant_rhs=lambda x, u: -x,
             target_map=lambda x, u: u,
             policy=ControlPolicyCfg(k=1, eta=1.0),

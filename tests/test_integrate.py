@@ -31,7 +31,8 @@ class TestTimeGrid:
         (1.0, 1.0, 10, "need t1 > t0"),
         (0.0, 1.0, 0, "need n_steps >= 1"),
         (0.0, 5e-324, 50, "not positive"),  # the step underflows to 0
-    ], ids=["empty-span", "no-step", "underflowing-step"])
+        (0.0, 1.0, 10**400, "float range"),  # the step count overflows a float
+    ], ids=["empty-span", "no-step", "underflowing-step", "uncountable-steps"])
     def test_refuses_a_grid_without_a_positive_step(self, t0, t1, n_steps, reason):
         with pytest.raises(ValueError, match=reason):
             TimeGrid(t0, t1, n_steps)
@@ -204,11 +205,11 @@ def em_paths(plant_rhs, x0, grid, sigma, seeds, u0=0.0, x_ref=0.0):
 class TestEulerMaruyama:
     def test_zero_diffusion_equals_euler(self):
         grid = TimeGrid(0.0, 1.0, 40)
-        [trace] = em_paths(lambda x, u: -x, 1.0, grid, 0.0, seeds=[0])
+        trace = em_paths(lambda x, u: -x, 1.0, grid, 0.0, seeds=[0])
         x = np.array([1.0])
         for n in range(grid.n_steps):
             x = x + grid.h * (-x)
-        assert trace.states[-1, 0] == x[0]  # bitwise
+        assert trace.states[-1, 0, 0] == x[0]  # bitwise
 
     def test_single_step_formula(self):
         # x1 = x0 + sqrt(h) * sigma * sqrt(|x0|) * xi with xi the seed's first
@@ -216,27 +217,28 @@ class TestEulerMaruyama:
         # central-difference gradient
         grid = TimeGrid(0.0, 0.25, 1)
         xi = np.random.default_rng([4, 2]).standard_normal((1, 1))[0, 0]
-        [trace] = em_paths(still_plant, 2.0, grid, 0.3, seeds=[[4, 2]], u0=0.5, x_ref=0.1)
-        assert_close(trace.states[-1], [2.0 + np.sqrt(0.25) * 0.3 * np.sqrt(2.0) * xi],
+        trace = em_paths(still_plant, 2.0, grid, 0.3, seeds=[[4, 2]], u0=0.5, x_ref=0.1)
+        assert_close(trace.states[-1, 0], [2.0 + np.sqrt(0.25) * 0.3 * np.sqrt(2.0) * xi],
                      rtol=1e-15)
-        assert_close(trace.controls[-1], [0.5 - 0.25 * (0.5 - 0.1)], rtol=1e-9)
+        assert_close(trace.controls[-1, 0], [0.5 - 0.25 * (0.5 - 0.1)], rtol=1e-9)
 
     def test_seeded_paths_reproducible(self):
         grid = TimeGrid(0.0, 1.0, 10)
-        [a] = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 3]])
-        [b] = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 3]])
-        c, d = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 4], [7, 3]])
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.states, d.states)  # a trial's path ignores its batch
-        assert not np.array_equal(a.states, c.states)
+        a = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 3]]).states[:, 0]
+        b = em_paths(lambda x, u: -x, 1.0, grid, 0.1, seeds=[[7, 3]]).states[:, 0]
+        c, d = em_paths(lambda x, u: -x, 1.0, grid, 0.1,
+                        seeds=[[7, 4], [7, 3]]).states.swapaxes(0, 1)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, d)  # a trial's path ignores its batch
+        assert not np.array_equal(a, c)
 
     def test_increment_variance(self):
         # drift 0, diffusion c at x0 = 1: Var[x_1 - x_0] = h * c^2 within 10%
         # over 1e4 trials, one batch row each
         grid = TimeGrid(0.0, 0.1, 1)
         c = 0.7
-        traces = em_paths(still_plant, 1.0, grid, c, seeds=[[11, i] for i in range(10000)])
-        incs = [trace.states[1, 0] - 1.0 for trace in traces]
+        trace = em_paths(still_plant, 1.0, grid, c, seeds=[[11, i] for i in range(10000)])
+        incs = trace.states[1, :, 0] - 1.0
         var = np.var(incs)
         assert abs(var - grid.h * c * c) <= 0.1 * grid.h * c * c
 
