@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, benchmarks, control, field as field_mod, training
+from . import analysis, benchmarks, control, field as field_mod, nnet, training
 from .integrate import DatasetError, Trajectory, rk4_solve_batch, write_trajectories_csv
 from .nnet import NonFiniteError
 
@@ -81,7 +81,9 @@ _FLOAT_NONNEGATIVE = ("sigma",)
 # values over every node of every trajectory (trajectories x dims x
 # (steps + 1)), exceed this; the solve keeps only the sampled nodes, so this
 # caps the step work, not the memory held. `control` refuses trials whose
-# Euler steps, counted the same way over its trials, exceed it.
+# Euler steps, counted the same way over its trials, exceed it, and a --k
+# whose per-step target caches over all trials (`nnet.cache_values` per
+# level) exceed it.
 _MAX_STEP_VALUES = 2**27
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
@@ -425,6 +427,13 @@ def cmd_control(args) -> int:
                           f"take {_count(steps)} Euler steps of {recipe.step} per trial: too "
                           f"many for --trials {args.trials}; lower --t-per-target, --targets "
                           f"or --trials")
+    # every Euler step keeps one target-net cache per level and trial; the
+    # analytic split keeps none, so each of its levels counts its state
+    per_level = d if fld is None else nnet.cache_values(fld.target_spec)
+    if args.trials * recipe.k * per_level > _MAX_STEP_VALUES:
+        raise ConfigError(f"--k {_count(recipe.k)} keeps {per_level} values per level and "
+                          f"trial in every Euler step: too many for --trials {args.trials}; "
+                          f"lower --k or --trials")
     try:
         schedule = benchmarks.control_schedule(recipe, args.targets)
     except ValueError:  # the run rounds to 0 steps
@@ -486,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect (every run is "
-                            "bitwise reproducible)")
+                            "bitwise reproducible for a fixed BLAS build and thread "
+                            "count)")
         p.add_argument("--config", help="flat JSON config file; flags override")
         if protocol:
             p.add_argument("--paper-scale", action="store_true",

@@ -3,7 +3,11 @@
 The control signal follows the negative gradient of
 ``0.5 * || target^{k}(x, u) - x_ref ||^2`` (k-fold iteration of the
 equilibrium map at fixed u), optionally gated elementwise by smooth
-Heaviside steps so updates stall at per-channel control bounds.
+Heaviside steps so updates stall at per-channel control bounds. Each step
+builds only what the update reads: one cached target pass per level, a
+reverse that passes the state gradient through the k - 1 inner levels and
+takes only the control gradient at the input level, and a gate only for
+a policy with bounds (an unbounded one would multiply by exact 1s).
 State and control are co-integrated: Euler-Maruyama on the plant with
 state-proportional noise, noise-free explicit Euler on the control. All
 trials of a run step together as rows of one batch, each with its own
@@ -106,13 +110,15 @@ def control_objective_grad(target_map, x, u, x_ref, k: int = 1) -> np.ndarray:
         for _ in range(k):
             cur, cache = target_cached(target_map, cur, u)
             caches.append(cache)
+        # inner levels pass their state gradient outward; the input level's
+        # is read by nothing, so its reverse builds only the control gradient
         cot = cur - x_ref
-        ugrad = np.zeros_like(u)
-        for cache in reversed(caches):
-            xg, ug = target_vjp(target_map, cache, cot)
-            ugrad += ug
-            cot = xg
-        return ugrad
+        ugrads = []
+        for cache in reversed(caches[1:]):
+            cot, ug = target_vjp(target_map, cache, cot)
+            ugrads.append(ug)
+        ugrads.append(target_vjp(target_map, caches[0], cot, state_grad=False))
+        return sum(ugrads[1:], ugrads[0])
 
     def objective(uu):
         # per-row r @ r; a stacked matmul gives each row the bits of a 1-D one
@@ -204,11 +210,13 @@ def feedback_simulate(
         if n == grid.n_steps:
             break
         grad = control_objective_grad(target_map, x, u, refs[active_at[n]], policy.k)
-        gate = control_gate(u, policy.bounds)
+        du = h * policy.eta * grad
+        if len(policy.bounds):  # empty bounds gate every channel by exactly 1
+            du = du * control_gate(u, policy.bounds)
         drift_x = np.asarray(plant_rhs(x, u), dtype=float)
         diff = sigma * np.sqrt(np.abs(x)) if sigma else 0.0
         x = x + h * drift_x + sqrt_h * diff * noise[n]
-        u = u - h * policy.eta * grad * gate
+        u = u - du
         if not (np.isfinite(x).all() and np.isfinite(u).all()):
             raise NonFiniteError(f"feedback simulation diverged at t={times[n]:.6g}")
     return ControlTrace(rec_times, rec_index, out_x, out_u, refs)

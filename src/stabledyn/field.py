@@ -21,7 +21,10 @@ gradient runs each net once:
   the RK4 stage Jacobians are built.
 - target: `target_cached` keeps the target net's cache and
   `target_vjp(field, cache, cotangent)` replays it for the input gradients
-  (x_grad, u_grad) only: feedback control reads nothing else.
+  (x_grad, u_grad) only: feedback control reads nothing else. At the
+  input level control reads u_grad alone, so `state_grad=False` returns
+  just that, from the same reverse, without the featurizer derivative
+  x_grad needs.
 
 Checkpoints are read by `read_checkpoint`, which returns the field and the
 system it was trained for.
@@ -219,16 +222,20 @@ def target_cached(field: StructuredField, x, u):
     return (g[0] if single else g), (x2d, single, g_cache)
 
 
-def target_vjp(field: StructuredField, cache, cotangent):
+def target_vjp(field: StructuredField, cache, cotangent, state_grad: bool = True):
     """Reverse-mode grads of <cotangent, target(x,u)> in the inputs, replaying
     the cache `target_cached` returned for (x, u).
 
-    Returns (x_grad, u_grad), per row (squeezed for single inputs). The
-    target net's parameter gradient is not built.
+    Returns (x_grad, u_grad), per row (squeezed for single inputs); without
+    ``state_grad``, u_grad alone, the same bits, and no featurizer
+    derivative is taken. The target net's parameter gradient is not built.
     """
     x2d, single, g_cache = cache
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
     gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, c2d)
+    if not state_grad:
+        gu = gin_grad[:, field.feature_dim:]
+        return gu[0] if single else gu
     gx, gu = _target_input_vjp(field, x2d, gin_grad)
     if single:
         return gx[0], gu[0]

@@ -2,18 +2,23 @@
 
 Deterministic integration uses classical fixed-step RK4. Gradients of
 trajectory functionals differentiate the computed RK4 recursion
-(discretize-then-differentiate), so they are exact for the trajectory the
-solver returned: `rk4_solve_unrolled_grad` takes the states of one value
-forward, re-linearizes the four stages of every step in four wide calls,
-and runs the reverse over steps on the stage Jacobians, which it builds
-from the input-only `field.velocity_input_vjp_cached`, and takes the
-parameter gradient from the parameter-only `field.velocity_vjp_cached`.
-The wide stage caches go into a `StageTape` that the caller owns and
-passes to every call (`training.TrajMatchingObjective` keeps one), so
-repeated gradients reuse the same memory. `rk4_solve_batch` records every
-node, or only every k-th one for callers that keep a sample stride. The
-stochastic (Euler-Maruyama) loop of closed-loop control lives in
-`control.feedback_simulate`.
+(discretize-then-differentiate): `rk4_solve_unrolled_grad` takes the
+states of one value forward, re-linearizes the four stages of every step
+in four wide calls, and runs the reverse over steps on the stage
+Jacobians, which it builds from the input-only
+`field.velocity_input_vjp_cached`, and takes the parameter gradient from
+the parameter-only `field.velocity_vjp_cached`. The wide calls recompute
+each stage from the solved states. For a field with single-output nets
+(sym-hysteresis, budworm) they can see stage values a few ulps off those
+of the narrower solve, because BLAS rounds a 1-column product by row
+position (`nnet._BLOCK_ROWS`). So the gradient is that of the recursion
+through the solved states, not always bit for bit that of the stages the
+solver took. The wide stage caches go into a `StageTape` that the caller
+owns and passes to every call (`training.TrajMatchingObjective` keeps
+one), so repeated gradients reuse the same memory. `rk4_solve_batch`
+records every node, or only every k-th one for callers that keep a sample
+stride. The stochastic (Euler-Maruyama) loop of closed-loop control lives
+in `control.feedback_simulate`.
 
 Trajectory CSV format: one table per file, header then one row per sample,
 columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``, doubles printed with 17

@@ -11,9 +11,12 @@ which writes its hidden layers there instead of allocating them (so
 concurrent calls need arrays of their own).
 
 The passes come in two pairs, each pair sharing one routine, so a pair's
-members agree bit for bit on what they share; the forwards take the
+members do the same arithmetic on what they share; the forwards take the
 weights as the per-layer (W, b) views of `split_params`, and every pass
-takes (N, width) row batches, a single input being one row:
+takes (N, width) row batches, a single input being one row. Same
+arithmetic is the same bits only for the same rows in one call: BLAS may
+round a row of a product differently by its position in the batch, which
+a single-output net's 1-column last product does (see ``_BLOCK_ROWS``).
 
 - forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
   what the reverse pass needs, in fresh or caller-given hidden arrays.
@@ -172,6 +175,12 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
 # blocks, so their temporaries stay small however large the batch is. Equal
 # blocks never leave a one-row tail: a one-row product takes BLAS's
 # matrix-vector path, which rounds differently from the batched rows.
+# Blocks keep each row's bits only where BLAS rounds a row independently of
+# its position. The 1-column last product (N, w) @ (w, 1) of a single-output
+# net does not: on 2,500 sym-hysteresis rows, 50-row chunks of a velocity
+# differ from the whole in the last bits (8-, 16- and 64-row chunks do not),
+# and blocked 86,751-row forwards of its nets differ from one wide pass.
+# Nets with two or more outputs agreed at every size tried.
 _BLOCK_ROWS = 1024
 
 
@@ -216,8 +225,10 @@ def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
 def forward(spec: MlpSpec, layers, x2d: np.ndarray) -> np.ndarray:
     """Batched value-only forward pass: (N, in_dim) -> (N, out_dim).
 
-    Keeps no cache and runs the rows in blocks of at most ``_BLOCK_ROWS``;
-    every output row is bit-for-bit the row ``forward_cached`` gives.
+    Keeps no cache and runs the rows in blocks of at most ``_BLOCK_ROWS``.
+    Up to that many rows it gives the bits ``forward_cached`` gives; past
+    it, a single-output net's rows can differ from one wide
+    ``forward_cached`` in the last bits (see ``_BLOCK_ROWS``).
     """
     n = x2d.shape[0]
     if n <= _BLOCK_ROWS:
@@ -253,6 +264,14 @@ def hidden_arrays(spec: MlpSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray
             for width in spec.layer_sizes[1:-1]]
 
 
+def cache_values(spec: MlpSpec) -> int:
+    """Values one row of a `forward_cached` cache holds: every layer's input
+    and the output sigmoid, plus each hidden layer's pre-activation and
+    sigmoid."""
+    sizes = spec.layer_sizes
+    return sum(sizes) + 2 * sum(sizes[1:-1])
+
+
 def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
     """The delta chain of every reverse pass of <cotangent, forward(x)>: with
     ``flat``, it writes each layer's batch-summed weight and bias gradients
@@ -261,7 +280,8 @@ def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
     layers, acts, hidden, s_out = cache
     lo, hi = spec.output_bounds
     delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
-    layout = _layout(spec)
+    # the lookup hashes the spec, so the input-only reverse skips it
+    layout = None if flat is None else _layout(spec)
     for l in range(len(layers) - 1, -1, -1):
         if flat is not None:
             w_off, b_off, n_out, n_in = layout[l]

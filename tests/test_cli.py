@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stabledyn import benchmarks, field, training
+from stabledyn import benchmarks, cli, field, nnet, training
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
@@ -675,6 +675,38 @@ class TestControl:
         err = capsys.readouterr().err
         assert all(flag in err for flag in ("--t-per-target", "--targets", "--trials"))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("system,model,k", [
+        (SYM_HYSTERESIS, ["--field", str(CHECKPOINT)], "100000000"),
+        (BUDWORM, ["--oracle"], "1000000000"),
+    ], ids=["field", "oracle"])
+    def test_too_deep_k_is_refused(self, tmp_path, capsys, monkeypatch, system, model, k):
+        # every Euler step keeps one target cache per level: --k 10^8 on the
+        # checkpoint once headed for memory exhaustion inside the first step;
+        # the analytic split counts one state value per level
+        def never(*args, **kwargs):
+            raise AssertionError("the trials must not start")
+
+        monkeypatch.setattr(benchmarks, "run_control_trials", never)
+        rc = main(["control", "--system", system, *model, "--out", str(tmp_path),
+                   "--targets", "1", "--trials", "1", "--t-per-target", "0.05",
+                   "--k", k])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--k" in err and "--trials" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_k_bound_counts_every_level_and_trial(self, tmp_path, monkeypatch):
+        # 2 trials x k = 2 levels of the checkpoint's target cache: at the
+        # bound the run goes ahead, one value below it is refused
+        spec = field.read_checkpoint(CHECKPOINT)[0].target_spec
+        argv = ["control", "--system", SYM_HYSTERESIS, "--field", str(CHECKPOINT),
+                "--out", str(tmp_path), "--targets", "1", "--trials", "2",
+                "--t-per-target", "0.05", "--k", "2"]
+        monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 2 * 2 * nnet.cache_values(spec))
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 2 * 2 * nnet.cache_values(spec) - 1)
+        assert main(argv) == EXIT_CONFIG
 
     def test_reproducible_with_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabledyn import benchmarks, nnet
+from stabledyn import benchmarks, control, field, nnet
 from stabledyn.control import (
     ControlPolicyCfg,
     GdResult,
@@ -254,6 +254,7 @@ class TestOnePassPerLevel:
     def test_target_net_runs_once_per_level(self, system, k, monkeypatch):
         fld = benchmarks.make_untrained_field(system, 4)
         calls = []
+        feature_grads = []
 
         def counting(name, fn):
             def run(spec, *args, **kwargs):
@@ -264,11 +265,16 @@ class TestOnePassPerLevel:
         for name in ("forward", "forward_cached", "backward_from_cache",
                      "input_vjp_from_cache"):
             monkeypatch.setattr(nnet, name, counting(name, getattr(nnet, name)))
+        featurize_dx = field.featurize_dx
+        monkeypatch.setattr(field, "featurize_dx",
+                            lambda *a: feature_grads.append(a) or featurize_dx(*a))
         x, u, x_ref = CASES[system]
         control_objective_grad(fld, x, u, x_ref, k)
         # k cached forwards, then k input-only reverses; no parameter gradient
         assert calls == ([("forward_cached", fld.target_spec)] * k
                          + [("input_vjp_from_cache", fld.target_spec)] * k)
+        # only inner levels pass a state gradient on, through the featurizer
+        assert len(feature_grads) == (k - 1 if fld.featurizer is not None else 0)
 
     @pytest.mark.parametrize("system", sorted(CASES))
     @pytest.mark.parametrize("rows", [None, 5])
@@ -289,6 +295,10 @@ class TestOnePassPerLevel:
             for a, b in zip(again, replayed):
                 assert np.array_equal(a, b)
         assert [g.shape for g in replayed] == [np.shape(x), np.shape(u)]
+        # the control-only reverse gives the full reverse's u_grad bits
+        u_only = target_vjp(fld, cache, cot, state_grad=False)
+        assert u_only.shape == np.shape(u)
+        assert np.array_equal(u_only, replayed[1])
 
 
 class TestFeedbackSimulate:
@@ -345,6 +355,24 @@ class TestFeedbackSimulate:
         assert np.max(trace.controls) < 0.95 + 0.3
         late_steps = np.abs(np.diff(trace.controls[-50:, 0, 0]))
         assert np.max(late_steps) < 1e-5
+
+    @pytest.mark.parametrize("bounds", [(), ((0.05, 0.95, 50.0),)])
+    def test_gate_runs_only_for_bounded_policies(self, bounds, monkeypatch):
+        gates = []
+        monkeypatch.setattr(control, "control_gate",
+                            lambda *a: gates.append(a) or control_gate(*a))
+        grid = TimeGrid(0.0, 1.0, 25)
+        feedback_simulate(
+            plant_rhs=lambda x, u: u - x,
+            target_map=lambda x, u: u,
+            policy=ControlPolicyCfg(k=1, eta=1.0, bounds=bounds),
+            targets=[(0.0, np.array([0.8]))],
+            x0=np.array([0.5]),
+            u0=np.array([0.5]),
+            grid=grid,
+            seeds=[0, 1],
+        )
+        assert len(gates) == (grid.n_steps if bounds else 0)
 
     def test_noise_reproducible_per_seed(self):
         args = dict(

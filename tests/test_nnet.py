@@ -119,6 +119,14 @@ class TestForward:
         # BLAS may reorder sums between batched and row-at-a-time paths
         assert_close(batched, rows, rtol=1e-13, floor=1e-13)
 
+    @pytest.mark.parametrize("sizes", [(1, 1), (6, 20, 20, 1), (4, 20, 20, 20, 2)])
+    def test_cache_values_count_one_cached_row(self, sizes):
+        spec = MlpSpec(sizes)
+        _, acts, hidden, s_out = forward_cached(
+            spec, split_params(spec, init_params(spec, 0)), np.ones((1, spec.in_dim)))[1]
+        held = [*acts, *(arr for pair in hidden for arr in pair), s_out]
+        assert nnet.cache_values(spec) == sum(arr.size for arr in held)
+
     def test_dimension_mismatch(self):
         # the check every field entry point runs on its inputs
         with pytest.raises(ValueError, match="trailing dimension 2"):
