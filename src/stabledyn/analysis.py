@@ -10,9 +10,11 @@ without a sign change can be missed; scan densities are chosen below
 benchmark feature scales.
 
 Every central-difference derivative in the package is one routine,
-central_diff: the Newton Jacobian, the stability Jacobians, the sampled
-contraction bound, and control's gradient of a callable target map.
-Tolerances and step sizes are module constants.
+central_diff, with three callers: the Newton Jacobian, the stability
+Jacobian, and control's gradient of a callable target map. Stability is
+read from the Jacobian's eigenvalues in any dimension: stable when all
+have negative real part (the linearization principle; Khalil, Nonlinear
+Systems, 2002). Tolerances and step sizes are module constants.
 
 In one dimension every root search is a bifurcation_sweep, the
 equilibria at a single control value being a one-control sweep: residuals
@@ -68,7 +70,6 @@ _NEWTON_MAX_ITER = 80
 _EQUILIBRIUM_TOL = 1e-6
 _EIG_TOL = 1e-8
 _FD_STEP = 1e-6
-_CONTRACTION_SAMPLES = 101
 
 
 def central_diff(fn, x) -> np.ndarray:
@@ -242,25 +243,15 @@ def _label(max_real):
 
 
 def classify_stability(velocity_fn, x_star) -> str:
-    """Stability of an equilibrium from the central-difference Jacobian of
-    the velocity field (d = 1 or 2)."""
+    """Stability of an equilibrium in any dimension, from the largest real
+    part of the eigenvalues of the velocity field's central-difference
+    Jacobian."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     v = np.atleast_1d(np.asarray(velocity_fn(x_star), dtype=float))
     if np.linalg.norm(v) > _EQUILIBRIUM_TOL:
         raise ValueError(f"not an equilibrium: |velocity| = {np.linalg.norm(v):.3e}")
-    if len(x_star) > 2:
-        raise ValueError("stability classification supports d <= 2")
     jac = central_diff(lambda x: np.atleast_1d(velocity_fn(x)), x_star)
-    if len(x_star) == 1:
-        return str(_label(jac[0, 0]))
-    tr = jac[0, 0] + jac[1, 1]
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        max_real = 0.5 * (tr + np.sqrt(disc))
-    else:
-        max_real = 0.5 * tr
-    return str(_label(max_real))
+    return str(_label(np.linalg.eigvals(jac).real.max()))
 
 
 # --- bifurcation sweeps -----------------------------------------------------------
@@ -314,18 +305,6 @@ def iqr(samples) -> float:
         raise ValueError("need at least 2 samples")
     q75, q25 = np.percentile(samples, [75.0, 25.0])
     return float(q75 - q25)
-
-
-def contraction_bound(target_fn, x_star: float, radius: float):
-    """Sup |d target/dx| sampled at _CONTRACTION_SAMPLES points of
-    [x*-r, x*+r]; flags L < 1.
-
-    ``target_fn`` maps states to targets elementwise (control already
-    bound); it is called on (_CONTRACTION_SAMPLES, 1) arrays.
-    """
-    xs = np.linspace(x_star - radius, x_star + radius, _CONTRACTION_SAMPLES)
-    L = float(np.max(np.abs(central_diff(target_fn, xs[:, None]))))
-    return L, L < 1.0
 
 
 def summarize_targets(scores, magnitude, magnitude_definition: str) -> dict:

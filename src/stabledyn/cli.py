@@ -83,8 +83,14 @@ _FLOAT_NONNEGATIVE = ("sigma",)
 # caps the step work, not the memory held. `control` refuses trials whose
 # Euler steps, counted the same way over its trials, exceed it, and a --k
 # whose per-step target caches over all trials (`nnet.cache_values` per
-# level) exceed it.
+# level) exceed it. `bifurcate` refuses a sweep whose residual scan, counted
+# as control values x (scan cells + 1), exceeds it, and `equilibria` a
+# scalar scan of more than this many points.
 _MAX_STEP_VALUES = 2**27
+# `equilibria` of a d > 1 system refuses more Newton starts (scan-nd^d) than
+# this: the starts are built whole and Newton runs them one at a time in
+# Python, about 1 ms each for the toggle-switch oracle (2-core x86-64).
+_MAX_NEWTON_STARTS = 2**16
 # the JSON type of each non-numeric option a command may carry
 _JSON_TYPES = {"system": str, "out": str, "data": str, "field": str, "control": str,
                "oracle": bool, "paper_scale": bool}
@@ -329,9 +335,16 @@ def cmd_simulate(args) -> int:
 def cmd_equilibria(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
+    d, q = benchmarks.SYSTEM_DIMS[system]
+    if d == 1 and args.scan + 1 > _MAX_STEP_VALUES:
+        raise ConfigError(f"--scan {args.scan} takes {_count(args.scan + 1)} scan points: "
+                          f"too many (at most {_MAX_STEP_VALUES}); lower --scan")
+    if d > 1 and args.scan_nd ** d > _MAX_NEWTON_STARTS:
+        raise ConfigError(f"--scan-nd {args.scan_nd} takes {_count(args.scan_nd ** d)} Newton "
+                          f"starts in {d}-d: too many (at most {_MAX_NEWTON_STARTS}); "
+                          f"lower --scan-nd")
     fld = _field_for_analysis(args, system)
     res = _residual_fn(system, fld)
-    d, q = benchmarks.SYSTEM_DIMS[system]
     if args.control is None:
         u = np.asarray(benchmarks.default_control_recipe(system).u0, dtype=float)
     else:
@@ -389,6 +402,10 @@ def cmd_bifurcate(args) -> int:
     if d != 1:
         raise ConfigError("bifurcation sweeps support scalar-state systems; "
                           "use `equilibria` per control setting for 2-d systems")
+    if args.points * (args.scan + 1) > _MAX_STEP_VALUES:
+        raise ConfigError(f"--points {args.points} x (--scan {args.scan} + 1) takes "
+                          f"{_count(args.points * (args.scan + 1))} scan points: too many "
+                          f"(at most {_MAX_STEP_VALUES}); lower --points or --scan")
     fld = _field_for_analysis(args, system)
     proto = benchmarks.default_protocol(system)
     lo_u, hi_u = float(proto.control_grid.min()), float(proto.control_grid.max())

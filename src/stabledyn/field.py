@@ -320,11 +320,12 @@ def field_from_dict(doc: dict) -> StructuredField:
     fd = doc.get("featurizer")
     # a disabled or 0-mode featurizer computes what none does: the target
     # net reads x
-    if fd is not None and fd.get("enabled", True) and fd["num_modes"] != 0:
+    enabled = fd is not None and fd.get("enabled", True)
+    if enabled and nnet.json_int(fd["num_modes"], "num_modes") != 0:
         feat = Featurizer(fd["a"], fd["b"], fd["num_modes"])
     return StructuredField(
-        dim=doc["dim"],
-        control_dim=doc["control_dim"],
+        dim=nnet.json_int(doc["dim"], "dim"),
+        control_dim=nnet.json_int(doc["control_dim"], "control_dim"),
         decay_spec=f_spec,
         decay_params=f_params,
         target_spec=g_spec,

@@ -394,12 +394,20 @@ def checkpoint_to_dict(spec: MlpSpec, params: np.ndarray, seed: int | None = Non
     }
 
 
+def json_int(value, name: str):
+    """``value``, a count read from a checkpoint, if it is a JSON integer;
+    a float or a boolean is refused, not truncated or read as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
     activation = doc.get("activation", "silu")
     if activation != "silu":
         raise ValueError(f"unsupported activation: {activation!r}")
     spec = MlpSpec(
-        layer_sizes=tuple(doc["layer_sizes"]),
+        layer_sizes=tuple(json_int(n, "each layer size") for n in doc["layer_sizes"]),
         output_bounds=(doc["bounds"][0], doc["bounds"][1]),
     )
     params = np.asarray(doc["values"], dtype=float)

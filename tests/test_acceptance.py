@@ -18,6 +18,7 @@ from stabledyn.benchmarks import (
     TWO_TANKS,
 )
 from stabledyn.integrate import StageTape, TimeGrid, rk4_solve_batch, rk4_solve_unrolled_grad
+import theory
 from util import central_diff_grad, make_field, roots_at
 
 TIP = 2.0 / np.sqrt(27.0)
@@ -216,7 +217,7 @@ class TestCriterion4TheorySuite:
         roots = roots_at(lambda x: x**3 - x - lam, (-2, 2))
         x_star = roots[0]
         g = lambda x: (x + lam) / x**2
-        L, is_contraction = analysis.contraction_bound(g, x_star, 0.05)
+        L, is_contraction = theory.contraction_bound(g, x_star, 0.05)
         stab = analysis.classify_stability(
             lambda x: np.atleast_1d(lam + x[0] - x[0] ** 3), [x_star])
         slope = (-x_star - 2 * lam) / x_star**3
@@ -240,9 +241,9 @@ class TestCriterion5LinearControl:
             U, _ = np.linalg.qr(rng.normal(size=(d, q)))
             V, _ = np.linalg.qr(rng.normal(size=(q, q)))
             G = U @ np.diag(sig) @ V.T
-            prob = control.LinearControlProblem(G, rng.normal(size=d))
-            eta, rho = control.optimal_gd_step(G)
-            res = control.gd_linear(prob, rng.normal(size=q), eta, 60)
+            prob = theory.LinearControlProblem(G, rng.normal(size=d))
+            eta, rho = theory.optimal_gd_step(G)
+            res = theory.gd_linear(prob, rng.normal(size=q), eta, 60)
             usable = res.errors[1:] > 1e-8 * res.errors[0]
             ratios = res.errors[1:][usable] / res.errors[:-1][usable]
             assert len(ratios) >= 3
@@ -260,13 +261,13 @@ class TestCriterion5LinearControl:
             sig = np.linalg.svd(G, compute_uv=False)
             if sig[-1] < 0.2:
                 continue
-            prob = control.LinearControlProblem(G, rng.normal(size=d))
+            prob = theory.LinearControlProblem(G, rng.normal(size=d))
             u0 = rng.normal(size=q)
             eta = 0.5
             # h small enough that RK4 error stays under the bound slack
             n_steps = max(1000, int(50 * eta * sig[0] ** 2 * 3))
-            times, us = control.gradient_flow_linear(prob, u0, eta, TimeGrid(0, 3, n_steps))
-            err = np.linalg.norm(us - control.linear_minnorm(prob), axis=1)
+            times, us = theory.gradient_flow_linear(prob, u0, eta, TimeGrid(0, 3, n_steps))
+            err = np.linalg.norm(us - theory.linear_minnorm(prob), axis=1)
             bound = np.exp(-eta * sig[-1] ** 2 * times) * err[0]
             ok = ok and bool(np.all(err <= bound * (1 + 1e-9) + 1e-12))
         report(5, "(b) gradient-flow error within exp(-eta sigma_min^2 t) at every node", ok)
@@ -287,8 +288,8 @@ class TestCriterion5LinearControl:
             V, _ = np.linalg.qr(rng.normal(size=(q, k)))
             G = U @ np.diag(sig) @ V.T
             x_ref = rng.normal(size=d)
-            mn = control.linear_minnorm(control.LinearControlProblem(G, x_ref))
-            rr = control.ridge_solve(control.LinearControlProblem(G, x_ref, lam=1e-10))
+            mn = theory.linear_minnorm(theory.LinearControlProblem(G, x_ref))
+            rr = theory.ridge_solve(theory.LinearControlProblem(G, x_ref, lam=1e-10))
             worst = max(worst, float(np.linalg.norm(mn - rr)))
         report(5, f"(c) ridge solutions at lam=1e-10 match the pseudoinverse "
                   f"(worst diff {worst:.2e})", worst <= 1e-6)

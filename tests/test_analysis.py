@@ -11,7 +11,6 @@ from stabledyn.analysis import (
     bifurcation_sweep,
     central_diff,
     classify_stability,
-    contraction_bound,
     find_equilibria_nd,
     iqr,
     nrmse,
@@ -19,6 +18,7 @@ from stabledyn.analysis import (
 )
 from stabledyn.benchmarks import BUDWORM, SYM_HYSTERESIS, analytic_split, system_rhs
 from stabledyn.field import eval_velocity, read_checkpoint, residual
+from theory import contraction_bound
 from util import CHECKPOINT, assert_close, roots_at
 
 TIP = 2.0 / np.sqrt(27.0)
@@ -160,6 +160,13 @@ class TestClassifyStability:
     def test_2d_spiral_stable(self):
         vel = lambda x: np.array([-0.1 * x[0] + x[1], -x[0] - 0.1 * x[1]])
         assert classify_stability(vel, [0.0, 0.0]) == STABLE
+
+    @pytest.mark.parametrize("diag,want", [((-1.0, -2.0, -3.0), STABLE),
+                                           ((-1.0, -2.0, 0.5), UNSTABLE)])
+    def test_3d_linear_field(self, diag, want):
+        # the eigenvalue rule holds in any dimension
+        vel = lambda x: np.asarray(diag) * x
+        assert classify_stability(vel, [0.0, 0.0, 0.0]) == want
 
     def test_rejects_non_equilibrium(self):
         vel = lambda x: np.atleast_1d(hysteresis_velocity(0.0)(x[0]))

@@ -446,6 +446,11 @@ def _inf_bound(doc):
     doc["decay"]["bounds"][0] = -float("inf")
 
 
+def _float_layer_sizes(doc):
+    # once loaded as [1, 20, 20, 1]: truncated, and true read as 1
+    doc["decay"]["layer_sizes"] = [1, 20.9, 20.5, True]
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
     @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json",
@@ -456,7 +461,9 @@ class TestMalformedCheckpoint:
                                          pytest.param(_edited_checkpoint(_inf_featurizer),
                                                       id="inf-featurizer"),
                                          pytest.param(_edited_checkpoint(_inf_bound),
-                                                      id="inf-bound")])
+                                                      id="inf-bound"),
+                                         pytest.param(_edited_checkpoint(_float_layer_sizes),
+                                                      id="float-layer-sizes")])
     def test_config_error_in_every_command(self, tmp_path, capsys, command, content):
         path = tmp_path / "field.json"
         path.write_text(content)
@@ -604,6 +611,46 @@ class TestBifurcate:
     def test_rejects_2d_system(self, tmp_path):
         rc = main(["bifurcate", "--system", "toggle-switch", "--oracle", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+
+class TestSweepSize:
+    @pytest.mark.parametrize("argv,flags", [
+        (["bifurcate", "--system", SYM_HYSTERESIS, "--points", "1099511627776"],
+         ["--points", "--scan"]),
+        (["bifurcate", "--system", SYM_HYSTERESIS, "--scan", "1099511627776"],
+         ["--points", "--scan"]),
+        (["equilibria", "--system", SYM_HYSTERESIS, "--scan", "1099511627776"], ["--scan"]),
+        (["equilibria", "--system", TOGGLE_SWITCH, "--scan-nd", "1048576"], ["--scan-nd"]),
+    ], ids=["bifurcate-points", "bifurcate-scan", "equilibria-scan", "equilibria-scan-nd"])
+    def test_too_large_is_refused(self, tmp_path, capsys, argv, flags):
+        # each once ended in a traceback from an 8 TiB allocation (exit 1);
+        # each is refused before any array is built
+        rc = main(argv + ["--oracle", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bounds_are_inclusive(self, tmp_path, monkeypatch):
+        # 5 controls x (4 + 1) scan points, 24 + 1 scan points and 3^2 Newton
+        # starts: at the bound each run goes ahead, one value below it is
+        # refused
+        bifurcate = ["bifurcate", "--system", "budworm", "--oracle", "--points", "5",
+                     "--scan", "4", "--out", str(tmp_path)]
+        scalar = ["equilibria", "--system", "budworm", "--oracle", "--scan", "24",
+                  "--out", str(tmp_path)]
+        toggle = ["equilibria", "--system", TOGGLE_SWITCH, "--oracle", "--control", "5,5,2,2",
+                  "--scan-nd", "3", "--out", str(tmp_path)]
+        monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 25)
+        monkeypatch.setattr(cli, "_MAX_NEWTON_STARTS", 9)
+        assert main(bifurcate) == EXIT_OK
+        assert main(scalar) == EXIT_OK
+        assert main(toggle) == EXIT_OK
+        monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 24)
+        monkeypatch.setattr(cli, "_MAX_NEWTON_STARTS", 8)
+        assert main(bifurcate) == EXIT_CONFIG
+        assert main(scalar) == EXIT_CONFIG
+        assert main(toggle) == EXIT_CONFIG
 
 
 class TestControl:

@@ -6,18 +6,11 @@ import pytest
 from stabledyn import benchmarks, control, field, nnet
 from stabledyn.control import (
     ControlPolicyCfg,
-    GdResult,
-    LinearControlProblem,
     active_targets,
     control_gate,
     control_objective_grad,
     feedback_simulate,
-    gd_linear,
-    gradient_flow_linear,
     iterate_target,
-    linear_minnorm,
-    optimal_gd_step,
-    ridge_solve,
     smooth_heaviside,
 )
 from stabledyn.field import (
@@ -31,6 +24,14 @@ from stabledyn.field import (
     target_vjp,
 )
 from stabledyn.integrate import TimeGrid
+from theory import (
+    LinearControlProblem,
+    gd_linear,
+    gradient_flow_linear,
+    linear_minnorm,
+    optimal_gd_step,
+    ridge_solve,
+)
 from util import assert_close, central_diff_grad, make_constant_field, make_field
 
 TANK_BOUNDS = ((0.05, 0.95, 50.0),) * 2

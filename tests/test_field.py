@@ -372,6 +372,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported activation: 'tanh'"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("net,key,value", [
+        ("decay", "layer_sizes", [1, 20.9, 20.5, True]),
+        ("target", "layer_sizes", [6, 20, 20, 1.0]),
+        (None, "dim", True),
+        (None, "control_dim", 1.0),
+        ("featurizer", "num_modes", 4.5),
+    ], ids=["decay-sizes", "target-sizes", "dim", "control-dim", "num-modes"])
+    def test_non_integer_count_refused(self, tmp_path, net, key, value):
+        # MlpSpec would truncate 20.9 to 20 and read true as 1
+        doc = json.loads(CHECKPOINT.read_text())
+        (doc if net is None else doc[net])[key] = value
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="must be a JSON integer"):
+            read_checkpoint(path)
+
     def test_disabled_featurizer_loads_as_none(self):
         fld = make_field(dim=1, control_dim=1, seed=23)
         doc = json.loads(json.dumps(field_to_dict(fld)))
