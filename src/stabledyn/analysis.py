@@ -10,9 +10,10 @@ without a sign change can be missed; scan densities are chosen below
 benchmark feature scales.
 
 Every central-difference derivative in the package is one routine,
-central_diff, with three callers: the Newton Jacobian, the stability
-Jacobian, and control's gradient of a callable target map. Stability is
-read from the Jacobian's eigenvalues in any dimension: stable when all
+central_diff, with two callers: Newton's residual Jacobian J_r, and
+control's gradient of a callable target map. Newton labels each root it
+keeps from the eigenvalues of diag(decay) J_r, the velocity's Jacobian at
+a root of velocity = decay * residual, in any dimension: stable when all
 have negative real part (the linearization principle; Khalil, Nonlinear
 Systems, 2002). Tolerances and step sizes are module constants.
 
@@ -67,7 +68,6 @@ _ROOT_DEDUP = 1e-6
 _NEWTON_TOL = 1e-8
 _NEWTON_DEDUP = 1e-4
 _NEWTON_MAX_ITER = 80
-_EQUILIBRIUM_TOL = 1e-6
 _EIG_TOL = 1e-8
 _FD_STEP = 1e-6
 
@@ -184,19 +184,23 @@ def _equilibria(residual_of, controls: np.ndarray, interval, n_scan: int):
 
 # --- multivariate root finding ---------------------------------------------------
 
-def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6):
+def find_equilibria_nd(residual_fn, decay_fn, box, starts_per_axis: int = 6):
     """Damped Newton on r(x) = 0 from a grid of starts over a box, with
-    central-difference Jacobians.
+    central-difference Jacobians, for a field velocity = decay(x) * r(x).
 
-    Returns (roots array, n_failed_starts). Starts that do not reach
-    ||r|| <= _NEWTON_TOL are counted, not silently dropped.
+    Each root kept is labelled from the eigenvalues of the velocity's
+    Jacobian there, diag(decay(x*)) J_r(x*): r(x*) = 0, so the decay's own
+    derivative drops out. Returns (roots (n, d), labels (n,), the norm of
+    Newton's final residual at each root, n_failed_starts), roots in
+    lexicographic order. Starts that do not reach ||r|| <= _NEWTON_TOL are
+    counted, not silently dropped.
     """
     box = np.asarray(box, dtype=float).reshape(-1, 2)
     axes = [np.linspace(lo, hi, starts_per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    roots: list[np.ndarray] = []
+    found: list[tuple[np.ndarray, str, float]] = []  # (root, label, residual norm)
     failed = 0
     for x0 in starts:
         x = x0.copy()
@@ -225,12 +229,17 @@ def find_equilibria_nd(residual_fn, box, starts_per_axis: int = 6):
             if not improved:
                 break
         if ok or np.linalg.norm(r) <= _NEWTON_TOL:
-            if not any(np.linalg.norm(x - prev) <= _NEWTON_DEDUP for prev in roots):
-                roots.append(x)
+            if not any(np.linalg.norm(x - prev) <= _NEWTON_DEDUP for prev, _, _ in found):
+                decay = np.asarray(decay_fn(x), dtype=float)
+                jac = decay[..., None] * central_diff(residual_fn, x)
+                found.append((x, str(_label(np.linalg.eigvals(jac).real.max())),
+                              float(np.linalg.norm(r))))
         else:
             failed += 1
-    roots.sort(key=lambda p: tuple(p))
-    return np.asarray(roots).reshape(-1, box.shape[0]), failed
+    found.sort(key=lambda row: tuple(row[0]))
+    roots = np.asarray([row[0] for row in found]).reshape(-1, box.shape[0])
+    labels = np.array([row[1] for row in found], dtype=str)
+    return roots, labels, np.array([row[2] for row in found]), failed
 
 
 # --- stability -------------------------------------------------------------------
@@ -240,18 +249,6 @@ def _label(max_real):
     eigenvalues."""
     return np.where(max_real < -_EIG_TOL, STABLE,
                     np.where(max_real > _EIG_TOL, UNSTABLE, MARGINAL))
-
-
-def classify_stability(velocity_fn, x_star) -> str:
-    """Stability of an equilibrium in any dimension, from the largest real
-    part of the eigenvalues of the velocity field's central-difference
-    Jacobian."""
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    v = np.atleast_1d(np.asarray(velocity_fn(x_star), dtype=float))
-    if np.linalg.norm(v) > _EQUILIBRIUM_TOL:
-        raise ValueError(f"not an equilibrium: |velocity| = {np.linalg.norm(v):.3e}")
-    jac = central_diff(lambda x: np.atleast_1d(velocity_fn(x)), x_star)
-    return str(_label(np.linalg.eigvals(jac).real.max()))
 
 
 # --- bifurcation sweeps -----------------------------------------------------------

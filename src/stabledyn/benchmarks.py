@@ -204,10 +204,6 @@ class DataProtocol:
         if self.horizon <= 0 or self.rk4_steps < 1:
             raise ValueError("invalid protocol")
 
-    @property
-    def n_trajectories(self) -> int:
-        return len(self.ic_grid) * len(self.control_grid)
-
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Initial states and controls of every (ic, control) pair, ic-major."""
         return (np.repeat(self.ic_grid, len(self.control_grid), axis=0),
@@ -570,13 +566,19 @@ def sample_targets(system: str, n: int, seeds) -> np.ndarray:
     return settled.reshape(len(seeds), n, 2)
 
 
+def control_steps(recipe: ControlRecipe, n_targets: int) -> int:
+    """Euler steps of a control run through n_targets targets: its span
+    rounded to whole steps of recipe.step."""
+    return int(round(recipe.t_per_target * n_targets / recipe.step))
+
+
 def control_schedule(recipe: ControlRecipe, n_targets: int):
-    """Start time of each target and the Euler grid of a control run through
-    n_targets targets; a run that rounds to 0 steps is the grid's
-    ValueError."""
+    """Start time of each target and the Euler grid (`control_steps`) of a
+    control run through n_targets targets; a run that rounds to 0 steps is
+    the grid's ValueError."""
     starts = [i * recipe.t_per_target for i in range(n_targets)]
-    total = recipe.t_per_target * n_targets
-    return starts, TimeGrid(0.0, total, int(round(total / recipe.step)))
+    return starts, TimeGrid(0.0, recipe.t_per_target * n_targets,
+                            control_steps(recipe, n_targets))
 
 
 def run_control_trials(system: str, target_map, targets: np.ndarray,

@@ -84,9 +84,13 @@ _FLOAT_NONNEGATIVE = ("sigma",)
 # Euler steps, counted the same way over its trials, exceed it, and a --k
 # whose per-step target caches over all trials (`nnet.cache_values` per
 # level) exceed it. `bifurcate` refuses a sweep whose residual scan, counted
-# as control values x (scan cells + 1), exceeds it, and `equilibria` a
-# scalar scan of more than this many points.
+# as control values x (scan cells + 1), exceeds it.
 _MAX_STEP_VALUES = 2**27
+# `bifurcate` and the scalar `equilibria` refuse a --scan whose row of scan
+# + 1 points exceeds this: a row is scanned and held whole, about 40 bytes
+# per point. At 2^22 points a budworm oracle run peaks at 202 MB RSS, 34 MB
+# at the default 401 (2-core x86-64, numpy 2.4, OpenBLAS).
+_MAX_SCAN_ROW = 2**22
 # `equilibria` of a d > 1 system refuses more Newton starts (scan-nd^d) than
 # this: the starts are built whole and Newton runs them one at a time in
 # Python, about 1 ms each for the toggle-switch oracle (2-core x86-64).
@@ -165,6 +169,13 @@ def _check_step_work(proto, pairs_x: np.ndarray, horizon, option: str, remedy: s
         raise ConfigError(f"{option} takes {_count(steps)} RK4 steps per trajectory at the "
                           f"system's step: too many RK4 steps for {len(pairs_x)} "
                           f"trajectories; {remedy}")
+
+
+def _check_scan_row(scan: int) -> None:
+    """Refuse a scalar root scan whose row of scan points exceeds _MAX_SCAN_ROW."""
+    if scan + 1 > _MAX_SCAN_ROW:
+        raise ConfigError(f"--scan {scan} takes {scan + 1} scan points per control value: "
+                          f"too many (at most {_MAX_SCAN_ROW}); lower --scan")
 
 
 def _json_dump(path: Path, doc) -> None:
@@ -268,14 +279,17 @@ def _field_for_analysis(args, system):
     return _load_field_arg(args)
 
 
-def _residual_fn(system, fld):
-    """Batched residual ``r(x, u)``: ``x - target`` of a learned field, or for
-    the oracle (fld None) ``-rhs``, which has the split residual's zeros but
-    stays finite where the split blows up. Either way velocity = decay * r
-    with decay < 0, as analysis.bifurcation_sweep needs."""
+def _split(system, fld):
+    """(batched residual ``r(x, u)``, decay ``f(x)``) of the velocity
+    f * r, with f < 0: ``x - target`` and the decay net of a learned field,
+    or for the oracle (fld None) ``-rhs`` and -1, which give the split's
+    zeros and velocity but stay finite where the split blows up. The
+    residual is what analysis.bifurcation_sweep scans, and both are what
+    analysis.find_equilibria_nd takes."""
     if fld is None:
-        return lambda x, u: -benchmarks.system_rhs(system, x, u)
-    return lambda x, u: field_mod.residual(fld, x, u)
+        return lambda x, u: -benchmarks.system_rhs(system, x, u), lambda x: -np.ones_like(x)
+    return (lambda x, u: field_mod.residual(fld, x, u),
+            lambda x: field_mod.eval_decay(fld, x))
 
 
 def _load_field_arg(args) -> field_mod.StructuredField:
@@ -286,8 +300,9 @@ def _load_field_arg(args) -> field_mod.StructuredField:
     try:
         fld, system = field_mod.read_checkpoint(args.field)
     # json.JSONDecodeError is a ValueError; TypeError is a document of the
-    # wrong shape, such as a list where an object belongs
-    except (OSError, KeyError, ValueError, TypeError) as err:
+    # wrong shape, such as a list where an object belongs, and OverflowError
+    # a JSON integer past float range where a number belongs
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as err:
         raise ConfigError(f"cannot load field checkpoint {args.field!r}: "
                           f"{type(err).__name__}: {err}")
     # a checkpoint written before systems were recorded holds none
@@ -336,15 +351,14 @@ def cmd_equilibria(args) -> int:
     system = _check_system(args.system)
     out = _outdir(args)
     d, q = benchmarks.SYSTEM_DIMS[system]
-    if d == 1 and args.scan + 1 > _MAX_STEP_VALUES:
-        raise ConfigError(f"--scan {args.scan} takes {_count(args.scan + 1)} scan points: "
-                          f"too many (at most {_MAX_STEP_VALUES}); lower --scan")
-    if d > 1 and args.scan_nd ** d > _MAX_NEWTON_STARTS:
+    if d == 1:
+        _check_scan_row(args.scan)
+    elif args.scan_nd ** d > _MAX_NEWTON_STARTS:
         raise ConfigError(f"--scan-nd {args.scan_nd} takes {_count(args.scan_nd ** d)} Newton "
                           f"starts in {d}-d: too many (at most {_MAX_NEWTON_STARTS}); "
                           f"lower --scan-nd")
     fld = _field_for_analysis(args, system)
-    res = _residual_fn(system, fld)
+    res, decay = _split(system, fld)
     if args.control is None:
         u = np.asarray(benchmarks.default_control_recipe(system).u0, dtype=float)
     else:
@@ -357,24 +371,17 @@ def cmd_equilibria(args) -> int:
                               f"got {args.control!r}")
     box = benchmarks.default_model(system).domain
 
-    rows = []
     if d == 1:
         # every scalar-state system has one control, so u is a one-point sweep
         diagram = analysis.bifurcation_sweep(_sweep_form(res), u, box[0], n_scan=args.scan)
-        rows = list(zip(diagram.x_star, diagram.stability.tolist(), diagram.residual_norm))
+        roots, labels, norms = diagram.x_star[:, None], diagram.stability, diagram.residual_norm
     else:
-        if fld is None:
-            vel = lambda x: benchmarks.system_rhs(system, x, u)
-        else:
-            vel = lambda x: field_mod.eval_velocity(fld, x, u)
-        res_fn = lambda x: res(x, u)
-        roots, failed = analysis.find_equilibria_nd(res_fn, box, starts_per_axis=args.scan_nd)
-        for r in roots:
-            stab = analysis.classify_stability(vel, r)
-            rows.append((*r, stab, float(np.linalg.norm(res_fn(r)))))
+        roots, labels, norms, failed = analysis.find_equilibria_nd(
+            lambda x: res(x, u), decay, box, starts_per_axis=args.scan_nd)
+    rows = [[*x.tolist(), label, float(norm)]
+            for x, label, norm in zip(roots, labels.tolist(), norms)]
 
-    doc = {"system": system, "control": u.tolist(),
-           "equilibria": [list(map(_jsonable, row)) for row in rows]}
+    doc = {"system": system, "control": u.tolist(), "equilibria": rows}
     failed_note = ""
     if d > 1:
         doc["failed_starts"] = failed
@@ -383,10 +390,6 @@ def cmd_equilibria(args) -> int:
     _json_dump(path, doc)
     print(f"found {len(rows)} equilibria{failed_note}; wrote {path}")
     return EXIT_OK
-
-
-def _jsonable(v):
-    return v if isinstance(v, str) else float(v)
 
 
 def _sweep_form(res):
@@ -406,13 +409,14 @@ def cmd_bifurcate(args) -> int:
         raise ConfigError(f"--points {args.points} x (--scan {args.scan} + 1) takes "
                           f"{_count(args.points * (args.scan + 1))} scan points: too many "
                           f"(at most {_MAX_STEP_VALUES}); lower --points or --scan")
+    _check_scan_row(args.scan)
     fld = _field_for_analysis(args, system)
     proto = benchmarks.default_protocol(system)
     lo_u, hi_u = float(proto.control_grid.min()), float(proto.control_grid.max())
     grid = np.linspace(lo_u, hi_u, args.points)
     interval = benchmarks.default_model(system).domain[0]
 
-    diagram = analysis.bifurcation_sweep(_sweep_form(_residual_fn(system, fld)), grid,
+    diagram = analysis.bifurcation_sweep(_sweep_form(_split(system, fld)[0]), grid,
                                          interval, n_scan=args.scan)
     csv_path = out / f"{system}-bifurcation.csv"
     with open(csv_path, "w") as fh:
@@ -451,16 +455,25 @@ def cmd_control(args) -> int:
         raise ConfigError(f"--k {_count(recipe.k)} keeps {per_level} values per level and "
                           f"trial in every Euler step: too many for --trials {args.trials}; "
                           f"lower --k or --trials")
-    try:
-        schedule = benchmarks.control_schedule(recipe, args.targets)
-    except ValueError:  # the run rounds to 0 steps
+    # refused from the step count alone, before any per-target array exists:
+    # each recorded node scores one target
+    n_steps = benchmarks.control_steps(recipe, args.targets)
+    if n_steps == 0:
         raise ConfigError(f"{args.targets} targets of --t-per-target {recipe.t_per_target} "
                           f"round to 0 control steps of {recipe.step}; raise --t-per-target")
+    n_recorded = n_steps // args.record_every + 1
+    if args.targets > n_recorded:
+        raise ConfigError(f"{args.targets} targets cannot all be scored: {n_steps} control "
+                          f"steps of {recipe.step}, recorded every {args.record_every}, give "
+                          f"{n_recorded} recorded nodes; lower --record-every or raise "
+                          f"--t-per-target")
+    schedule = benchmarks.control_schedule(recipe, args.targets)
     _, recorded = control.recorded_nodes(*schedule, args.record_every)
-    unscored = sorted(set(range(args.targets)) - set(recorded.tolist()))
-    if unscored:
-        raise ConfigError(f"targets {unscored} would get no recorded node, so they could "
-                          f"not be scored; lower --record-every or raise --t-per-target")
+    unscored = np.flatnonzero(np.bincount(recorded, minlength=args.targets) == 0)
+    if unscored.size:
+        raise ConfigError(f"{unscored.size} targets would get no recorded node, so they "
+                          f"could not be scored (first: {unscored[:10].tolist()}); lower "
+                          f"--record-every or raise --t-per-target")
 
     if recipe.magnitude_definition == "iqr":
         dataset = _load_dataset_arg(args)

@@ -318,14 +318,18 @@ def field_from_dict(doc: dict) -> StructuredField:
             raise ValueError("field domain must be finite")
     feat = None
     fd = doc.get("featurizer")
+    if fd is not None:
+        nnet.json_value(fd, "object", "featurizer")
     # a disabled or 0-mode featurizer computes what none does: the target
     # net reads x
-    enabled = fd is not None and fd.get("enabled", True)
-    if enabled and nnet.json_int(fd["num_modes"], "num_modes") != 0:
-        feat = Featurizer(fd["a"], fd["b"], fd["num_modes"])
+    enabled = fd is not None and nnet.json_value(fd.get("enabled", True), "boolean",
+                                                  "featurizer enabled")
+    if enabled and nnet.json_value(fd["num_modes"], "integer", "num_modes") != 0:
+        feat = Featurizer(nnet.json_value(fd["a"], "number", "featurizer a"),
+                          nnet.json_value(fd["b"], "number", "featurizer b"), fd["num_modes"])
     return StructuredField(
-        dim=nnet.json_int(doc["dim"], "dim"),
-        control_dim=nnet.json_int(doc["control_dim"], "control_dim"),
+        dim=nnet.json_value(doc["dim"], "integer", "dim"),
+        control_dim=nnet.json_value(doc["control_dim"], "integer", "control_dim"),
         decay_spec=f_spec,
         decay_params=f_params,
         target_spec=g_spec,

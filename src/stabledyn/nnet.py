@@ -394,21 +394,31 @@ def checkpoint_to_dict(spec: MlpSpec, params: np.ndarray, seed: int | None = Non
     }
 
 
-def json_int(value, name: str):
-    """``value``, a count read from a checkpoint, if it is a JSON integer;
-    a float or a boolean is refused, not truncated or read as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+# the Python type json.load gives each JSON kind a checkpoint holds
+_JSON_KINDS = {"integer": int, "number": (int, float), "boolean": bool, "object": dict}
+
+
+def json_value(value, kind: str, name: str):
+    """``value``, read from a checkpoint, if it is of the JSON ``kind``:
+    "integer", "number", "boolean" or "object". A boolean is of no other
+    kind, so true is refused, not read as 1, and a float is no integer, so
+    it is refused, not truncated."""
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
     return value
 
 
 def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
+    json_value(doc, "object", "each net section")
     activation = doc.get("activation", "silu")
     if activation != "silu":
         raise ValueError(f"unsupported activation: {activation!r}")
+    bounds = doc["bounds"]
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ValueError(f"bounds must be two JSON numbers, got {bounds!r}")
     spec = MlpSpec(
-        layer_sizes=tuple(json_int(n, "each layer size") for n in doc["layer_sizes"]),
-        output_bounds=(doc["bounds"][0], doc["bounds"][1]),
+        layer_sizes=tuple(json_value(n, "integer", "each layer size") for n in doc["layer_sizes"]),
+        output_bounds=tuple(json_value(b, "number", "each bound") for b in bounds),
     )
     params = np.asarray(doc["values"], dtype=float)
     if params.shape != (param_count(spec),):

@@ -218,7 +218,7 @@ class TestCriterion4TheorySuite:
         x_star = roots[0]
         g = lambda x: (x + lam) / x**2
         L, is_contraction = theory.contraction_bound(g, x_star, 0.05)
-        stab = analysis.classify_stability(
+        stab = theory.classify_stability(
             lambda x: np.atleast_1d(lam + x[0] - x[0] ** 3), [x_star])
         slope = (-x_star - 2 * lam) / x_star**3
         ok = (len(roots) == 1 and abs(abs(slope) - 1.43) <= 0.01 and L > 1.0

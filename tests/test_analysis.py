@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,25 @@ from stabledyn.analysis import (
     UNSTABLE,
     bifurcation_sweep,
     central_diff,
-    classify_stability,
     find_equilibria_nd,
     iqr,
     nrmse,
     summarize_targets,
 )
-from stabledyn.benchmarks import BUDWORM, SYM_HYSTERESIS, analytic_split, system_rhs
-from stabledyn.field import eval_velocity, read_checkpoint, residual
-from theory import contraction_bound
+from stabledyn.benchmarks import (
+    BUDWORM,
+    SYM_HYSTERESIS,
+    TWO_TANKS,
+    analytic_split,
+    default_protocol,
+    default_train_recipe,
+    gen_dataset,
+    make_untrained_field,
+    system_rhs,
+)
+from stabledyn.field import eval_decay, eval_velocity, read_checkpoint, residual
+from stabledyn.training import train
+from theory import classify_stability, contraction_bound
 from util import CHECKPOINT, assert_close, roots_at
 
 TIP = 2.0 / np.sqrt(27.0)
@@ -81,6 +92,19 @@ class TestFindEquilibria1d:
             assert abs(f(r)) <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def tanks_field():
+    """A two-tanks field after one epoch of its recipe on 3-sample data."""
+    data = gen_dataset(TWO_TANKS, default_protocol(TWO_TANKS, samples_per_traj=3))
+    cfg = replace(default_train_recipe(TWO_TANKS)[0], epochs=1)
+    return train(make_untrained_field(TWO_TANKS, 0), data.trajectories, cfg).field
+
+
+# the decay of a field whose velocity is the negated residual, as the
+# oracle's: -1 in every coordinate
+UNIT_DECAY = lambda x: -np.ones_like(x)
+
+
 class TestFindEquilibriaNd:
     @staticmethod
     def toggle_residual(u):
@@ -92,8 +116,8 @@ class TestFindEquilibriaNd:
 
     def test_toggle_bistable_three_roots(self):
         u = np.array([5.0, 5.0, 2.0, 2.0])
-        roots, failed = find_equilibria_nd(self.toggle_residual(u), [[0, 6], [0, 6]],
-                                           starts_per_axis=7)
+        roots, labels, _, failed = find_equilibria_nd(self.toggle_residual(u), UNIT_DECAY,
+                                                      [[0, 6], [0, 6]], starts_per_axis=7)
         assert len(roots) == 3
         # grid-scan oracle on the nullclines: x1 = a/(1+x2^2), x2 = a/(1+x1^2)
         xs = np.linspace(0, 6, 2001)
@@ -101,26 +125,66 @@ class TestFindEquilibriaNd:
         mismatch = np.abs(xs - 5.0 / (1.0 + x2_of_x1**2))
         sign_changes = np.sum(np.diff(np.sign(xs - 5.0 / (1.0 + x2_of_x1**2))) != 0)
         assert sign_changes == 3  # independent count of intersections
+        # two stable states around the saddle between them
+        assert labels.tolist() == [STABLE, UNSTABLE, STABLE]
 
     def test_toggle_monostable_one_root(self):
         u = np.array([0.1, 0.1, 2.0, 2.0])
-        roots, _ = find_equilibria_nd(self.toggle_residual(u), [[0, 6], [0, 6]],
-                                      starts_per_axis=5)
+        roots, _, _, _ = find_equilibria_nd(self.toggle_residual(u), UNIT_DECAY,
+                                            [[0, 6], [0, 6]], starts_per_axis=5)
         assert len(roots) == 1
 
     def test_constant_target_unique_root(self):
         res = lambda x: np.asarray(x) - np.array([0.3, 0.7])
-        roots, failed = find_equilibria_nd(res, [[0, 1], [0, 1]], starts_per_axis=4)
+        roots, labels, _, failed = find_equilibria_nd(res, UNIT_DECAY, [[0, 1], [0, 1]],
+                                                      starts_per_axis=4)
         assert failed == 0
         assert len(roots) == 1
         assert_close(roots[0], [0.3, 0.7], rtol=1e-9)
+        assert labels.tolist() == [STABLE]  # velocity = -r pulls x to the target
 
     def test_residuals_below_tolerance(self):
         u = np.array([3.0, 2.0, 2.0, 3.0])
         res = self.toggle_residual(u)
-        roots, _ = find_equilibria_nd(res, [[0, 6], [0, 6]], starts_per_axis=6)
-        for r in roots:
+        roots, _, norms, _ = find_equilibria_nd(res, UNIT_DECAY, [[0, 6], [0, 6]],
+                                                starts_per_axis=6)
+        for r, norm in zip(roots, norms):
             assert np.linalg.norm(res(r)) <= 1e-8
+            # the norm of Newton's own final residual is the residual at the root
+            assert norm == np.linalg.norm(res(r))
+
+    @pytest.mark.parametrize("decay,want", [((-1.0, -1.0), STABLE), ((-1.0, -4.0), UNSTABLE)])
+    def test_decay_magnitudes_enter_the_label(self, decay, want):
+        # r = A x: diag(decay) A has trace -0.5, det 0.5 at decay (-1, -1),
+        # and trace 1, det 2 at (-1, -4); both decays are negative, so their
+        # signs alone cannot tell the two apart
+        A = np.array([[1.0, 1.0], [-1.0, -0.5]])
+        roots, labels, norms, failed = find_equilibria_nd(
+            lambda x: A @ x, lambda x: np.array(decay), [[-1, 1], [-1, 1]], starts_per_axis=3)
+        assert failed == 0
+        assert roots.shape == (1, 2) and np.linalg.norm(A @ roots[0]) <= 1e-8
+        assert labels.tolist() == [want]
+        assert norms.tolist() == [np.linalg.norm(A @ roots[0])]
+
+    @pytest.mark.parametrize("control", [(5.0, 5.0, 2.0, 2.0), (2.5, 2.5, 3.0, 3.0),
+                                         (3.0, 3.0, 1.1, 1.1)])
+    def test_labels_match_the_velocity_jacobian_toggle_oracle(self, control):
+        u = np.array(control)
+        roots, labels, _, _ = find_equilibria_nd(lambda x: -system_rhs("toggle-switch", x, u),
+                                                 UNIT_DECAY, [[0, 6], [0, 6]])
+        assert len(roots) >= 1
+        assert labels.tolist() == [
+            classify_stability(lambda x: system_rhs("toggle-switch", x, u), r) for r in roots]
+
+    @pytest.mark.parametrize("control", [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)])
+    def test_labels_match_the_velocity_jacobian_learned_tanks(self, tanks_field, control):
+        fld = tanks_field
+        u = np.array(control)
+        roots, labels, _, _ = find_equilibria_nd(lambda x: residual(fld, x, u),
+                                                 lambda x: eval_decay(fld, x), fld.domain)
+        assert len(roots) >= 1
+        assert labels.tolist() == [
+            classify_stability(lambda x: eval_velocity(fld, x, u), r) for r in roots]
 
 
 class TestClassifyStability:

@@ -146,11 +146,15 @@ class TestAnalyticSplit:
 
 class TestProtocols:
     def test_grid_sizes(self):
-        assert default_protocol(TWO_TANKS).n_trajectories == 21 * 81 == 1701
-        assert default_protocol(SYM_HYSTERESIS).n_trajectories == 51 * 51 == 2601
-        assert default_protocol(BUDWORM).n_trajectories == 2601
-        assert default_protocol(TOGGLE_SWITCH).n_trajectories == 81 * 81
-        assert default_protocol(TOGGLE_SWITCH, paper_scale=True).n_trajectories == 81 * 625
+        # one trajectory per (ic, control) pair
+        def n_trajectories(proto):
+            return len(proto.pairs()[0])
+
+        assert n_trajectories(default_protocol(TWO_TANKS)) == 21 * 81 == 1701
+        assert n_trajectories(default_protocol(SYM_HYSTERESIS)) == 51 * 51 == 2601
+        assert n_trajectories(default_protocol(BUDWORM)) == 2601
+        assert n_trajectories(default_protocol(TOGGLE_SWITCH)) == 81 * 81
+        assert n_trajectories(default_protocol(TOGGLE_SWITCH, paper_scale=True)) == 81 * 625
 
     @pytest.mark.parametrize("system,rk4_steps", [(TWO_TANKS, 400), (SYM_HYSTERESIS, 50),
                                                   (BUDWORM, 100), (TOGGLE_SWITCH, 400)])

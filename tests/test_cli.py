@@ -451,9 +451,36 @@ def _float_layer_sizes(doc):
     doc["decay"]["layer_sizes"] = [1, 20.9, 20.5, True]
 
 
+def _set(section, key, value):
+    """An edit that sets doc[key], or doc[section][key], to value."""
+    def edit(doc):
+        (doc if section is None else doc[section])[key] = value
+
+    return edit
+
+
+# sections of the wrong JSON shape: each once ended in an AttributeError or
+# IndexError traceback (exit 1), or loaded wrongly with exit 0 (a third bound
+# ignored, false read as a bound of 0.0, the featurizer kept on by "no", true
+# read as a = 1.0)
+WRONG_SHAPES = [
+    pytest.param(_edited_checkpoint(_set(None, "featurizer", 5)), id="featurizer-number"),
+    pytest.param(_edited_checkpoint(_set(None, "featurizer", [])), id="featurizer-list"),
+    pytest.param(_edited_checkpoint(_set(None, "decay", 5)), id="decay-number"),
+    pytest.param(_edited_checkpoint(_set("decay", "bounds", [-4])), id="one-bound"),
+    pytest.param(_edited_checkpoint(_set("decay", "bounds", [-4, -0.1, 3])), id="three-bounds"),
+    pytest.param(_edited_checkpoint(_set("target", "bounds", [False, 2])), id="boolean-bound"),
+    pytest.param(_edited_checkpoint(_set("featurizer", "enabled", "no")), id="enabled-string"),
+    pytest.param(_edited_checkpoint(_set("featurizer", "a", True)), id="boolean-a"),
+    # an integer past float range once ended in an OverflowError traceback
+    pytest.param(_edited_checkpoint(_set("decay", "bounds", [-10**400, -0.1])),
+                 id="huge-integer-bound"),
+]
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("command", ["simulate", "equilibria", "bifurcate", "control"])
-    @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json",
+    @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json", *WRONG_SHAPES,
                                          pytest.param(_edited_checkpoint(_tanh), id="tanh"),
                                          pytest.param(_edited_checkpoint(_nan_weight), id="nan"),
                                          pytest.param(_edited_checkpoint(_inf_domain),
@@ -642,15 +669,31 @@ class TestSweepSize:
         toggle = ["equilibria", "--system", TOGGLE_SWITCH, "--oracle", "--control", "5,5,2,2",
                   "--scan-nd", "3", "--out", str(tmp_path)]
         monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 25)
+        monkeypatch.setattr(cli, "_MAX_SCAN_ROW", 25)
         monkeypatch.setattr(cli, "_MAX_NEWTON_STARTS", 9)
         assert main(bifurcate) == EXIT_OK
         assert main(scalar) == EXIT_OK
         assert main(toggle) == EXIT_OK
         monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 24)
+        monkeypatch.setattr(cli, "_MAX_SCAN_ROW", 24)
         monkeypatch.setattr(cli, "_MAX_NEWTON_STARTS", 8)
         assert main(bifurcate) == EXIT_CONFIG
         assert main(scalar) == EXIT_CONFIG
         assert main(toggle) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["bifurcate", "equilibria"])
+    def test_scan_row_cap_is_inclusive(self, tmp_path, capsys, monkeypatch, command):
+        # a scalar scan holds its whole row of --scan + 1 points: at a cap
+        # of 25, 25 + 1 is refused before any array is built and 24 + 1 goes
+        # ahead (2 controls x 26 points stay far inside the step-work bound)
+        monkeypatch.setattr(cli, "_MAX_SCAN_ROW", 25)
+        argv = [command, "--system", "budworm", "--oracle", "--out", str(tmp_path)]
+        argv += ["--points", "2"] if command == "bifurcate" else []
+        assert main(argv + ["--scan", "25"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--scan 25 takes 26 scan points" in err and "at most 25" in err
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv + ["--scan", "24"]) == EXIT_OK
 
 
 class TestControl:
@@ -741,6 +784,43 @@ class TestControl:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "--k" in err and "--trials" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unscorable_targets_are_refused_from_the_step_count(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 4 x 10^6 targets in one Euler step: one recorded node cannot score
+        # them. The schedule and the per-target id set were once built first
+        # (596 MB peak RSS), and stderr listed about 4 million ids
+        def never(*args, **kwargs):
+            raise AssertionError("no per-target schedule may be built")
+
+        monkeypatch.setattr(benchmarks, "control_schedule", never)
+        rc = main(["control", "--system", SYM_HYSTERESIS, "--field", str(CHECKPOINT),
+                   "--out", str(tmp_path), "--trials", "1", "--t-per-target", "1e-9",
+                   "--targets", "4000000"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err) < 1024
+        assert "4000000 targets" in err and "1 recorded nodes" in err
+        assert "--record-every" in err and "--t-per-target" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unscored_targets_name_at_most_ten_ids(self, tmp_path, capsys, monkeypatch):
+        # 30 targets over 6000 steps get 301 recorded nodes, enough by count;
+        # a recording that gives every node to target 0 leaves 29 unscored,
+        # and stderr names the first ten and the total
+        def first_target_only(starts, grid, record_every):
+            times = grid.times()[::record_every]
+            return times, np.zeros(len(times), dtype=int)
+
+        monkeypatch.setattr(cli.control, "recorded_nodes", first_target_only)
+        rc = main(["control", "--system", SYM_HYSTERESIS, "--field", str(CHECKPOINT),
+                   "--out", str(tmp_path), "--trials", "1", "--t-per-target", "1",
+                   "--targets", "30"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "29 targets would get no recorded node" in err
+        assert f"(first: {list(range(1, 11))})" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_k_bound_counts_every_level_and_trial(self, tmp_path, monkeypatch):

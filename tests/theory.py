@@ -1,10 +1,15 @@
-"""Reference formulas for the paper's convergence claims, used only by the
-tests: the linear simplification target(x, u) = G u of feedback control
-(minimum-norm, ridge, gradient descent and continuous gradient flow) and a
-sampled contraction bound of a scalar target map.
+"""Reference formulas for the paper's convergence and stability claims,
+used only by the tests: the linear simplification target(x, u) = G u of
+feedback control (minimum-norm, ridge, gradient descent and continuous
+gradient flow), a sampled contraction bound of a scalar target map, and
+the stability of an equilibrium read from the central-difference Jacobian
+of a whole velocity field, which the program's own labels (each scalar
+root's bracket, each Newton root's diag(decay) J_r) are checked against.
 
 The gradient-descent rate is the textbook one for a strongly convex
-quadratic (Nesterov, Introductory Lectures on Convex Optimization, 2004).
+quadratic (Nesterov, Introductory Lectures on Convex Optimization, 2004);
+the stability rule is the linearization principle (Khalil, Nonlinear
+Systems, 2002): stable when every eigenvalue has negative real part.
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stabledyn.analysis import central_diff
+from stabledyn.analysis import _label, central_diff
 from stabledyn.integrate import TimeGrid, rk4_solve_batch
 
 _CONTRACTION_SAMPLES = 101
+_EQUILIBRIUM_TOL = 1e-6
 
 
 # --- linear control theory -----------------------------------------------------
@@ -123,3 +129,17 @@ def contraction_bound(target_fn, x_star: float, radius: float):
     xs = np.linspace(x_star - radius, x_star + radius, _CONTRACTION_SAMPLES)
     L = float(np.max(np.abs(central_diff(target_fn, xs[:, None]))))
     return L, L < 1.0
+
+
+# --- stability ---------------------------------------------------------------
+
+def classify_stability(velocity_fn, x_star) -> str:
+    """Stability of an equilibrium in any dimension, from the largest real
+    part of the eigenvalues of the velocity field's central-difference
+    Jacobian."""
+    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+    v = np.atleast_1d(np.asarray(velocity_fn(x_star), dtype=float))
+    if np.linalg.norm(v) > _EQUILIBRIUM_TOL:
+        raise ValueError(f"not an equilibrium: |velocity| = {np.linalg.norm(v):.3e}")
+    jac = central_diff(lambda x: np.atleast_1d(velocity_fn(x)), x_star)
+    return str(_label(np.linalg.eigvals(jac).real.max()))
