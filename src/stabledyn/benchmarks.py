@@ -6,10 +6,10 @@ bistable scalar ODE dx/dt = u + x - x^3, the spruce budworm outbreak model
 with carrying capacity as control, and the two-gene toggle switch with
 four control parameters. Whole (ic, control) grids integrate in one
 solver call. Each system's `DataProtocol` fixes its RK4 step, and is the
-one place that turns it into a grid and a sample stride for any horizon;
-`control_schedule` is the one place that turns a control recipe into its
-target starts and Euler grid, and `evaluate_trace` scores every trial of
-a control trace at once.
+one place that turns it into a grid and a sample stride for any horizon.
+`default_control_recipe` gives each system's `control.ControlRecipe`,
+`settle_grid` is the one RK4 grid its sampled targets settle on, and
+`evaluate_trace` scores every trial of a control trace at once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .analysis import iqr, nrmse
-from .control import ControlPolicyCfg, feedback_simulate
+from .control import ControlRecipe
 from .field import Featurizer, StructuredField
 from .integrate import (
     DatasetError,
@@ -473,19 +473,6 @@ def default_train_recipe(system: str):
 
 # --- feedback-control experiment recipes --------------------------------------
 
-@dataclass(frozen=True)
-class ControlRecipe:
-    k: int
-    eta: float
-    sigma: float
-    t_per_target: float
-    step: float                       # Euler-Maruyama step
-    x0: tuple                         # every trial's start state
-    u0: tuple
-    bounds: tuple = ()                # one (lo, hi, rate) per control channel
-    magnitude_definition: str = "range"
-
-
 def default_control_recipe(system: str) -> ControlRecipe:
     if system == TWO_TANKS:
         return ControlRecipe(k=10, eta=0.1, sigma=0.01, t_per_target=500.0, step=0.25,
@@ -530,6 +517,14 @@ def system_magnitude(system: str, trajectories=None) -> np.ndarray:
     raise ValueError(f"unknown system {system!r}")
 
 
+def settle_grid(system: str) -> TimeGrid | None:
+    """The RK4 grid on which `sample_targets` settles each target of a
+    system whose targets are end states of its dynamics (tanks, toggle),
+    None for one whose targets are drawn directly."""
+    horizon = {TWO_TANKS: 1000.0, TOGGLE_SWITCH: 100.0}.get(system)
+    return None if horizon is None else TimeGrid(0.0, horizon, int(horizon / 0.25))
+
+
 def sample_targets(system: str, n: int, seeds) -> np.ndarray:
     """Randomized reachable targets per the experiment designs: n for each
     seed, drawn from its own ``default_rng(seed)``; (len(seeds), n, d).
@@ -557,50 +552,13 @@ def sample_targets(system: str, n: int, seeds) -> np.ndarray:
     if system in (SYM_HYSTERESIS, BUDWORM):
         return draws
     if system == TWO_TANKS:
-        x0, u, horizon = np.full((len(seeds), n, 2), 0.5), draws, 1000.0
+        x0, u = np.full((len(seeds), n, 2), 0.5), draws
     else:
-        x0, u, horizon = draws[..., :2], draws[..., 2:], 100.0
-    grid = TimeGrid(0.0, horizon, int(horizon / 0.25))
+        x0, u = draws[..., :2], draws[..., 2:]
+    grid = settle_grid(system)
     settled = rk4_solve_batch(rhs_fn(system), x0.reshape(-1, 2), u.reshape(-1, u.shape[-1]),
                               grid, every=grid.n_steps)[:, -1]
     return settled.reshape(len(seeds), n, 2)
-
-
-def control_steps(recipe: ControlRecipe, n_targets: int) -> int:
-    """Euler steps of a control run through n_targets targets: its span
-    rounded to whole steps of recipe.step."""
-    return int(round(recipe.t_per_target * n_targets / recipe.step))
-
-
-def control_schedule(recipe: ControlRecipe, n_targets: int):
-    """Start time of each target and the Euler grid (`control_steps`) of a
-    control run through n_targets targets; a run that rounds to 0 steps is
-    the grid's ValueError."""
-    starts = [i * recipe.t_per_target for i in range(n_targets)]
-    return starts, TimeGrid(0.0, recipe.t_per_target * n_targets,
-                            control_steps(recipe, n_targets))
-
-
-def run_control_trials(system: str, target_map, targets: np.ndarray,
-                       recipe: ControlRecipe, schedule, seeds, record_every: int = 1):
-    """Steer the true (stochastic) system through each trial's target list
-    on ``schedule`` (`control_schedule`), all trials at once; ``targets`` is
-    (trials, n_targets, d) and ``seeds`` holds one noise seed per trial.
-    Returns the one trace of all trials."""
-    targets = np.asarray(targets, dtype=float)
-    starts, grid = schedule
-    return feedback_simulate(
-        plant_rhs=rhs_fn(system),
-        target_map=target_map,
-        policy=ControlPolicyCfg(k=recipe.k, eta=recipe.eta, bounds=recipe.bounds),
-        targets=list(zip(starts, targets.swapaxes(0, 1))),
-        x0=np.asarray(recipe.x0, dtype=float),
-        u0=np.asarray(recipe.u0, dtype=float),
-        grid=grid,
-        sigma=recipe.sigma,
-        seeds=seeds,
-        record_every=record_every,
-    )
 
 
 def evaluate_trace(trace, magnitude) -> np.ndarray:

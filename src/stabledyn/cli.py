@@ -83,8 +83,10 @@ _FLOAT_NONNEGATIVE = ("sigma",)
 # caps the step work, not the memory held. `control` refuses trials whose
 # Euler steps, counted the same way over its trials, exceed it, and a --k
 # whose per-step target caches over all trials (`nnet.cache_values` per
-# level) exceed it. `bifurcate` refuses a sweep whose residual scan, counted
-# as control values x (scan cells + 1), exceeds it.
+# level) exceed it, and tanks or toggle targets whose settling RK4 steps
+# (trials x targets x dims x (settle steps + 1)) exceed it. `bifurcate`
+# refuses a sweep whose residual scan, counted as control values x (scan
+# cells + 1), exceeds it.
 _MAX_STEP_VALUES = 2**27
 # `bifurcate` and the scalar `equilibria` refuse a --scan whose row of scan
 # + 1 points exceeds this: a row is scanned and held whole, about 40 bytes
@@ -455,9 +457,16 @@ def cmd_control(args) -> int:
         raise ConfigError(f"--k {_count(recipe.k)} keeps {per_level} values per level and "
                           f"trial in every Euler step: too many for --trials {args.trials}; "
                           f"lower --k or --trials")
+    # sample_targets settles each tanks or toggle target on its own RK4 solve
+    settle = benchmarks.settle_grid(system)
+    if settle is not None and args.trials * args.targets * d * (settle.n_steps + 1) \
+            > _MAX_STEP_VALUES:
+        raise ConfigError(f"{args.targets} targets for each of --trials {args.trials} "
+                          f"settle on {settle.n_steps} RK4 steps each: too many; lower "
+                          f"--targets or --trials")
     # refused from the step count alone, before any per-target array exists:
     # each recorded node scores one target
-    n_steps = benchmarks.control_steps(recipe, args.targets)
+    n_steps = control.control_steps(recipe, args.targets)
     if n_steps == 0:
         raise ConfigError(f"{args.targets} targets of --t-per-target {recipe.t_per_target} "
                           f"round to 0 control steps of {recipe.step}; raise --t-per-target")
@@ -467,8 +476,8 @@ def cmd_control(args) -> int:
                           f"steps of {recipe.step}, recorded every {args.record_every}, give "
                           f"{n_recorded} recorded nodes; lower --record-every or raise "
                           f"--t-per-target")
-    schedule = benchmarks.control_schedule(recipe, args.targets)
-    _, recorded = control.recorded_nodes(*schedule, args.record_every)
+    starts, grid = control.control_schedule(recipe, args.targets)
+    _, recorded = control.recorded_nodes(starts, grid, args.record_every)
     unscored = np.flatnonzero(np.bincount(recorded, minlength=args.targets) == 0)
     if unscored.size:
         raise ConfigError(f"{unscored.size} targets would get no recorded node, so they "
@@ -484,10 +493,9 @@ def cmd_control(args) -> int:
     trials = range(args.trials)
     targets = benchmarks.sample_targets(system, args.targets,
                                         [[args.seed, 7, trial] for trial in trials])
-    trace = benchmarks.run_control_trials(
-        system, target_map, targets, recipe, schedule,
-        seeds=[[args.seed, 11, trial] for trial in trials], record_every=args.record_every,
-    )
+    trace = control.feedback_simulate(benchmarks.rhs_fn(system), target_map, recipe, targets,
+                                      [[args.seed, 11, trial] for trial in trials], starts,
+                                      grid=grid, record_every=args.record_every)
 
     index, times = trace.target_index.tolist(), trace.times.tolist()
     row = ",%d" + ",%.17g" * (1 + d + q) + ",%d\n"  # '%.17g' % v is format(v, '.17g')

@@ -11,9 +11,11 @@ a policy with bounds (an unbounded one would multiply by exact 1s).
 State and control are co-integrated: Euler-Maruyama on the plant with
 state-proportional noise, noise-free explicit Euler on the control. All
 trials of a run step together as rows of one batch, each with its own
-seeded noise stream. `feedback_simulate`, the package's only
-Euler-Maruyama loop, returns them as one `ControlTrace` that keeps the
-trial axis; `recorded_nodes` is the one rule for which nodes it keeps.
+seeded noise stream. A `ControlRecipe` is the one description of a run,
+and `control_schedule` the one place that builds its target starts and
+Euler grid. `feedback_simulate`, the package's only Euler-Maruyama
+loop, runs it and returns one `ControlTrace` that keeps the trial axis;
+`recorded_nodes` is the one rule for which nodes it keeps.
 """
 
 from __future__ import annotations
@@ -39,21 +41,29 @@ def smooth_heaviside(x, rate: float):
 
 
 @dataclass(frozen=True)
-class ControlPolicyCfg:
-    """Iteration depth, update strength, and per-channel control bounds.
+class ControlRecipe:
+    """A feedback-control run: iteration depth, update strength, plant
+    noise, span per target, Euler-Maruyama step, every trial's start,
+    control bounds and the nRMSE normalization.
 
     ``bounds`` has one ``(lo, hi, rate)`` per control channel, with -inf or
     inf for an open side; empty bounds leave every channel ungated.
     """
 
-    k: int = 1
-    eta: float = 1.0
+    k: int
+    eta: float
+    sigma: float
+    t_per_target: float
+    step: float                       # Euler-Maruyama step
+    x0: tuple                         # every trial's start state
+    u0: tuple
     bounds: tuple = ()
+    magnitude_definition: str = "range"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("iteration depth k must be >= 1")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("update strength eta must be positive")
         if not all(lo < hi and 0 < rate < math.inf for lo, hi, rate in self.bounds):
             raise ValueError("each bound needs lo < hi and a finite rate > 0")
@@ -138,6 +148,21 @@ class ControlTrace:
     refs: np.ndarray          # (targets, trials, d) each trial's x_ref per target
 
 
+def control_steps(recipe: ControlRecipe, n_targets: int) -> int:
+    """Euler steps of a control run through n_targets targets: its span
+    rounded to whole steps of recipe.step."""
+    return int(round(recipe.t_per_target * n_targets / recipe.step))
+
+
+def control_schedule(recipe: ControlRecipe, n_targets: int):
+    """Start time of each target and the Euler grid (`control_steps`) of a
+    control run through n_targets targets; a run that rounds to 0 steps is
+    the grid's ValueError."""
+    starts = [i * recipe.t_per_target for i in range(n_targets)]
+    return starts, TimeGrid(0.0, recipe.t_per_target * n_targets,
+                            control_steps(recipe, n_targets))
+
+
 def active_targets(starts, times) -> np.ndarray:
     """Index of the target active at each time in a schedule whose targets
     start at the ordered ``starts``: the last one started by then, and the
@@ -152,43 +177,31 @@ def recorded_nodes(starts, grid: TimeGrid, record_every: int):
     return times, active_targets(starts, times)
 
 
-def feedback_simulate(
-    plant_rhs,
-    target_map,
-    policy: ControlPolicyCfg,
-    targets: list,
-    x0,
-    u0,
-    grid: TimeGrid,
-    sigma: float = 0.0,
-    seeds=(0,),
-    record_every: int = 1,
-) -> ControlTrace:
-    """Steer a batch of plants, one trial per seed, through one schedule of
-    targets; returns the trace of all trials at `recorded_nodes`.
+def feedback_simulate(plant_rhs, target_map, recipe: ControlRecipe, targets, seeds, starts,
+                      grid: TimeGrid, record_every: int = 1) -> ControlTrace:
+    """Steer a batch of plants from the recipe's x0 and u0, one trial per
+    seed, each through its own row of ``targets`` (trials, n_targets, d) on
+    `control_schedule`'s ordered ``starts`` and ``grid`` (`active_targets`);
+    returns the trace of all trials at `recorded_nodes`.
 
-    ``targets`` is a time-ordered list of (t_start, x_ref); the last target
-    whose start time is <= t is active (`active_targets`). Each x_ref, like
-    ``x0`` and ``u0``, is shared by all trials or holds one row per trial.
     The states follow Euler-Maruyama with diffusion ``sigma * sqrt(|x|)``
     per coordinate, trial i drawing its increments from
     ``default_rng(seeds[i])``; the controls follow
     du/dt = -eta * grad * gate, noise-free, on the same grid.
     """
-    if not targets:
+    if len(starts) == 0:
         raise ValueError("need at least one target")
-    starts = [t for t, _ in targets]
     if any(b < a for a, b in zip(starts, starts[1:])):
         raise ValueError("targets must be ordered in time")
+    n_trials, d = len(seeds), len(recipe.x0)
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (n_trials, len(starts), d):
+        raise ValueError(f"targets must be (trials, targets, d) = "
+                         f"{(n_trials, len(starts), d)}, got {targets.shape}")
 
-    n_trials = len(seeds)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    x = np.broadcast_to(x0, (n_trials, x0.shape[-1])).copy()
-    u = np.broadcast_to(u0, (n_trials, u0.shape[-1])).copy()
-    d = x.shape[1]
-    refs = np.stack([np.broadcast_to(np.asarray(xr, dtype=float), (n_trials, d))
-                     for _, xr in targets])
+    x = np.tile(np.asarray(recipe.x0, dtype=float), (n_trials, 1))
+    u = np.tile(np.asarray(recipe.u0, dtype=float), (n_trials, 1))
+    refs = np.ascontiguousarray(targets.swapaxes(0, 1))
     noise = np.stack([np.random.default_rng(seed).standard_normal((grid.n_steps, d))
                       for seed in seeds], axis=1)
     h = grid.h
@@ -205,12 +218,12 @@ def feedback_simulate(
             out_u[n // record_every] = u
         if n == grid.n_steps:
             break
-        grad = control_objective_grad(target_map, x, u, refs[active_at[n]], policy.k)
-        du = h * policy.eta * grad
-        if len(policy.bounds):  # empty bounds gate every channel by exactly 1
-            du = du * control_gate(u, policy.bounds)
+        grad = control_objective_grad(target_map, x, u, refs[active_at[n]], recipe.k)
+        du = h * recipe.eta * grad
+        if len(recipe.bounds):  # empty bounds gate every channel by exactly 1
+            du = du * control_gate(u, recipe.bounds)
         drift_x = np.asarray(plant_rhs(x, u), dtype=float)
-        diff = sigma * np.sqrt(np.abs(x)) if sigma else 0.0
+        diff = recipe.sigma * np.sqrt(np.abs(x)) if recipe.sigma else 0.0
         x = x + h * drift_x + sqrt_h * diff * noise[n]
         u = u - du
         if not (np.isfinite(x).all() and np.isfinite(u).all()):

@@ -313,7 +313,7 @@ def field_from_dict(doc: dict) -> StructuredField:
     g_spec, g_params, _ = nnet.checkpoint_from_dict(doc["target"])
     domain = doc.get("domain")
     if domain is not None:
-        domain = np.asarray(domain, dtype=float)
+        domain = nnet.json_array(domain, "each domain bound")
         if not np.isfinite(domain).all():
             raise ValueError("field domain must be finite")
     feat = None

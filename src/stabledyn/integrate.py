@@ -318,7 +318,8 @@ def read_trajectories_csv(source) -> list[Trajectory]:
     """Trajectories from a CSV path or from the file's bytes, in the order
     their traj_ids first appear. The body is parsed as one table; a row
     with the wrong cell count, a non-numeric cell, a non-integer traj_id or
-    a blank line raises ValueError naming its line."""
+    a blank line raises ValueError naming its line, and a trajectory whose
+    control cells differ between its rows one naming the trajectory."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             source = fh.read()
@@ -357,6 +358,14 @@ def read_trajectories_csv(source) -> list[Trajectory]:
         perm = np.argsort(group, kind="stable")
         ids, values, group = ids[perm], values[perm], group[perm]
     bounds = np.searchsorted(group, np.arange(len(first) + 1))
+    # a trajectory holds one control: every row repeats its first row's,
+    # nan cells included
+    controls = values[:, 1 + d :]
+    firsts = controls[bounds[:-1]][group]
+    same = ((controls == firsts) | (np.isnan(controls) & np.isnan(firsts))).all(axis=1)
+    if not same.all():
+        raise ValueError(f"malformed trajectory CSV: trajectory {ids[np.argmin(same)]} "
+                         f"changes its control between rows")
     out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = values[lo:hi]

@@ -408,6 +408,20 @@ def json_value(value, kind: str, name: str):
     return value
 
 
+def json_array(value, name: str) -> np.ndarray:
+    """``value``, read from a checkpoint, as a float array if it is a JSON
+    number or nested lists of them: a boolean or a string in it is
+    refused, not read as 1.0 or parsed."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        else:
+            json_value(item, "number", name)
+    return np.asarray(value, dtype=float)
+
+
 def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
     json_value(doc, "object", "each net section")
     activation = doc.get("activation", "silu")
@@ -420,7 +434,7 @@ def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
         layer_sizes=tuple(json_value(n, "integer", "each layer size") for n in doc["layer_sizes"]),
         output_bounds=tuple(json_value(b, "number", "each bound") for b in bounds),
     )
-    params = np.asarray(doc["values"], dtype=float)
+    params = json_array(doc["values"], "each checkpoint value")
     if params.shape != (param_count(spec),):
         raise ValueError("checkpoint value count does not match layer sizes")
     if not np.isfinite(params).all():

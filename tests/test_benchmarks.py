@@ -16,7 +16,6 @@ from stabledyn.benchmarks import (
     _git_blob_sha1,
     _logistic,
     analytic_split,
-    control_schedule,
     default_model,
     default_control_recipe,
     default_params,
@@ -25,15 +24,16 @@ from stabledyn.benchmarks import (
     gen_dataset,
     load_dataset,
     make_untrained_field,
-    run_control_trials,
+    rhs_fn,
     sample_targets,
     save_dataset,
+    settle_grid,
     split_target_fn,
     system_magnitude,
     system_rhs,
     transient_time,
 )
-from stabledyn.control import ControlTrace
+from stabledyn.control import ControlTrace, control_schedule, feedback_simulate
 from stabledyn.integrate import TimeGrid, Trajectory, rk4_solve, rk4_solve_batch
 from util import CHECKPOINT, assert_close
 
@@ -354,6 +354,13 @@ class TestSampleTargets:
             expected.append(states[0, -1])
         assert np.array_equal(sample_targets(system, 2, [[3, 7, 1]]), np.array([expected]))
 
+    def test_settle_grid_is_the_end_state_systems_own(self):
+        # the grid the reference above settles on, 0.25 per RK4 step
+        for system, horizon in ((TWO_TANKS, 1000.0), (TOGGLE_SWITCH, 100.0)):
+            grid = settle_grid(system)
+            assert (grid.t0, grid.t1, grid.n_steps) == (0.0, horizon, int(horizon / 0.25))
+        assert settle_grid(SYM_HYSTERESIS) is None and settle_grid(BUDWORM) is None
+
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_seeds_in_one_call_are_per_seed_calls(self, system):
         seeds = [[0, 7, 0], [0, 7, 1], [5, 7, 2]]
@@ -377,14 +384,14 @@ class TestControlTrials:
         targets = sample_targets(system, 3, [[0, 7, i] for i in range(3)])
         seeds = [[0, 11, i] for i in range(3)]
         magnitude = system_magnitude(system)
-        schedule = control_schedule(recipe, 3)
-        batch = run_control_trials(system, target_map, targets, recipe, schedule, seeds,
-                                   record_every=10)
+        starts, grid = control_schedule(recipe, 3)
+        batch = feedback_simulate(rhs_fn(system), target_map, recipe, targets, seeds, starts,
+                                  grid=grid, record_every=10)
         assert batch.states.shape[1] == 3
         scores = evaluate_trace(batch, magnitude)
         for i in range(3):
-            solo = run_control_trials(system, target_map, targets[i:i + 1], recipe, schedule,
-                                      seeds[i:i + 1], record_every=10)
+            solo = feedback_simulate(rhs_fn(system), target_map, recipe, targets[i:i + 1],
+                                     seeds[i:i + 1], starts, grid=grid, record_every=10)
             assert np.array_equal(batch.times, solo.times)
             assert np.array_equal(batch.target_index, solo.target_index)
             assert np.max(np.abs(batch.states[:, i] - solo.states[:, 0])) <= 1e-9

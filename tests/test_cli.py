@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stabledyn import benchmarks, cli, field, nnet, training
+from stabledyn import benchmarks, cli, control, field, nnet, training
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
@@ -167,13 +167,18 @@ def _edit_manifest(edit):
     return corrupt
 
 
+def _rehash(prefix):
+    """Record the CSV's current content hash in the manifest."""
+    manifest = json.loads(prefix.with_suffix(".json").read_text())
+    manifest["content_hash"] = benchmarks._git_blob_sha1(prefix.with_suffix(".csv").read_bytes())
+    prefix.with_suffix(".json").write_text(json.dumps(manifest))
+
+
 def _append_rehashed(row):
     def corrupt(prefix):
         csv = prefix.with_suffix(".csv")
         csv.write_text(csv.read_text() + row)
-        manifest = json.loads(prefix.with_suffix(".json").read_text())
-        manifest["content_hash"] = benchmarks._git_blob_sha1(csv.read_bytes())
-        prefix.with_suffix(".json").write_text(json.dumps(manifest))
+        _rehash(prefix)
     return corrupt
 
 
@@ -205,6 +210,26 @@ class TestDatasetIntegrity:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "cannot load dataset" in err and "line 74" in err and reason in err
+
+    def test_control_changing_within_a_trajectory_is_config_error(self, tiny_dataset, tmp_path,
+                                                                  capsys):
+        # the third row of trajectory 0 gets another u: once trained on the
+        # first row's control, exit 0
+        csv = tiny_dataset.with_suffix(".csv")
+        lines = csv.read_text().splitlines(keepends=True)
+        cells = lines[3].rstrip("\n").split(",")
+        assert cells[0] == "0"
+        cells[-1] = repr(float(cells[-1]) + 0.1)
+        lines[3] = ",".join(cells) + "\n"
+        csv.write_text("".join(lines))
+        _rehash(tiny_dataset)
+        rc = main(["train", "--data", str(tiny_dataset), "--out", str(tmp_path),
+                   "--epochs", "1"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot load dataset" in err
+        assert "trajectory 0 changes its control between rows" in err
+        assert not (tmp_path / "sym-hysteresis-field.json").exists()
 
 
 def _save_trajectories(tmp_path, system, trajectories):
@@ -451,10 +476,14 @@ def _float_layer_sizes(doc):
     doc["decay"]["layer_sizes"] = [1, 20.9, 20.5, True]
 
 
-def _set(section, key, value):
-    """An edit that sets doc[key], or doc[section][key], to value."""
+def _set(path, value):
+    """An edit that sets the item at the key path, such as ("decay",
+    "bounds") or ("domain", 0, 0), to value."""
     def edit(doc):
-        (doc if section is None else doc[section])[key] = value
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
 
     return edit
 
@@ -464,17 +493,21 @@ def _set(section, key, value):
 # ignored, false read as a bound of 0.0, the featurizer kept on by "no", true
 # read as a = 1.0)
 WRONG_SHAPES = [
-    pytest.param(_edited_checkpoint(_set(None, "featurizer", 5)), id="featurizer-number"),
-    pytest.param(_edited_checkpoint(_set(None, "featurizer", [])), id="featurizer-list"),
-    pytest.param(_edited_checkpoint(_set(None, "decay", 5)), id="decay-number"),
-    pytest.param(_edited_checkpoint(_set("decay", "bounds", [-4])), id="one-bound"),
-    pytest.param(_edited_checkpoint(_set("decay", "bounds", [-4, -0.1, 3])), id="three-bounds"),
-    pytest.param(_edited_checkpoint(_set("target", "bounds", [False, 2])), id="boolean-bound"),
-    pytest.param(_edited_checkpoint(_set("featurizer", "enabled", "no")), id="enabled-string"),
-    pytest.param(_edited_checkpoint(_set("featurizer", "a", True)), id="boolean-a"),
+    pytest.param(_edited_checkpoint(_set(("featurizer",), 5)), id="featurizer-number"),
+    pytest.param(_edited_checkpoint(_set(("featurizer",), [])), id="featurizer-list"),
+    pytest.param(_edited_checkpoint(_set(("decay",), 5)), id="decay-number"),
+    pytest.param(_edited_checkpoint(_set(("decay", "bounds"), [-4])), id="one-bound"),
+    pytest.param(_edited_checkpoint(_set(("decay", "bounds"), [-4, -0.1, 3])), id="three-bounds"),
+    pytest.param(_edited_checkpoint(_set(("target", "bounds"), [False, 2])), id="boolean-bound"),
+    pytest.param(_edited_checkpoint(_set(("featurizer", "enabled"), "no")), id="enabled-string"),
+    pytest.param(_edited_checkpoint(_set(("featurizer", "a"), True)), id="boolean-a"),
     # an integer past float range once ended in an OverflowError traceback
-    pytest.param(_edited_checkpoint(_set("decay", "bounds", [-10**400, -0.1])),
+    pytest.param(_edited_checkpoint(_set(("decay", "bounds"), [-10**400, -0.1])),
                  id="huge-integer-bound"),
+    # each once loaded with exit 0: true read as 1.0, "0.25" parsed as 0.25
+    pytest.param(_edited_checkpoint(_set(("target", "values", 0), True)), id="boolean-value"),
+    pytest.param(_edited_checkpoint(_set(("decay", "values", 0), "0.25")), id="string-value"),
+    pytest.param(_edited_checkpoint(_set(("domain", 0, 0), False)), id="boolean-domain"),
 ]
 
 
@@ -777,7 +810,7 @@ class TestControl:
         def never(*args, **kwargs):
             raise AssertionError("the trials must not start")
 
-        monkeypatch.setattr(benchmarks, "run_control_trials", never)
+        monkeypatch.setattr(control, "feedback_simulate", never)
         rc = main(["control", "--system", system, *model, "--out", str(tmp_path),
                    "--targets", "1", "--trials", "1", "--t-per-target", "0.05",
                    "--k", k])
@@ -794,7 +827,7 @@ class TestControl:
         def never(*args, **kwargs):
             raise AssertionError("no per-target schedule may be built")
 
-        monkeypatch.setattr(benchmarks, "control_schedule", never)
+        monkeypatch.setattr(control, "control_schedule", never)
         rc = main(["control", "--system", SYM_HYSTERESIS, "--field", str(CHECKPOINT),
                    "--out", str(tmp_path), "--trials", "1", "--t-per-target", "1e-9",
                    "--targets", "4000000"])
@@ -822,6 +855,45 @@ class TestControl:
         assert "29 targets would get no recorded node" in err
         assert f"(first: {list(range(1, 11))})" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("system,model,t_per_target", [
+        (benchmarks.TWO_TANKS, "field", "0.25"),
+        (TOGGLE_SWITCH, "oracle", "0.01"),
+    ], ids=["tanks", "toggle-oracle"])
+    def test_too_many_target_settles_are_refused(self, tmp_path, capsys, monkeypatch, system,
+                                                 model, t_per_target):
+        # 60 trials x 10^6 targets, each settled on 4000 (tanks) or 400
+        # (toggle) RK4 steps: every other bound passes, and the settles once
+        # started
+        def never(*args, **kwargs):
+            raise AssertionError("no target may be drawn")
+
+        monkeypatch.setattr(benchmarks, "sample_targets", never)
+        model = (["--field", str(_checkpoint(tmp_path, system))] if model == "field"
+                 else ["--oracle"])
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["control", "--system", system, *model, "--out", str(out),
+                   "--t-per-target", t_per_target, "--targets", "1000000", "--trials", "60",
+                   "--record-every", "1"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "settle on" in err and "--targets" in err and "--trials" in err
+        assert list(out.iterdir()) == []
+
+    def test_settle_bound_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        # 1 trial x 2 targets x 2 dims x (4000 + 1) tanks settle values: at
+        # the bound the run goes ahead, one value below it is refused
+        argv = ["control", "--system", benchmarks.TWO_TANKS, "--field",
+                str(_checkpoint(tmp_path, benchmarks.TWO_TANKS)), "--out", str(tmp_path),
+                "--targets", "2", "--trials", "1", "--t-per-target", "0.5",
+                "--record-every", "1"]
+        monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 2 * 2 * 4001)
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(cli, "_MAX_STEP_VALUES", 2 * 2 * 4001 - 1)
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert "settle on 4000 RK4 steps" in capsys.readouterr().err
 
     def test_k_bound_counts_every_level_and_trial(self, tmp_path, monkeypatch):
         # 2 trials x k = 2 levels of the checkpoint's target cache: at the

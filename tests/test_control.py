@@ -5,10 +5,11 @@ import pytest
 
 from stabledyn import benchmarks, control, field, nnet
 from stabledyn.control import (
-    ControlPolicyCfg,
+    ControlRecipe,
     active_targets,
     control_gate,
     control_objective_grad,
+    control_schedule,
     feedback_simulate,
     iterate_target,
     smooth_heaviside,
@@ -129,13 +130,34 @@ class TestControlGate:
             assert np.array_equal(control_gate(u[0], bounds), signed_term_gate(u[0], terms))
 
 
+def scalar_recipe(**given):
+    """A scalar `ControlRecipe`: k 1, eta 1, no noise, one unit of time per
+    target in steps of 0.01, from x0 = u0 = 0, ungated, with ``given``
+    in place of any of these."""
+    base = dict(k=1, eta=1.0, sigma=0.0, t_per_target=1.0, step=0.01, x0=(0.0,), u0=(0.0,))
+    return ControlRecipe(**{**base, **given})
+
+
 class TestControlPolicyCfg:
+    """`ControlRecipe`, the control policy's one configuration, refuses a
+    bad iteration depth, update strength or bound when built."""
+
     @pytest.mark.parametrize("bound", [(0.9, 0.1, 1.0), (0.5, 0.5, 1.0), (math.nan, 1.0, 1.0),
                                        (0.0, 1.0, 0.0), (0.0, 1.0, -2.0), (0.0, 1.0, math.inf),
                                        (0.0, 1.0, math.nan)])
     def test_bad_bound_rejected_when_built(self, bound):
         with pytest.raises(ValueError, match="lo < hi and a finite rate > 0"):
-            ControlPolicyCfg(bounds=(OPEN, bound))
+            scalar_recipe(u0=(0.0, 0.0), bounds=(OPEN, bound))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_when_built(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            scalar_recipe(k=k)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+    def test_eta_not_positive_rejected_when_built(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            scalar_recipe(eta=eta)
 
 
 class TestIterateTarget:
@@ -302,36 +324,35 @@ class TestOnePassPerLevel:
         assert np.array_equal(u_only, replayed[1])
 
 
+def steer(plant_rhs, target_map, recipe, refs, seeds=(0,), record_every=1):
+    """`feedback_simulate` on the recipe's own `control_schedule` through
+    ``refs``, one x_ref per target, which every trial shares."""
+    starts, grid = control_schedule(recipe, len(refs))
+    targets = np.tile(np.asarray(refs, dtype=float), (len(seeds), 1, 1))
+    return feedback_simulate(plant_rhs, target_map, recipe, targets, seeds, starts, grid=grid,
+                             record_every=record_every)
+
+
 class TestFeedbackSimulate:
     def test_stationary_at_satisfied_target(self):
         # plant = learned field, start at the field's own equilibrium for u
         fld = make_constant_field()  # equilibrium at 0.5 for every control
-        trace = feedback_simulate(
+        trace = steer(
             plant_rhs=lambda x, u: eval_velocity(fld, x, u),
             target_map=fld,
-            policy=ControlPolicyCfg(k=1, eta=1.0),
-            targets=[(0.0, np.array([0.5]))],
-            x0=np.array([0.5]),
-            u0=np.array([0.2]),
-            grid=TimeGrid(0.0, 5.0, 200),
-            sigma=0.0,
-            seeds=[0],
+            recipe=scalar_recipe(t_per_target=5.0, step=0.025, x0=(0.5,), u0=(0.2,)),  # 200 steps
+            refs=[[0.5]],
         )
         assert np.max(np.abs(trace.states - 0.5)) <= 1e-9
         assert np.max(np.abs(trace.controls - 0.2)) <= 1e-9
 
     def test_drives_scalar_plant_to_target(self):
         # plant dx/dt = u - x; target map g(x,u) = u exactly
-        trace = feedback_simulate(
+        trace = steer(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
-            policy=ControlPolicyCfg(k=1, eta=4.0),
-            targets=[(0.0, np.array([1.2])), (20.0, np.array([-0.7]))],
-            x0=np.array([0.0]),
-            u0=np.array([0.0]),
-            grid=TimeGrid(0.0, 40.0, 4000),
-            sigma=0.0,
-            seeds=[0],
+            recipe=scalar_recipe(eta=4.0, t_per_target=20.0),  # targets at t = 0 and 20
+            refs=[[1.2], [-0.7]],
         )
         mid = trace.states[trace.times <= 20.0, 0]
         assert abs(mid[-1, 0] - 1.2) <= 1e-3
@@ -341,17 +362,12 @@ class TestFeedbackSimulate:
     def test_gate_stalls_control_past_boundary(self):
         # pull toward an unreachable target: the gate saturates within 0.3 of
         # the boundary, so u stalls there and its velocity collapses
-        trace = feedback_simulate(
+        trace = steer(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
-            policy=ControlPolicyCfg(k=1, eta=0.5,
-                                    bounds=((0.05, 0.95, 50.0),)),
-            targets=[(0.0, np.array([5.0]))],
-            x0=np.array([0.5]),
-            u0=np.array([0.5]),
-            grid=TimeGrid(0.0, 20.0, 10000),
-            sigma=0.0,
-            seeds=[0],
+            recipe=scalar_recipe(eta=0.5, t_per_target=20.0, step=0.002, x0=(0.5,), u0=(0.5,),
+                          bounds=((0.05, 0.95, 50.0),)),
+            refs=[[5.0]],
         )
         assert np.max(trace.controls) < 0.95 + 0.3
         late_steps = np.abs(np.diff(trace.controls[-50:, 0, 0]))
@@ -362,50 +378,51 @@ class TestFeedbackSimulate:
         gates = []
         monkeypatch.setattr(control, "control_gate",
                             lambda *a: gates.append(a) or control_gate(*a))
-        grid = TimeGrid(0.0, 1.0, 25)
-        feedback_simulate(
-            plant_rhs=lambda x, u: u - x,
-            target_map=lambda x, u: u,
-            policy=ControlPolicyCfg(k=1, eta=1.0, bounds=bounds),
-            targets=[(0.0, np.array([0.8]))],
-            x0=np.array([0.5]),
-            u0=np.array([0.5]),
-            grid=grid,
-            seeds=[0, 1],
-        )
+        policy = scalar_recipe(step=0.04, x0=(0.5,), u0=(0.5,), bounds=bounds)
+        grid = control_schedule(policy, 1)[1]
+        assert grid.n_steps == 25
+        steer(lambda x, u: u - x, lambda x, u: u, policy, [[0.8]], seeds=[0, 1])
         assert len(gates) == (grid.n_steps if bounds else 0)
 
     def test_noise_reproducible_per_seed(self):
         args = dict(
             plant_rhs=lambda x, u: u - x,
             target_map=lambda x, u: u,
-            policy=ControlPolicyCfg(k=1, eta=2.0),
-            targets=[(0.0, np.array([0.8]))],
-            x0=np.array([0.1]),
-            u0=np.array([0.0]),
-            grid=TimeGrid(0.0, 5.0, 500),
-            sigma=0.05,
+            recipe=scalar_recipe(eta=2.0, sigma=0.05, t_per_target=5.0, x0=(0.1,)),
+            refs=[[0.8]],
         )
-        a = feedback_simulate(seeds=[[3, 1]], **args)
-        b = feedback_simulate(seeds=[[3, 1]], **args)
-        c = feedback_simulate(seeds=[[3, 2]], **args)
+        a = steer(seeds=[[3, 1]], **args)
+        b = steer(seeds=[[3, 1]], **args)
+        c = steer(seeds=[[3, 2]], **args)
         assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.states, c.states)
 
     def test_record_every_thins_output(self):
-        trace = feedback_simulate(
-            plant_rhs=lambda x, u: -x,
-            target_map=lambda x, u: u,
-            policy=ControlPolicyCfg(k=1, eta=1.0),
-            targets=[(0.0, np.array([0.0]))],
-            x0=np.array([1.0]),
-            u0=np.array([0.0]),
-            grid=TimeGrid(0.0, 1.0, 100),
-            seeds=[0],
-            record_every=10,
-        )
+        trace = steer(lambda x, u: -x, lambda x, u: u, scalar_recipe(x0=(1.0,)), [[0.0]],
+                      record_every=10)  # 100 steps
         assert len(trace.times) == 11
         assert trace.times[-1] == 1.0
+
+    @staticmethod
+    def one_seed(targets, starts):
+        return feedback_simulate(lambda x, u: -x, lambda x, u: u, scalar_recipe(), targets, [0],
+                                 starts, grid=TimeGrid(0.0, 1.0, 10))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1)],
+                             ids=["trials", "targets", "dims", "no-target-axis"])
+    def test_targets_of_another_shape_are_refused(self, shape):
+        # one seed, one start and a scalar state take a (1, 1, 1) array
+        with pytest.raises(ValueError, match=r"targets must be \(trials, targets, d\) = "
+                                             r"\(1, 1, 1\), got"):
+            self.one_seed(np.zeros(shape), [0.0])
+
+    def test_no_target_is_refused(self):
+        with pytest.raises(ValueError, match="need at least one target"):
+            self.one_seed(np.zeros((1, 0, 1)), [])
+
+    def test_targets_out_of_time_order_are_refused(self):
+        with pytest.raises(ValueError, match="targets must be ordered in time"):
+            self.one_seed(np.zeros((1, 2, 1)), [0.5, 0.0])
 
     @pytest.mark.parametrize("starts", [[0.0], [0.0, 0.5, 0.5, 1.0], [0.3, 0.7], [0.0, 2.0]])
     def test_active_targets_match_the_step_rule(self, starts):

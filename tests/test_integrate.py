@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stabledyn.control import ControlPolicyCfg, feedback_simulate
+from stabledyn.control import ControlRecipe, feedback_simulate
 from stabledyn.field import (eval_target, eval_velocity, velocity_cached,
                              velocity_input_vjp_cached, velocity_vjp_cached)
 from stabledyn.integrate import (
@@ -198,8 +198,11 @@ def still_plant(x, u):
 def em_paths(plant_rhs, x0, grid, sigma, seeds, u0=0.0, x_ref=0.0):
     """`feedback_simulate` with the control pulled toward x_ref through the
     identity target map, so only its Euler-Maruyama state step is under test."""
-    return feedback_simulate(plant_rhs, lambda x, u: u, ControlPolicyCfg(k=1, eta=1.0),
-                             [(0.0, [x_ref])], [x0], [u0], grid, sigma=sigma, seeds=seeds)
+    recipe = ControlRecipe(k=1, eta=1.0, sigma=sigma, t_per_target=grid.t1 - grid.t0,
+                           step=grid.h, x0=(x0,), u0=(u0,))
+    targets = np.full((len(seeds), 1, 1), x_ref)
+    return feedback_simulate(plant_rhs, lambda x, u: u, recipe, targets, seeds, [0.0],
+                             grid=grid)
 
 
 class TestEulerMaruyama:
@@ -394,6 +397,22 @@ class TestTrajectoryCsv:
     def test_rejects_header_out_of_order(self):
         with pytest.raises(ValueError, match="header 'traj_id,t,u_0,x_0' is not"):
             read_trajectories_csv(b"traj_id,t,u_0,x_0\n1,0,1,2\n")
+
+    @pytest.mark.parametrize("body", [
+        "5,0,1,9\n2,0,10,8\n5,1,2,9\n2,1,20,7\n",
+        "2,0,10,nan\n2,1,20,8\n",
+        "2,0,10,inf\n2,1,20,-inf\n",
+    ], ids=["number", "nan-then-number", "inf-then-minus-inf"])
+    def test_rejects_control_changing_within_a_trajectory(self, body):
+        with pytest.raises(ValueError, match="trajectory 2 changes its control between rows"):
+            read_trajectories_csv((self.H + body).encode())
+
+    def test_equal_non_finite_controls_are_one_control(self):
+        # nan on every row of a trajectory is one (non-finite) control, which
+        # the training data check refuses by name
+        back = read_trajectories_csv((self.H + "1,0,0,nan\n1,1,0,nan\n"
+                                      "2,0,0,inf\n2,1,0,inf\n").encode())
+        assert np.isnan(back[0].control).all() and back[1].control.tolist() == [np.inf]
 
     @pytest.mark.parametrize("bad,reason", [
         ("\n", "line 3 is blank"),
