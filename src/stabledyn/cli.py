@@ -83,7 +83,9 @@ _FLOAT_NONNEGATIVE = ("sigma",)
 # caps the step work, not the memory held. `control` refuses trials whose
 # Euler steps, counted the same way over its trials, exceed it, and a --k
 # whose per-step target caches over all trials (`nnet.cache_values` per
-# level) exceed it, and tanks or toggle targets whose settling RK4 steps
+# level: each layer's input, the output sigmoid and one SiLU derivative per
+# hidden unit, 87 values for the sym-hysteresis target net) exceed it, and
+# tanks or toggle targets whose settling RK4 steps
 # (trials x targets x dims x (settle steps + 1)) exceed it. `bifurcate`
 # refuses a sweep whose residual scan, counted as control values x (scan
 # cells + 1), exceeds it.

@@ -47,7 +47,9 @@ class ControlRecipe:
     control bounds and the nRMSE normalization.
 
     ``bounds`` has one ``(lo, hi, rate)`` per control channel, with -inf or
-    inf for an open side; empty bounds leave every channel ungated.
+    inf for an open side; empty bounds leave every channel ungated. The
+    recipe is checked whole when built: a finite positive step and span,
+    a finite sigma >= 0, non-empty x0 and u0, and bounds that fit u0.
     """
 
     k: int
@@ -65,6 +67,15 @@ class ControlRecipe:
             raise ValueError("iteration depth k must be >= 1")
         if not self.eta > 0:
             raise ValueError("update strength eta must be positive")
+        if not all(0 < span < math.inf for span in (self.step, self.t_per_target)):
+            raise ValueError("step and t_per_target must be finite and positive")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("noise level sigma must be finite and >= 0")
+        if len(self.x0) == 0 or len(self.u0) == 0:
+            raise ValueError("x0 and u0 must be non-empty")
+        if len(self.bounds) not in (0, len(self.u0)):
+            raise ValueError(f"need no bounds or one per control channel ({len(self.u0)}), "
+                             f"got {len(self.bounds)}")
         if not all(lo < hi and 0 < rate < math.inf for lo, hi, rate in self.bounds):
             raise ValueError("each bound needs lo < hi and a finite rate > 0")
 

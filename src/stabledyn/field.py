@@ -15,10 +15,10 @@ gradient runs each net once:
 
 - velocity: `velocity_cached` keeps both nets' caches, written into the
   caller's `nnet.hidden_arrays` when it passes them (the RK4 stage tape of
-  `integrate` does). `velocity_vjp_cached` replays them for the flat
-  parameter gradient only (training reads nothing else), and
-  `velocity_input_vjp_cached` for the input gradients only, from which
-  the RK4 stage Jacobians are built.
+  `integrate` does, its four stages sharing one scratch pair per width).
+  `velocity_vjp_cached` replays them for the flat parameter gradient only
+  (training reads nothing else), and `velocity_input_vjp_cached` for the
+  input gradients only, from which the RK4 stage Jacobians are built.
 - target: `target_cached` keeps the target net's cache and
   `target_vjp(field, cache, cotangent)` replays it for the input gradients
   (x_grad, u_grad) only: feedback control reads nothing else. At the
@@ -248,7 +248,8 @@ def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray, ou
     Hot path for unrolled solvers: no dim re-validation, 2-d arrays only.
     ``out``, when given, is a (decay, target) pair of `nnet.hidden_arrays`
     of the batch's row count; the nets' hidden layers are written into them
-    (same bits), and the cache holds them until the caller reuses them.
+    (same bits), and the cache holds their kept arrays until the caller
+    reuses them. Their scratch may be shared with other calls' ``out``.
     """
     f_out, g_out = (None, None) if out is None else out
     f, f_cache = _decay_forward(field, x2d, cached=True, out=f_out)

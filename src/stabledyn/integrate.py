@@ -13,9 +13,11 @@ each stage from the solved states. For a field with single-output nets
 of the narrower solve, because BLAS rounds a 1-column product by row
 position (`nnet._BLOCK_ROWS`). So the gradient is that of the recursion
 through the solved states, not always bit for bit that of the stages the
-solver took. The wide stage caches go into a `StageTape` that the caller
-owns and passes to every call (`training.TrajMatchingObjective` keeps
-one), so repeated gradients reuse the same memory. `rk4_solve_batch`
+solver took. The wide stage caches, each hidden layer's SiLU output and
+derivative, go into a `StageTape` that the caller owns and passes to
+every call (`training.TrajMatchingObjective` keeps one), so repeated
+gradients reuse the same memory; the four stages share one scratch pair
+per width for the pre-activations and sigmoids. `rk4_solve_batch`
 records every node, or only every k-th one for callers that keep a sample
 stride. The stochastic (Euler-Maruyama) loop of closed-loop control lives
 in `control.feedback_simulate`.
@@ -141,8 +143,12 @@ class StageTape:
     """The hidden-layer arrays of the four wide stage linearizations in
     `rk4_solve_unrolled_grad`, kept from one call to the next.
 
-    A training loop that passes one tape to every call writes each batch's
-    stage caches into the same memory, so the allocator neither hands those
+    Each stage keeps the (a, p) pair of `nnet.hidden_arrays` per hidden
+    layer of both nets: the SiLU output and derivative its reverses read.
+    The pre-activation and sigmoid are scratch, one (z, s) pair per width
+    that the four stage calls and both nets overwrite in turn. A training
+    loop that passes one tape to every call writes each batch's stage
+    caches into the same memory, so the allocator neither hands those
     megabytes back to the OS after a batch nor faults them in again for the
     next. The capacity only grows, to the largest row count asked for; a
     smaller call writes into ``[:rows]`` views. Arrays are made anew only
@@ -155,19 +161,19 @@ class StageTape:
 
     def stages(self, field: StructuredField, rows: int):
         """Four (decay, target) pairs of `nnet.hidden_arrays`, one per RK4
-        stage, each of ``rows`` rows; the arrays of the previous call are
-        overwritten."""
+        stage, each of ``rows`` rows and all sharing one scratch; the
+        arrays of the previous call are overwritten."""
         widths = (field.decay_spec.layer_sizes[1:-1], field.target_spec.layer_sizes[1:-1])
         if widths != self._widths or rows > self._rows:
-            self._widths, self._rows = widths, rows
-            self._arrays = [(hidden_arrays(field.decay_spec, rows),
-                             hidden_arrays(field.target_spec, rows)) for _ in range(4)]
+            self._widths, self._rows, scratch = widths, rows, {}
+            self._arrays = [(hidden_arrays(field.decay_spec, rows, scratch),
+                             hidden_arrays(field.target_spec, rows, scratch)) for _ in range(4)]
         return [(_first_rows(f, rows), _first_rows(g, rows)) for f, g in self._arrays]
 
 
 def _first_rows(arrays, rows: int):
     """The first ``rows`` rows of each array of `nnet.hidden_arrays`."""
-    return [tuple(a[:rows] for a in triple) for triple in arrays]
+    return [tuple(a[:rows] for a in layer) for layer in arrays]
 
 
 def rk4_solve_unrolled_grad(

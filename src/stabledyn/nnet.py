@@ -19,7 +19,10 @@ round a row of a product differently by its position in the batch, which
 a single-output net's 1-column last product does (see ``_BLOCK_ROWS``).
 
 - forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
-  what the reverse pass needs, in fresh or caller-given hidden arrays.
+  what the reverse pass reads, in fresh or caller-given hidden arrays:
+  each layer's input, each hidden layer's SiLU derivative and the output
+  sigmoid. The derivative is built once there (`_silu_grad`), so a cache
+  replayed several times does not rebuild it.
 - reverse (`_reverse_layers`, replaying a `forward_cached` cache), each
   building only the gradient it returns: `backward_from_cache` the
   batch-summed parameter gradient, `input_vjp_from_cache` the per-row
@@ -143,17 +146,17 @@ def _sigmoid(z, out=None):
     return s
 
 
-def _silu_vjp(z, s, da):
-    """da * SiLU'(z) = da * (s + z * s * (1 - s)) with s = sigmoid(z); one new
-    array when z is large."""
-    if z.size < _INPLACE_MIN:
-        return da * (s + z * (s * (1.0 - s)))
-    g = 1.0 - s
-    g *= s
-    g *= z
-    g += s
-    g *= da
-    return g
+def _silu_grad(z, s, out=None):
+    """SiLU'(z) = s + z * s * (1 - s) with s = sigmoid(z); one new array when
+    z is large, none when ``out`` takes the result. Both forms give the
+    same bits."""
+    if out is None and z.size < _INPLACE_MIN:
+        return s + z * (s * (1.0 - s))
+    p = np.subtract(1.0, s, out=out)
+    p *= s
+    p *= z
+    p += s
+    return p
 
 
 # Output-layer sigmoids are clamped this far from {0,1} so bounded outputs
@@ -186,12 +189,12 @@ _BLOCK_ROWS = 1024
 
 def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
     """The layer arithmetic of every forward pass: (outputs, cache) where the
-    cache is None unless ``keep`` asks for what the reverse pass needs. With
-    ``keep``, ``out`` may give one (z, s, a) triple of (N, width) arrays per
-    hidden layer (`hidden_arrays`) for the pre-activation, its sigmoid and
-    the SiLU output; the cache then holds those arrays."""
+    cache is None unless ``keep`` asks for what the reverse pass reads. With
+    ``keep``, ``out`` may give one (z, s, a, p) of (N, width) arrays per
+    hidden layer (`hidden_arrays`) for the pre-activation, its sigmoid, the
+    SiLU output and its derivative; the cache then holds the given a and p."""
     acts = [x2d]
-    hidden = []
+    derivs = []
     a = x2d
     for l, (w, b) in enumerate(layers[:-1]):
         # the operator forms where no arrays are given: a 1-row call pays
@@ -200,17 +203,19 @@ def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
             z = a @ w.T
             z += b
             s = _sigmoid(z)
+            if keep:
+                derivs.append(_silu_grad(z, s))
+            # SiLU; nothing reads z after it
+            a = z * s if z.size < _INPLACE_MIN else np.multiply(z, s, out=z)
         else:
-            z, s, a_out = out[l]
+            z, s, a_out, p_out = out[l]
             np.matmul(a, w.T, out=z)
             z += b
             _sigmoid(z, out=s)
+            derivs.append(_silu_grad(z, s, out=p_out))
+            a = np.multiply(z, s, out=a_out)
         if keep:
-            a = z * s if out is None else np.multiply(z, s, out=a_out)  # SiLU
-            hidden.append((z, s))
             acts.append(a)
-        else:
-            a = z * s if z.size < _INPLACE_MIN else np.multiply(z, s, out=z)
     w, b = layers[-1]
     z = a @ w.T
     z += b
@@ -219,7 +224,7 @@ def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
     np.minimum(s_out, 1.0 - _SAT, out=s_out)
     lo, hi = spec.output_bounds
     y = lo + (hi - lo) * s_out
-    return y, ((layers, acts, hidden, s_out) if keep else None)
+    return y, ((layers, acts, derivs, s_out) if keep else None)
 
 
 def forward(spec: MlpSpec, layers, x2d: np.ndarray) -> np.ndarray:
@@ -249,27 +254,38 @@ def forward_cached(spec: MlpSpec, layers, x2d: np.ndarray, out=None):
     passes to replay.
 
     ``x2d`` is (N, in_dim); outputs are (N, out_dim). The cache holds layer
-    inputs, hidden pre-activations with their sigmoids, and the output-layer
-    sigmoid values. Callers that repeat wide passes may pass ``out``, the
-    `hidden_arrays` of N rows, for the hidden layers to be written into
-    instead of allocated; the outputs and cache hold the same bits.
+    inputs, each hidden layer's SiLU derivative SiLU'(z), and the
+    output-layer sigmoid values. Callers that repeat wide passes may pass
+    ``out``, the `hidden_arrays` of N rows, for the hidden layers to be
+    written into instead of allocated; the outputs and cache hold the same
+    bits.
     """
     return _run_layers(spec, layers, x2d, keep=True, out=out)
 
 
-def hidden_arrays(spec: MlpSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One uninitialized (z, s, a) triple of (rows, width) arrays per hidden
-    layer: the ``out`` that `forward_cached` writes its hidden layers into."""
-    return [tuple(np.empty((rows, width)) for _ in range(3))
-            for width in spec.layer_sizes[1:-1]]
+def hidden_arrays(spec: MlpSpec, rows: int, scratch: dict):
+    """One uninitialized (z, s, a, p) of (rows, width) arrays per hidden
+    layer: the ``out`` that `forward_cached` writes its hidden layers into.
+
+    The cache keeps a and p, the layer's SiLU output and derivative. z and
+    s, its pre-activation and sigmoid, are scratch that the next layer
+    overwrites: one pair per width, taken from ``scratch``, a dict from
+    width to pair, or made and added to it. Calls that share one
+    ``scratch`` allocate a width's pair once, and their caches still hold
+    arrays of their own."""
+    arrays = []
+    for width in spec.layer_sizes[1:-1]:
+        if width not in scratch:
+            scratch[width] = (np.empty((rows, width)), np.empty((rows, width)))
+        arrays.append((*scratch[width], np.empty((rows, width)), np.empty((rows, width))))
+    return arrays
 
 
 def cache_values(spec: MlpSpec) -> int:
     """Values one row of a `forward_cached` cache holds: every layer's input
-    and the output sigmoid, plus each hidden layer's pre-activation and
-    sigmoid."""
+    and the output sigmoid, plus each hidden unit's SiLU derivative."""
     sizes = spec.layer_sizes
-    return sum(sizes) + 2 * sum(sizes[1:-1])
+    return sum(sizes) + sum(sizes[1:-1])
 
 
 def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
@@ -277,7 +293,7 @@ def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
     ``flat``, it writes each layer's batch-summed weight and bias gradients
     there and stops at the first layer's delta; without, it returns the
     per-row input gradient."""
-    layers, acts, hidden, s_out = cache
+    layers, acts, derivs, s_out = cache
     lo, hi = spec.output_bounds
     delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
     # the lookup hashes the spec, so the input-only reverse skips it
@@ -289,8 +305,8 @@ def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
             np.add.reduce(delta, axis=0, out=flat[b_off : b_off + n_out])
         if l == 0:
             break
-        z, s = hidden[l - 1]
-        delta = _silu_vjp(z, s, delta @ layers[l][0])
+        delta = delta @ layers[l][0]
+        delta *= derivs[l - 1]
     return flat if flat is not None else delta @ layers[0][0]
 
 

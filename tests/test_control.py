@@ -140,7 +140,8 @@ def scalar_recipe(**given):
 
 class TestControlPolicyCfg:
     """`ControlRecipe`, the control policy's one configuration, refuses a
-    bad iteration depth, update strength or bound when built."""
+    bad iteration depth, update strength, step, span, noise level, start
+    or bound when built."""
 
     @pytest.mark.parametrize("bound", [(0.9, 0.1, 1.0), (0.5, 0.5, 1.0), (math.nan, 1.0, 1.0),
                                        (0.0, 1.0, 0.0), (0.0, 1.0, -2.0), (0.0, 1.0, math.inf),
@@ -158,6 +159,34 @@ class TestControlPolicyCfg:
     def test_eta_not_positive_rejected_when_built(self, eta):
         with pytest.raises(ValueError, match="eta must be positive"):
             scalar_recipe(eta=eta)
+
+    @pytest.mark.parametrize("field", ["step", "t_per_target"])
+    @pytest.mark.parametrize("value", [0.0, -0.01, math.inf, math.nan])
+    def test_span_not_finite_positive_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match="step and t_per_target must be finite and positive"):
+            scalar_recipe(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.inf, math.nan])
+    def test_sigma_not_finite_nonnegative_rejected_when_built(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            scalar_recipe(sigma=sigma)
+
+    @pytest.mark.parametrize("given", [{"x0": ()}, {"u0": ()}], ids=["x0", "u0"])
+    def test_empty_start_rejected_when_built(self, given):
+        with pytest.raises(ValueError, match="x0 and u0 must be non-empty"):
+            scalar_recipe(**given)
+
+    @pytest.mark.parametrize("given", [
+        {"x0": (0.0, 0.0), "bounds": (OPEN, OPEN)},
+        {"u0": (0.0, 0.0), "bounds": (OPEN,)},
+        {"u0": (0.0, 0.0), "bounds": (OPEN, OPEN, OPEN)},
+    ], ids=["two-for-one", "one-for-two", "three-for-two"])
+    def test_bounds_not_fitting_u0_rejected_when_built(self, given):
+        with pytest.raises(ValueError, match="need no bounds or one per control channel"):
+            scalar_recipe(**given)
+
+    def test_no_bounds_accepted_for_any_control_count(self):
+        assert scalar_recipe(u0=(0.0, 0.0)).bounds == ()
 
 
 class TestIterateTarget:

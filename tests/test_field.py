@@ -286,16 +286,40 @@ class TestSinglePath:
         x = rng.uniform(-1.5, 1.5, size=(900, dim))
         u = rng.uniform(-1, 1, size=(900, q))
         w = rng.normal(size=(900, dim))
-        out = (nnet.hidden_arrays(fld.decay_spec, 900), nnet.hidden_arrays(fld.target_spec, 900))
+        out = (nnet.hidden_arrays(fld.decay_spec, 900, {}),
+               nnet.hidden_arrays(fld.target_spec, 900, {}))
         v, cache = velocity_cached(fld, x, u)
         v_out, cache_out = velocity_cached(fld, x, u, out)
         assert np.array_equal(v, v_out)
-        # the caches hold the given arrays
-        assert cache_out[3][2][0][0] is out[0][0][0] and cache_out[4][1][-1] is out[1][-1][2]
+        # the caches hold the given SiLU derivatives and outputs
+        assert cache_out[3][2][0] is out[0][0][3] and cache_out[4][1][-1] is out[1][-1][2]
         assert np.array_equal(velocity_vjp_cached(fld, cache, w),
                               velocity_vjp_cached(fld, cache_out, w))
         for want, got in zip(velocity_input_vjp_cached(fld, cache, w),
                              velocity_input_vjp_cached(fld, cache_out, w)):
+            assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])
+    def test_calls_sharing_scratch_keep_their_own_caches(self, featurizer, dim, q):
+        # 5- and 4-wide layers in both nets: two scratch pairs for both calls
+        fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=41,
+                         hidden=(5, 4))
+        rng = np.random.default_rng(12)
+        x1, x2 = rng.uniform(-1.5, 1.5, size=(2, 900, dim))
+        u = rng.uniform(-1, 1, size=(900, q))
+        w = rng.normal(size=(900, dim))
+        scratch = {}
+        out1, out2 = ((nnet.hidden_arrays(fld.decay_spec, 900, scratch),
+                       nnet.hidden_arrays(fld.target_spec, 900, scratch)) for _ in range(2))
+        assert sorted(scratch) == [4, 5]
+        assert out1[0][0][0] is out2[1][0][0] and out1[1][1][1] is out2[0][1][1]
+        _, cache1 = velocity_cached(fld, x1, u, out1)
+        velocity_cached(fld, x2, u, out2)
+        _, fresh = velocity_cached(fld, x1, u)
+        assert np.array_equal(velocity_vjp_cached(fld, cache1, w),
+                              velocity_vjp_cached(fld, fresh, w))
+        for want, got in zip(velocity_input_vjp_cached(fld, fresh, w),
+                             velocity_input_vjp_cached(fld, cache1, w)):
             assert np.array_equal(want, got)
 
     @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stabledyn import benchmarks
 from stabledyn.control import ControlRecipe, feedback_simulate
 from stabledyn.field import (eval_target, eval_velocity, velocity_cached,
                              velocity_input_vjp_cached, velocity_vjp_cached)
@@ -189,6 +190,25 @@ class TestUnrolledGrad:
             return float(np.sum(cots * self.solve(fld.with_params(p), x0, u, grid)))
 
         assert_close(grad, central_diff_grad(objective, fld.params), rtol=1e-3, floor=1e-5)
+
+    def test_tape_holds_two_arrays_per_layer_and_stage_plus_shared_scratch(self):
+        # a training batch of sym-hysteresis: 50 trajectories of 50 steps
+        fld = benchmarks.make_untrained_field("sym-hysteresis", 0)
+        grid = TimeGrid(0.0, 1.0, 50)
+        rng = np.random.default_rng(3)
+        x0 = rng.uniform(-1.5, 1.5, size=(50, 1))
+        u = rng.uniform(-1, 1, size=(50, 1))
+        tape = StageTape()
+        rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid,
+                                rng.normal(size=(50, 51, 1)), tape)
+        rows = 50 * 50
+        held = {id(view.base): view.base for stage in tape.stages(fld, rows)
+                for net in stage for layer in net for view in layer}
+        widths = [*fld.decay_spec.layer_sizes[1:-1], *fld.target_spec.layer_sizes[1:-1]]
+        kept = 4 * sum(2 * rows * width for width in widths)
+        scratch = sum(2 * rows * width for width in set(widths))
+        assert len(held) == 34
+        assert sum(arr.nbytes for arr in held.values()) == 8 * (kept + scratch)
 
 
 def still_plant(x, u):

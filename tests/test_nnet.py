@@ -122,9 +122,9 @@ class TestForward:
     @pytest.mark.parametrize("sizes", [(1, 1), (6, 20, 20, 1), (4, 20, 20, 20, 2)])
     def test_cache_values_count_one_cached_row(self, sizes):
         spec = MlpSpec(sizes)
-        _, acts, hidden, s_out = forward_cached(
+        _, acts, derivs, s_out = forward_cached(
             spec, split_params(spec, init_params(spec, 0)), np.ones((1, spec.in_dim)))[1]
-        held = [*acts, *(arr for pair in hidden for arr in pair), s_out]
+        held = [*acts, *derivs, s_out]
         assert nnet.cache_values(spec) == sum(arr.size for arr in held)
 
     def test_dimension_mismatch(self):
