@@ -5,18 +5,22 @@ state is pulled toward the matching component of `target`, the implicit
 equilibrium map. Scalar benchmarks may featurize the state with cosine
 modes before it enters the target net; the control vector is appended raw.
 
-Every evaluation runs the two nets through `_decay_forward` and
-`_target_forward`. Value-only calls (`eval_decay`, `eval_target`,
-`eval_velocity`, `residual`) take the cache-free, row-blocked
-`nnet.forward`, so they hold at most one block of activations whatever the
-batch size. Each map a caller differentiates has one cached forward, and
-its reverses replay that cache, so a caller that needs both value and
-gradient runs each net once:
+The two nets have the same hidden widths, so the field stacks their
+weights once per parameter vector on `nnet`'s model axis (``layers``,
+decay first). Every velocity evaluation runs both nets as that one stacked
+pass; the target-only calls (`eval_target`, `residual`, `target_cached`)
+run the target net alone, through `_target_forward`, and `eval_decay` the
+decay net alone. Value-only calls (`eval_decay`, `eval_target`,
+`eval_velocity`, `residual`) take the cache-free, row-blocked passes, so
+they hold at most one block of activations whatever the batch size. Each
+map a caller differentiates has one cached forward, and its reverses
+replay that cache, so a caller that needs both value and gradient runs
+each net once:
 
-- velocity: `velocity_cached` keeps both nets' caches, written into the
+- velocity: `velocity_cached` keeps the stacked cache, written into the
   caller's `nnet.hidden_arrays` when it passes them (the RK4 stage tape of
-  `integrate` does, its four stages sharing one scratch pair per width).
-  `velocity_vjp_cached` replays them for the flat parameter gradient only
+  `integrate` does, its four stages sharing one scratch array per width).
+  `velocity_vjp_cached` replays it for the flat parameter gradient only
   (training reads nothing else), and `velocity_input_vjp_cached` for the
   input gradients only, from which the RK4 stage Jacobians are built.
 - target: `target_cached` keeps the target net's cache and
@@ -90,7 +94,8 @@ def featurize_dx(x, cfg: Featurizer) -> np.ndarray:
 
 @dataclass
 class StructuredField:
-    """A trained or fresh model: two MLPs plus featurization and a domain box."""
+    """A trained or fresh model: two MLPs of the same hidden widths plus
+    featurization and a domain box."""
 
     dim: int
     control_dim: int
@@ -119,7 +124,14 @@ class StructuredField:
             raise ValueError("target net must output the state dim")
         if self.domain is not None:
             self.domain = np.asarray(self.domain, dtype=float).reshape(self.dim, 2)
-        # each net's weights as every net pass takes them
+        hidden = (self.decay_spec.layer_sizes[1:-1], self.target_spec.layer_sizes[1:-1])
+        if hidden[0] != hidden[1]:
+            raise ValueError(f"decay and target nets must have the same hidden widths, got "
+                             f"{list(hidden[0])} for decay and {list(hidden[1])} for target")
+        # the weights as every net pass takes them: both nets on one model
+        # axis, decay first, and each net alone
+        self.layers = nnet.stack_params((self.decay_spec, self.target_spec),
+                                        (self.decay_params, self.target_params))
         self.decay_layers = nnet.split_params(self.decay_spec, self.decay_params)
         self.target_layers = nnet.split_params(self.target_spec, self.target_params)
 
@@ -156,29 +168,20 @@ def target_input(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np
     return np.concatenate([feats, u2d], axis=1)
 
 
-def _decay_forward(field: StructuredField, x2d: np.ndarray, cached: bool = False, out=None):
-    """decay(x) on a batch of states; with ``cached``, (decay(x), cache),
-    the hidden layers written into ``out`` when it is given."""
-    if not cached:
-        return nnet.forward(field.decay_spec, field.decay_layers, x2d)
-    return nnet.forward_cached(field.decay_spec, field.decay_layers, x2d, out)
-
-
 def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,
-                    cached: bool = False, out=None):
+                    cached: bool = False):
     """target(x,u) on a batch of states and controls; with ``cached``,
-    (target(x,u), cache), the hidden layers written into ``out`` when it is
-    given."""
+    (target(x,u), cache)."""
     x_in = target_input(field, x2d, u2d)
     if not cached:
         return nnet.forward(field.target_spec, field.target_layers, x_in)
-    return nnet.forward_cached(field.target_spec, field.target_layers, x_in, out)
+    return nnet.forward_cached(field.target_spec, field.target_layers, x_in)
 
 
 def eval_decay(field: StructuredField, x) -> np.ndarray:
     """decay(x); strictly negative elementwise."""
     x2d, single = nnet._as_batch(x, field.dim, "state")
-    y = _decay_forward(field, x2d)
+    y = nnet.forward(field.decay_spec, field.decay_layers, x2d)
     return y[0] if single else y
 
 
@@ -192,7 +195,8 @@ def eval_target(field: StructuredField, x, u) -> np.ndarray:
 def eval_velocity(field: StructuredField, x, u) -> np.ndarray:
     """velocity(x,u) = decay(x) * (x - target(x,u)), elementwise."""
     x2d, u2d, single = _batch_xu(field, x, u)
-    v = _decay_forward(field, x2d) * (x2d - _target_forward(field, x2d, u2d))
+    f, g = nnet.mlp_values(field.layers, (x2d, target_input(field, x2d, u2d)))
+    v = f * (x2d - g)
     return v[0] if single else v
 
 
@@ -243,19 +247,28 @@ def target_vjp(field: StructuredField, cache, cotangent, state_grad: bool = True
 
 
 def velocity_cached(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray, out=None):
-    """Batched velocity plus the caches needed to replay the reverse pass.
+    """Batched velocity plus the cache needed to replay the reverse pass.
 
     Hot path for unrolled solvers: no dim re-validation, 2-d arrays only.
-    ``out``, when given, is a (decay, target) pair of `nnet.hidden_arrays`
-    of the batch's row count; the nets' hidden layers are written into them
+    ``out``, when given, is the `nnet.hidden_arrays` of ``field.layers`` for
+    the batch's row count; the nets' hidden layers are written into them
     (same bits), and the cache holds their kept arrays until the caller
     reuses them. Their scratch may be shared with other calls' ``out``.
     """
-    f_out, g_out = (None, None) if out is None else out
-    f, f_cache = _decay_forward(field, x2d, cached=True, out=f_out)
-    g, g_cache = _target_forward(field, x2d, u2d, cached=True, out=g_out)
-    diff = x2d - g
-    return f * diff, (x2d, f, diff, f_cache, g_cache)
+    outputs, net_cache = nnet.mlp_forward(
+        field.layers, (x2d, target_input(field, x2d, u2d)), out)
+    # (decay, x - target): the target's slice becomes the difference
+    f, diff = outputs[0], np.subtract(x2d, outputs[1], out=outputs[1])
+    return f * diff, (x2d, f, diff, outputs, net_cache)
+
+
+def _net_cotangents(cache, cotangent2d: np.ndarray) -> np.ndarray:
+    """Each net's output cotangent of <cotangent, velocity>, as a model-axis
+    stack: cotangent * (x - target) for the decay, -(cotangent * decay) for
+    the target."""
+    cots = cotangent2d * cache[3][::-1]
+    np.negative(cots[1], out=cots[1])
+    return cots
 
 
 def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray) -> np.ndarray:
@@ -263,21 +276,17 @@ def velocity_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray) 
     only: the flat gradient over decay params then target params, summed
     over the batch. No input gradient is built; `velocity_input_vjp_cached`
     replays the same cache for those."""
-    _, f, diff, f_cache, g_cache = cache
-    fgrad = nnet.backward_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
-    ggrad = nnet.backward_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
-    return np.concatenate([fgrad, ggrad])
+    return nnet.mlp_backward(cache[4], _net_cotangents(cache, cotangent2d))
 
 
 def velocity_input_vjp_cached(field: StructuredField, cache, cotangent2d: np.ndarray):
     """Reverse pass over a `velocity_cached` evaluation in the inputs only.
 
-    Returns (x_grad, u_grad) per row; both nets' reverses run through
-    `nnet.input_vjp_from_cache`, so no parameter gradient is built.
+    Returns (x_grad, u_grad) per row; both nets' reverse runs through
+    `nnet.mlp_input_vjp`, so no parameter gradient is built.
     """
-    x2d, f, diff, f_cache, g_cache = cache
-    fx = nnet.input_vjp_from_cache(field.decay_spec, f_cache, cotangent2d * diff)
-    gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, -(cotangent2d * f))
+    x2d, f, _, _, net_cache = cache
+    fx, gin_grad = nnet.mlp_input_vjp(net_cache, _net_cotangents(cache, cotangent2d))
     gx_t, gu = _target_input_vjp(field, x2d, gin_grad)
     return cotangent2d * f + fx + gx_t, gu
 

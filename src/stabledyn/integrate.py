@@ -16,8 +16,8 @@ through the solved states, not always bit for bit that of the stages the
 solver took. The wide stage caches, each hidden layer's SiLU output and
 derivative, go into a `StageTape` that the caller owns and passes to
 every call (`training.TrajMatchingObjective` keeps one), so repeated
-gradients reuse the same memory; the four stages share one scratch pair
-per width for the pre-activations and sigmoids. `rk4_solve_batch`
+gradients reuse the same memory; the four stages share one scratch array
+per width for the sigmoids. `rk4_solve_batch`
 records every node, or only every k-th one for callers that keep a sample
 stride. The stochastic (Euler-Maruyama) loop of closed-loop control lives
 in `control.feedback_simulate`.
@@ -31,6 +31,7 @@ path or the file's bytes and parses the body in one `np.loadtxt` pass.
 from __future__ import annotations
 
 import io
+import math
 import os
 import sys
 import warnings
@@ -144,36 +145,38 @@ class StageTape:
     `rk4_solve_unrolled_grad`, kept from one call to the next.
 
     Each stage keeps the (a, p) pair of `nnet.hidden_arrays` per hidden
-    layer of both nets: the SiLU output and derivative its reverses read.
-    The pre-activation and sigmoid are scratch, one (z, s) pair per width
-    that the four stage calls and both nets overwrite in turn. A training
-    loop that passes one tape to every call writes each batch's stage
-    caches into the same memory, so the allocator neither hands those
-    megabytes back to the OS after a batch nor faults them in again for the
-    next. The capacity only grows, to the largest row count asked for; a
-    smaller call writes into ``[:rows]`` views. Arrays are made anew only
-    when a call needs more rows or nets of other widths. A tape serves one
-    call at a time: each call overwrites the caches of the one before.
+    layer, each holding both nets on the model axis: the SiLU output and
+    derivative its reverses read. The sigmoid is scratch, one array per
+    width that the four stage calls overwrite in turn. A training loop that
+    passes one tape to every call writes each batch's stage caches into the
+    same memory, so the allocator neither hands those megabytes back to the
+    OS after a batch nor faults them in again for the next. The capacity
+    only grows, to the largest row count asked for; a smaller call writes
+    into arrays on the first bytes of each. Arrays are made anew only when a
+    call needs more rows or nets of other widths. A tape serves one call at
+    a time: each call overwrites the caches of the one before.
     """
 
     def __init__(self):
         self._widths, self._rows, self._arrays = None, 0, None
 
     def stages(self, field: StructuredField, rows: int):
-        """Four (decay, target) pairs of `nnet.hidden_arrays`, one per RK4
-        stage, each of ``rows`` rows and all sharing one scratch; the
-        arrays of the previous call are overwritten."""
-        widths = (field.decay_spec.layer_sizes[1:-1], field.target_spec.layer_sizes[1:-1])
+        """Four `nnet.hidden_arrays` of ``field.layers``, one per RK4 stage,
+        each of ``rows`` rows and all sharing one scratch; the arrays of the
+        previous call are overwritten."""
+        widths = field.decay_spec.layer_sizes[1:-1]
         if widths != self._widths or rows > self._rows:
             self._widths, self._rows, scratch = widths, rows, {}
-            self._arrays = [(hidden_arrays(field.decay_spec, rows, scratch),
-                             hidden_arrays(field.target_spec, rows, scratch)) for _ in range(4)]
-        return [(_first_rows(f, rows), _first_rows(g, rows)) for f, g in self._arrays]
+            self._arrays = [hidden_arrays(field.layers, rows, scratch) for _ in range(4)]
+        return [[tuple(_first_rows(a, rows) for a in layer) for layer in stage]
+                for stage in self._arrays]
 
 
-def _first_rows(arrays, rows: int):
-    """The first ``rows`` rows of each array of `nnet.hidden_arrays`."""
-    return [tuple(a[:rows] for a in layer) for layer in arrays]
+def _first_rows(arr: np.ndarray, rows: int) -> np.ndarray:
+    """A stack array of ``rows`` rows (`nnet.hidden_arrays`) on the first
+    bytes of one of more rows."""
+    shape = (*arr.shape[:-2], rows, arr.shape[-1])
+    return arr.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def rk4_solve_unrolled_grad(

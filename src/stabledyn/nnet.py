@@ -6,27 +6,40 @@ layer: weight matrix (rows = output units) flattened row-major, then the
 bias vector. Everything here is a pure function of its explicit inputs,
 so forward/backward are safe to evaluate concurrently over shared params.
 The module keeps no arrays between calls: a caller that repeats wide
-cached passes may own `hidden_arrays` and hand them to `forward_cached`,
+cached passes may own `hidden_arrays` and hand them to the cached forward,
 which writes its hidden layers there instead of allocating them (so
 concurrent calls need arrays of their own).
 
+Every pass runs M nets at once on a leading model axis: nets with the
+same widths after their input layer, whose weights `stack_params` lays
+out as `Layers`. The first layer multiplies each net's own (N, in_m)
+input into its slice of one (M, N, width) stack; every later layer is one
+stacked product, and the activations and output bounds run once on the
+stack. The `mlp_*` functions take such a stack; `forward`,
+`forward_cached`, `backward_from_cache` and `input_vjp_from_cache` are
+the same kernels on one net, M = 1, whose `split_params` keeps the views
+of its flat vector. One net's stack has no model axis: its arrays are the
+(N, width) ones of a plain pass, so a one-net call pays nothing for the
+axis. Stacking gives each net the bits of its own pass.
+
 The passes come in two pairs, each pair sharing one routine, so a pair's
-members do the same arithmetic on what they share; the forwards take the
-weights as the per-layer (W, b) views of `split_params`, and every pass
-takes (N, width) row batches, a single input being one row. Same
+members do the same arithmetic on what they share; every pass takes
+(N, width) row batches per net, a single input being one row. Same
 arithmetic is the same bits only for the same rows in one call: BLAS may
 round a row of a product differently by its position in the batch, which
 a single-output net's 1-column last product does (see ``_BLOCK_ROWS``).
 
-- forward (`_run_layers`): `forward` keeps no cache, `forward_cached` keeps
-  what the reverse pass reads, in fresh or caller-given hidden arrays:
-  each layer's input, each hidden layer's SiLU derivative and the output
-  sigmoid. The derivative is built once there (`_silu_grad`), so a cache
-  replayed several times does not rebuild it.
-- reverse (`_reverse_layers`, replaying a `forward_cached` cache), each
-  building only the gradient it returns: `backward_from_cache` the
-  batch-summed parameter gradient, `input_vjp_from_cache` the per-row
-  input gradient.
+- forward (`_run_layers`): `mlp_values` and `forward` keep no cache,
+  `mlp_forward` and `forward_cached` keep what the reverse pass reads, in
+  fresh or caller-given hidden arrays: each net's input, each hidden
+  layer's SiLU output and derivative and the output sigmoid. The
+  derivative is built once there (`_silu_grad`), so a cache replayed
+  several times does not rebuild it.
+- reverse (`_reverse_layers`, replaying a cached forward's cache), each
+  building only the gradient it returns: `mlp_backward` and
+  `backward_from_cache` the batch-summed parameter gradient, one net's
+  after another, `mlp_input_vjp` and `input_vjp_from_cache` each net's
+  per-row input gradient.
 
 `AdamState` and `PlateauState` hold only optimizer state; their settings
 are the module constants ADAM_* and PLATEAU_*.
@@ -110,7 +123,7 @@ def _layout(spec: MlpSpec) -> list[tuple[int, int, int, int]]:
 _LAYOUTS: dict[MlpSpec, list] = {}
 
 
-def split_params(spec: MlpSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _split(spec: MlpSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views (W, b) per layer into the flat vector; W has shape (out, in)."""
     if params.shape != (param_count(spec),):
         raise ValueError(
@@ -122,12 +135,102 @@ def split_params(spec: MlpSpec, params: np.ndarray) -> list[tuple[np.ndarray, np
     ]
 
 
-# Elementwise kernels on at least this many elements update one array in
-# place; smaller ones build fresh arrays, because an in-place ufunc costs more
-# per call than a fresh small result. Measured on a 2-core x86-64 VM with
-# numpy 2.4: on 20-wide layers in place is faster from about 256 rows on, and
-# at 2550 rows, where every fresh temporary is page-faulted anew, the sigmoid
-# runs three times faster. Both forms give the same bits.
+@dataclass(frozen=True)
+class Layers:
+    """The weights of M nets on a leading model axis, as every pass takes
+    them. The nets share every layer width but the input's.
+
+    ``layers[l]`` is layer l's (W, b). For one net, whose stack has no
+    model axis, these are the (out, in) and (out,) views of its flat vector;
+    for M > 1 nets, an (M, out, in) and an (M, 1, out) stack, except that
+    the first layer's W is each net's own matrix, as ``first`` holds them
+    for any M. ``lo`` and ``span`` are the output bounds lo and hi - lo:
+    (M, 1, 1) stacks, or numbers for one net.
+
+    The rest place each parameter's gradient in the flat vector of all M
+    nets, one net after another (``size`` values): ``first_grads`` holds
+    each net's first weight matrix as (shape, byte offset), and
+    ``weight_grads`` (later layers) and ``bias_grads`` (every layer) hold
+    each stack as the (shape, byte offset, strides) of an (M, ...) view,
+    for one net a view of the layer's own shape."""
+
+    pairs: tuple
+    first: tuple
+    lo: np.ndarray | float
+    span: np.ndarray | float
+    size: int
+    first_grads: tuple
+    weight_grads: tuple
+    bias_grads: tuple
+
+    def __getitem__(self, l):
+        return self.pairs[l]
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def stack_params(specs, params) -> Layers:
+    """The `Layers` of the nets ``specs`` with the flat parameter vectors
+    ``params``, in that order on the model axis. The nets must have the same
+    widths after the input layer. More than one net's stacks are copies, so
+    build them once per parameter vector."""
+    nets = [_split(spec, p) for spec, p in zip(specs, params, strict=True)]
+    per_layer = list(zip(*nets, strict=True))  # per layer, each net's (W, b)
+    first = tuple(w for w, _ in per_layer[0])
+    if len(nets) == 1:
+        # one net keeps its flat vector's views and plain bounds: its stack
+        # has no model axis
+        pairs = tuple(nets[0])
+        lo, hi = specs[0].output_bounds
+    else:
+        pairs = tuple((np.stack([w for w, _ in layer]) if l else first,
+                       np.stack([b for _, b in layer])[:, None, :])
+                      for l, layer in enumerate(per_layer))
+        lo, hi = np.array([spec.output_bounds for spec in specs], dtype=float).T[:, :, None, None]
+    # (w_off, b_off) of every layer of every net in the flat vector of all
+    # nets; from net to net the step is the same (checked below), so the
+    # gradient of a weight or bias stack is one strided view of it
+    offsets, base = [], 0
+    for spec in specs:
+        offsets.append([(base + w, base + b) for w, b, _, _ in _layout(spec)])
+        base += param_count(spec)
+
+    def view(offs, shape):
+        step = offs[1] - offs[0] if len(offs) > 1 else 0
+        if any(o != offs[0] + m * step for m, o in enumerate(offs)):
+            raise ValueError("nets after the first must have the same input width")
+        inner = tuple(8 * math.prod(shape[i + 1:]) for i in range(len(shape)))
+        if len(offs) == 1:
+            return shape, 8 * offs[0], inner
+        return (len(offs), *shape), 8 * offs[0], (8 * step, *inner)
+
+    return Layers(
+        pairs=pairs,
+        first=first,
+        lo=lo,
+        span=hi - lo,
+        size=base,
+        first_grads=tuple((w.shape, 8 * net[0][0]) for w, net in zip(first, offsets)),
+        weight_grads=tuple(view([net[l][0] for net in offsets], layer[0][0].shape)
+                           for l, layer in enumerate(per_layer) if l),
+        bias_grads=tuple(view([net[l][1] for net in offsets], layer[0][1].shape)
+                         for l, layer in enumerate(per_layer)),
+    )
+
+
+def split_params(spec: MlpSpec, params: np.ndarray) -> Layers:
+    """One net's `Layers`: M = 1, the views of its flat vector."""
+    return stack_params((spec,), (params,))
+
+
+# Elementwise kernels on at least this many elements (of the whole model-axis
+# stack) update one array in place; smaller ones build fresh arrays, because
+# an in-place ufunc costs more per call than a fresh small result. Measured on
+# a 2-core x86-64 VM with numpy 2.4: on 20-wide layers in place is faster from
+# about 256 rows on, and at 2550 rows, where every fresh temporary is
+# page-faulted anew, the sigmoid runs three times faster. Both forms give the
+# same bits.
 _INPLACE_MIN = 4096
 
 
@@ -187,97 +290,135 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
 _BLOCK_ROWS = 1024
 
 
-def _run_layers(spec: MlpSpec, layers, x2d: np.ndarray, keep: bool, out=None):
-    """The layer arithmetic of every forward pass: (outputs, cache) where the
-    cache is None unless ``keep`` asks for what the reverse pass reads. With
-    ``keep``, ``out`` may give one (z, s, a, p) of (N, width) arrays per
-    hidden layer (`hidden_arrays`) for the pre-activation, its sigmoid, the
-    SiLU output and its derivative; the cache then holds the given a and p."""
-    acts = [x2d]
+def _run_layers(layers: Layers, xs, keep: bool, out=None):
+    """The layer arithmetic of every forward pass, on the stack of M nets' N
+    rows: (outputs, cache), the outputs the out_dim-wide stack and the cache
+    None unless ``keep`` asks for what the reverse pass reads. ``xs`` holds
+    each net's (N, in_m) input. For M > 1 nets the first layer multiplies
+    each into its slice of one (M, N, width) pre-activation stack; for one
+    net that product is the stack. Every later layer is a single stacked
+    product. With ``keep``, ``out`` may give one (s, a, p) of `hidden_arrays`
+    per hidden layer: the pre-activation is built in a, and s and p take its
+    sigmoid and SiLU derivative before a takes the SiLU output; the cache
+    then holds the given a and p."""
+    acts = list(xs)
     derivs = []
-    a = x2d
-    for l, (w, b) in enumerate(layers[:-1]):
+    pairs = layers.pairs
+    last = len(pairs) - 1
+    a, s = xs[0], None
+    for l, (w, b) in enumerate(pairs):
         # the operator forms where no arrays are given: a 1-row call pays
         # for every keyword a ufunc parses
-        if out is None:
-            z = a @ w.T
-            z += b
-            s = _sigmoid(z)
+        given = None if out is None or l == last else out[l]
+        if l == 0 and len(xs) > 1:
+            z = np.empty((len(xs), len(a), b.shape[-1])) if given is None else given[1]
+            for x, w_net, z_net in zip(xs, layers.first, z):
+                np.matmul(x, w_net.T, z_net)
+        elif given is None:
+            z = a @ w.mT
+        else:
+            z = np.matmul(a, w.mT, out=given[1])
+        z += b
+        if l == last:
+            break
+        if given is None:
+            # a wide layer's sigmoid goes into the last one's, which nothing
+            # reads any more, so two of them are never held at once
+            s = _sigmoid(z, s if z.size >= _INPLACE_MIN and s is not None and
+                         s.shape == z.shape else None)
             if keep:
                 derivs.append(_silu_grad(z, s))
             # SiLU; nothing reads z after it
             a = z * s if z.size < _INPLACE_MIN else np.multiply(z, s, out=z)
         else:
-            z, s, a_out, p_out = out[l]
-            np.matmul(a, w.T, out=z)
-            z += b
+            s, _, p_out = given
             _sigmoid(z, out=s)
             derivs.append(_silu_grad(z, s, out=p_out))
-            a = np.multiply(z, s, out=a_out)
+            a = np.multiply(z, s, out=z)
         if keep:
             acts.append(a)
-    w, b = layers[-1]
-    z = a @ w.T
-    z += b
     s_out = _sigmoid(z)
     np.maximum(s_out, _SAT, out=s_out)
     np.minimum(s_out, 1.0 - _SAT, out=s_out)
-    lo, hi = spec.output_bounds
-    y = lo + (hi - lo) * s_out
+    y = layers.lo + layers.span * s_out
     return y, ((layers, acts, derivs, s_out) if keep else None)
 
 
-def forward(spec: MlpSpec, layers, x2d: np.ndarray) -> np.ndarray:
-    """Batched value-only forward pass: (N, in_dim) -> (N, out_dim).
+def mlp_values(layers: Layers, xs) -> np.ndarray:
+    """Batched value-only forward pass of the M nets of ``layers``, each on
+    its own (N, in_m) input of ``xs``: the (M, N, out_dim) stack, (N,
+    out_dim) for one net.
 
     Keeps no cache and runs the rows in blocks of at most ``_BLOCK_ROWS``.
-    Up to that many rows it gives the bits ``forward_cached`` gives; past
-    it, a single-output net's rows can differ from one wide
-    ``forward_cached`` in the last bits (see ``_BLOCK_ROWS``).
+    Up to that many rows it gives the bits `mlp_forward` gives;
+    past it, a single-output net's rows can differ from one wide cached
+    pass in the last bits (see ``_BLOCK_ROWS``).
     """
-    n = x2d.shape[0]
+    n = len(xs[0])
     if n <= _BLOCK_ROWS:
-        return _run_layers(spec, layers, x2d, keep=False)[0]
+        return _run_layers(layers, xs, keep=False)[0]
     n_blocks = -(-n // _BLOCK_ROWS)
-    y = np.empty((n, spec.out_dim))
+    y = np.empty(_stack_shape(layers, n, layers.pairs[-1][1].shape[-1]))
     size, extra = divmod(n, n_blocks)
     start = 0
     for i in range(n_blocks):
         stop = start + size + (i < extra)
-        y[start:stop] = _run_layers(spec, layers, x2d[start:stop], keep=False)[0]
+        y[..., start:stop, :] = _run_layers(layers, [x[start:stop] for x in xs], keep=False)[0]
         start = stop
     return y
 
 
-def forward_cached(spec: MlpSpec, layers, x2d: np.ndarray, out=None):
-    """Batched forward pass returning (outputs, cache) for the reverse
-    passes to replay.
+def mlp_forward(layers: Layers, xs, out=None):
+    """Batched forward pass of the M nets of ``layers`` returning (outputs,
+    cache) for the reverse passes to replay.
 
-    ``x2d`` is (N, in_dim); outputs are (N, out_dim). The cache holds layer
-    inputs, each hidden layer's SiLU derivative SiLU'(z), and the
-    output-layer sigmoid values. Callers that repeat wide passes may pass
-    ``out``, the `hidden_arrays` of N rows, for the hidden layers to be
-    written into instead of allocated; the outputs and cache hold the same
-    bits.
+    ``xs`` holds each net's (N, in_m) input; outputs are stacked as in
+    `mlp_values`. The cache holds the nets' inputs, then each hidden layer's
+    SiLU output and derivative SiLU'(z), and the output-layer sigmoid
+    values. Callers that repeat wide passes may pass ``out``, the
+    `hidden_arrays` of N rows, for the hidden layers to be written into
+    instead of allocated; the outputs and cache hold the same bits.
     """
-    return _run_layers(spec, layers, x2d, keep=True, out=out)
+    return _run_layers(layers, xs, keep=True, out=out)
 
 
-def hidden_arrays(spec: MlpSpec, rows: int, scratch: dict):
-    """One uninitialized (z, s, a, p) of (rows, width) arrays per hidden
-    layer: the ``out`` that `forward_cached` writes its hidden layers into.
+def forward(spec: MlpSpec, layers: Layers, x2d: np.ndarray) -> np.ndarray:
+    """`mlp_values` of one net: ``layers`` is its `split_params`, and
+    (N, in_dim) -> (N, out_dim)."""
+    return mlp_values(layers, (x2d,))
 
-    The cache keeps a and p, the layer's SiLU output and derivative. z and
-    s, its pre-activation and sigmoid, are scratch that the next layer
-    overwrites: one pair per width, taken from ``scratch``, a dict from
-    width to pair, or made and added to it. Calls that share one
-    ``scratch`` allocate a width's pair once, and their caches still hold
-    arrays of their own."""
+
+def forward_cached(spec: MlpSpec, layers: Layers, x2d: np.ndarray, out=None):
+    """`mlp_forward` of one net: ``layers`` is its `split_params`,
+    ``x2d`` is (N, in_dim) and the outputs are (N, out_dim)."""
+    return _run_layers(layers, (x2d,), keep=True, out=out)
+
+
+def _stack_shape(layers: Layers, rows: int, width: int) -> tuple[int, ...]:
+    """The shape of a width-wide layer of the nets' stack: one net's has no
+    model axis."""
+    models = len(layers.first)
+    return (rows, width) if models == 1 else (models, rows, width)
+
+
+def hidden_arrays(layers: Layers, rows: int, scratch: dict):
+    """One uninitialized (s, a, p) of stack arrays (`_stack_shape`) per
+    hidden layer: the ``out`` that `mlp_forward` writes its hidden layers
+    into.
+
+    The cache keeps a and p, the layer's SiLU output and derivative; a holds
+    the pre-activation until the SiLU overwrites it. s, its sigmoid, is
+    scratch that the next layer overwrites: one per width, taken from
+    ``scratch``, a dict from width to array, or made and added to it. Calls
+    that share one ``scratch`` (and stack as many nets) allocate a width's
+    scratch once, and their caches still hold arrays of their own."""
     arrays = []
-    for width in spec.layer_sizes[1:-1]:
+    for _, b in layers.pairs[:-1]:
+        width = b.shape[-1]
+        shape = _stack_shape(layers, rows, width)
         if width not in scratch:
-            scratch[width] = (np.empty((rows, width)), np.empty((rows, width)))
-        arrays.append((*scratch[width], np.empty((rows, width)), np.empty((rows, width))))
+            scratch[width] = np.empty(shape)
+        arrays.append((scratch[width], np.empty(shape), np.empty(shape)))
     return arrays
 
 
@@ -288,39 +429,57 @@ def cache_values(spec: MlpSpec) -> int:
     return sum(sizes) + sum(sizes[1:-1])
 
 
-def _reverse_layers(spec: MlpSpec, cache, cotangent2d: np.ndarray, flat=None):
-    """The delta chain of every reverse pass of <cotangent, forward(x)>: with
-    ``flat``, it writes each layer's batch-summed weight and bias gradients
-    there and stops at the first layer's delta; without, it returns the
-    per-row input gradient."""
+def _reverse_layers(cache, cotangent: np.ndarray, flat=None):
+    """The delta chain of every reverse pass of <cotangent, forward(xs)>, on
+    the nets' stack: with ``flat``, it writes each layer's
+    batch-summed weight and bias gradients there (each net's parameters in
+    turn) and stops at the first layer's delta; without, it returns each
+    net's per-row input gradient."""
     layers, acts, derivs, s_out = cache
-    lo, hi = spec.output_bounds
-    delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
-    # the lookup hashes the spec, so the input-only reverse skips it
-    layout = None if flat is None else _layout(spec)
-    for l in range(len(layers) - 1, -1, -1):
+    delta = cotangent * (layers.span * s_out * (1.0 - s_out))
+    if flat is not None:
+        w_grads, b_grads = ([np.ndarray(shape, buffer=flat, offset=offset, strides=strides)
+                             for shape, offset, strides in views]
+                            for views in (layers.weight_grads, layers.bias_grads))
+    pairs, models = layers.pairs, len(layers.first)
+    for l in range(len(pairs) - 1, 0, -1):
         if flat is not None:
-            w_off, b_off, n_out, n_in = layout[l]
-            np.matmul(delta.T, acts[l], out=flat[w_off:b_off].reshape(n_out, n_in))
-            np.add.reduce(delta, axis=0, out=flat[b_off : b_off + n_out])
-        if l == 0:
-            break
-        delta = delta @ layers[l][0]
+            np.matmul(delta.mT, acts[models + l - 1], out=w_grads[l - 1])
+            np.add.reduce(delta, axis=-2, out=b_grads[l])
+        delta = delta @ pairs[l][0]
         delta *= derivs[l - 1]
-    return flat if flat is not None else delta @ layers[0][0]
+    per_net = (delta,) if models == 1 else delta
+    if flat is None:
+        return [d @ w for d, w in zip(per_net, layers.first)]
+    for d, x, (shape, offset) in zip(per_net, acts, layers.first_grads):
+        np.matmul(d.T, x, out=np.ndarray(shape, buffer=flat, offset=offset))
+    np.add.reduce(delta, axis=-2, out=b_grads[0])
+    return flat
+
+
+def mlp_backward(cache, cotangent: np.ndarray) -> np.ndarray:
+    """Flat parameter gradient of <cotangent, outputs>, summed over the batch,
+    over a `mlp_forward` cache and a cotangent stacked as its outputs:
+    each net's gradient in turn. No input gradient is built."""
+    return _reverse_layers(cache, cotangent, np.empty(cache[0].size))
+
+
+def mlp_input_vjp(cache, cotangent: np.ndarray) -> list[np.ndarray]:
+    """Each net's per-row input gradient of <cotangent, outputs> over a
+    `mlp_forward` cache; no parameter gradient is built."""
+    return _reverse_layers(cache, cotangent)
 
 
 def backward_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
-    """Flat parameter gradient of <cotangent, forward(x)>, summed over the
-    batch; no input gradient is built."""
-    _, b_off, n_out, _ = _layout(spec)[-1]
-    return _reverse_layers(spec, cache, cotangent2d, np.empty(b_off + n_out))
+    """`mlp_backward` of one net's `forward_cached` cache and (N, out_dim)
+    cotangent."""
+    return mlp_backward(cache, cotangent2d)
 
 
 def input_vjp_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
-    """Per-row input gradient of <cotangent, forward(x)>; no parameter
-    gradient is built."""
-    return _reverse_layers(spec, cache, cotangent2d)
+    """`mlp_input_vjp` of one net's `forward_cached` cache and (N, out_dim)
+    cotangent: its (N, in_dim) input gradient."""
+    return _reverse_layers(cache, cotangent2d)[0]
 
 
 # --- Adam ------------------------------------------------------------------
@@ -455,4 +614,7 @@ def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
         raise ValueError("checkpoint value count does not match layer sizes")
     if not np.isfinite(params).all():
         raise ValueError("checkpoint values must be finite")
-    return spec, params, doc.get("seed")
+    seed = doc.get("seed")
+    if seed is not None:
+        json_value(seed, "integer", "each net seed")
+    return spec, params, seed

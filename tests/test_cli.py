@@ -533,6 +533,44 @@ class TestMalformedCheckpoint:
         assert "cannot load field checkpoint" in capsys.readouterr().err
 
 
+class TestCheckpointNets:
+    """A loaded checkpoint's nets are checked beyond their weights; each
+    refusal exits 2 and writes nothing."""
+
+    def _refused(self, tmp_path, capsys, command, text):
+        path = tmp_path / "field.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        sizes = ["--targets", "1", "--trials", "1"] if command == "control" else []
+        rc = main([command, "--system", "sym-hysteresis", "--field", str(path),
+                   "--out", str(out), *sizes])
+        assert rc == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "cannot load field checkpoint" in err
+        return err
+
+    # each once loaded with exit 0: a net's seed was read by nothing and
+    # checked by nothing
+    @pytest.mark.parametrize("seed", [{}, "x", [1], True, 1.5],
+                             ids=["object", "string", "list", "boolean", "float"])
+    def test_non_integer_seed_is_refused(self, tmp_path, capsys, seed):
+        err = self._refused(tmp_path, capsys, "bifurcate",
+                            _edited_checkpoint(_set(("target", "seed"), seed)))
+        assert f"each net seed must be a JSON integer, got {seed!r}" in err
+
+    @pytest.mark.parametrize("command", ["bifurcate", "control"])
+    def test_nets_of_other_hidden_widths_are_refused(self, tmp_path, capsys, command):
+        # both nets run as one stack on a model axis, so their hidden layers
+        # must match; the checked-in nets are (1, 20, 20, 1) and (6, 20, 20, 1)
+        spec = nnet.MlpSpec((6, 32, 20, 1), output_bounds=(-2.0, 2.0))
+        doc = json.loads(CHECKPOINT.read_text())
+        doc["target"] = nnet.checkpoint_to_dict(spec, init_params(spec, 0), seed=3)
+        err = self._refused(tmp_path, capsys, command, json.dumps(doc))
+        assert "got [20, 20] for decay and [32, 20] for target" in err
+
+
 def _checkpoint(tmp_path, system):
     path = tmp_path / f"{system}-untrained.json"
     field.save_field(path, benchmarks.make_untrained_field(system, 0))

@@ -29,6 +29,7 @@ from stabledyn.nnet import MlpSpec, init_params, param_count
 from util import CHECKPOINT, assert_close, central_diff_grad, make_constant_field, make_field
 
 HYST_FEAT = Featurizer(a=-1.5, b=1.5, num_modes=4)
+B = nnet._BLOCK_ROWS
 
 
 # The concatenating form of the features and their derivative, kept as the
@@ -286,13 +287,12 @@ class TestSinglePath:
         x = rng.uniform(-1.5, 1.5, size=(900, dim))
         u = rng.uniform(-1, 1, size=(900, q))
         w = rng.normal(size=(900, dim))
-        out = (nnet.hidden_arrays(fld.decay_spec, 900, {}),
-               nnet.hidden_arrays(fld.target_spec, 900, {}))
+        out = nnet.hidden_arrays(fld.layers, 900, {})
         v, cache = velocity_cached(fld, x, u)
         v_out, cache_out = velocity_cached(fld, x, u, out)
         assert np.array_equal(v, v_out)
-        # the caches hold the given SiLU derivatives and outputs
-        assert cache_out[3][2][0] is out[0][0][3] and cache_out[4][1][-1] is out[1][-1][2]
+        # the cache holds the given SiLU derivatives and outputs
+        assert cache_out[4][2][0] is out[0][2] and cache_out[4][1][-1] is out[-1][1]
         assert np.array_equal(velocity_vjp_cached(fld, cache, w),
                               velocity_vjp_cached(fld, cache_out, w))
         for want, got in zip(velocity_input_vjp_cached(fld, cache, w),
@@ -301,7 +301,7 @@ class TestSinglePath:
 
     @pytest.mark.parametrize("featurizer,dim,q", [(None, 2, 2), (HYST_FEAT, 1, 1)])
     def test_calls_sharing_scratch_keep_their_own_caches(self, featurizer, dim, q):
-        # 5- and 4-wide layers in both nets: two scratch pairs for both calls
+        # 5- and 4-wide layers in both nets: two scratch arrays for both calls
         fld = make_field(dim=dim, control_dim=q, featurizer=featurizer, seed=41,
                          hidden=(5, 4))
         rng = np.random.default_rng(12)
@@ -309,10 +309,9 @@ class TestSinglePath:
         u = rng.uniform(-1, 1, size=(900, q))
         w = rng.normal(size=(900, dim))
         scratch = {}
-        out1, out2 = ((nnet.hidden_arrays(fld.decay_spec, 900, scratch),
-                       nnet.hidden_arrays(fld.target_spec, 900, scratch)) for _ in range(2))
+        out1, out2 = (nnet.hidden_arrays(fld.layers, 900, scratch) for _ in range(2))
         assert sorted(scratch) == [4, 5]
-        assert out1[0][0][0] is out2[1][0][0] and out1[1][1][1] is out2[0][1][1]
+        assert out1[0][0] is out2[0][0] and out1[1][0] is out2[1][0]
         _, cache1 = velocity_cached(fld, x1, u, out1)
         velocity_cached(fld, x2, u, out2)
         _, fresh = velocity_cached(fld, x1, u)
@@ -336,6 +335,66 @@ class TestSinglePath:
         g, _ = nnet.forward_cached(fld.target_spec, fld.target_layers,
                                    target_input(fld, x, u))
         assert np.array_equal(eval_target(fld, x, u), g)
+
+
+def _recipe_fields():
+    """(system, recipe) of every system's default recipe and of its "deeper"
+    and "wider" CV candidates."""
+    params = []
+    for system in benchmarks.SYSTEMS:
+        for name, recipe in benchmarks.candidate_models(system):
+            params.append(pytest.param(system, recipe, id=f"{system}-{name}"))
+    return params
+
+
+class TestModelAxis:
+    """The two nets' stacked pass gives each net the bits of its own pass."""
+
+    @pytest.mark.parametrize("n", [1, 50, 1024, 1025, 2500])
+    @pytest.mark.parametrize("system,recipe", _recipe_fields())
+    def test_stacked_pass_equals_each_net_alone(self, system, recipe, n):
+        fld = benchmarks.make_untrained_field(system, 4, recipe)
+        rng = np.random.default_rng(n)
+        fld = fld.with_params(fld.params + rng.normal(scale=0.1, size=fld.params.shape))
+        lo, hi = np.array(recipe.domain).T
+        x = rng.uniform(lo, hi, size=(n, fld.dim))
+        t_in = target_input(fld, x, rng.uniform(-1.0, 2.0, size=(n, fld.control_dim)))
+        nets = ((fld.decay_spec, fld.decay_layers, x), (fld.target_spec, fld.target_layers, t_in))
+        cots = rng.normal(size=(2, n, fld.dim))
+
+        values = nnet.mlp_values(fld.layers, (x, t_in))
+        for (spec, layers, inp), y in zip(nets, values):
+            assert np.array_equal(y, nnet.forward(spec, layers, inp))
+        for out in (None, nnet.hidden_arrays(fld.layers, n, {})):
+            outputs, cache = nnet.mlp_forward(fld.layers, (x, t_in), out)
+            param_grad = nnet.mlp_backward(cache, cots)
+            input_grads = nnet.mlp_input_vjp(cache, cots)
+            alone = [nnet.forward_cached(spec, layers, inp) for spec, layers, inp in nets]
+            for (y, net_cache), y_stacked in zip(alone, outputs):
+                assert np.array_equal(y_stacked, y)
+            assert np.array_equal(param_grad, np.concatenate(
+                [nnet.backward_from_cache(spec, net_cache, cot)
+                 for (spec, _, _), (_, net_cache), cot in zip(nets, alone, cots)]))
+            for (spec, _, _), (_, net_cache), cot, grad in zip(nets, alone, cots, input_grads):
+                assert np.array_equal(grad, nnet.input_vjp_from_cache(spec, net_cache, cot))
+
+    @pytest.mark.parametrize("n", [1, 50, B, B + 1, 2 * B + 1])
+    def test_one_kernel_call_per_row_block(self, n, monkeypatch):
+        fld = benchmarks.make_untrained_field("two-tanks", 0)
+        calls = []
+        run = nnet._run_layers
+
+        def recorded(layers, xs, keep, out=None):
+            calls.append((len(xs), len(xs[0])))
+            return run(layers, xs, keep, out)
+
+        monkeypatch.setattr(nnet, "_run_layers", recorded)
+        x, u = np.full((n, 2), 0.5), np.full((n, 2), 0.25)
+        eval_velocity(fld, x, u)
+        assert [m for m, _ in calls] == [2] * -(-n // B) and sum(r for _, r in calls) == n
+        calls.clear()
+        velocity_cached(fld, x, u)
+        assert calls == [(2, n)]
 
 
 class TestValueOnlyMemory:

@@ -203,11 +203,11 @@ class TestUnrolledGrad:
                                 rng.normal(size=(50, 51, 1)), tape)
         rows = 50 * 50
         held = {id(view.base): view.base for stage in tape.stages(fld, rows)
-                for net in stage for layer in net for view in layer}
+                for layer in stage for view in layer}
         widths = [*fld.decay_spec.layer_sizes[1:-1], *fld.target_spec.layer_sizes[1:-1]]
         kept = 4 * sum(2 * rows * width for width in widths)
         scratch = sum(2 * rows * width for width in set(widths))
-        assert len(held) == 34
+        assert len(held) == 17
         assert sum(arr.nbytes for arr in held.values()) == 8 * (kept + scratch)
 
 

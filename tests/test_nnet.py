@@ -240,9 +240,9 @@ class TestKernels:
         sizes = []
         run = nnet._run_layers
 
-        def recorded(spec, layers, x2d, keep):
-            sizes.append(x2d.shape[0])
-            return run(spec, layers, x2d, keep)
+        def recorded(layers, xs, keep):
+            sizes.append(xs[0].shape[0])
+            return run(layers, xs, keep)
 
         monkeypatch.setattr(nnet, "_run_layers", recorded)
         forward(TANKS_TARGET, split_params(TANKS_TARGET, init_params(TANKS_TARGET, 0)),

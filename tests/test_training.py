@@ -34,16 +34,18 @@ class TestGradMatchingLoss:
 
         fld = make_field(dim=2, control_dim=2, seed=3)
         objective = GradMatchingObjective(field_generated_trajectories(fld, n_traj=4))
-        specs = []
-        forward = nnet.forward_cached
+        stacks = []
+        forward = nnet.mlp_forward
 
-        def counted(spec, *args, **kwargs):
-            specs.append(spec)
-            return forward(spec, *args, **kwargs)
+        def counted(layers, *args, **kwargs):
+            stacks.append(layers)
+            return forward(layers, *args, **kwargs)
 
-        monkeypatch.setattr(nnet, "forward_cached", counted)
+        monkeypatch.setattr(nnet, "mlp_forward", counted)
         loss, grad = objective.loss_and_grad(fld)
-        assert sorted(map(id, specs)) == sorted(map(id, (fld.decay_spec, fld.target_spec)))
+        # one cached pass of the two nets' stack
+        assert [id(layers) for layers in stacks] == [id(fld.layers)]
+        assert len(fld.layers.first) == 2
         assert loss == objective.loss(fld)
         assert grad.shape == fld.params.shape
 
