@@ -71,14 +71,16 @@ class Featurizer:
         return self._freqs
 
 
-def featurize(x, cfg: Featurizer) -> np.ndarray:
-    """Feature vector for scalar state(s) x; shape (..., 1 + num_modes)."""
-    arr = np.asarray(x, dtype=float)
-    flat = arr.reshape(-1)
-    out = np.empty((flat.size, cfg.out_dim))
-    out[:, 0] = flat
-    np.cos(cfg.frequencies() * (flat[:, None] - cfg.a), out=out[:, 1:])
-    return out.reshape(arr.shape + (cfg.out_dim,))
+def featurize(x, cfg: Featurizer, control=None) -> np.ndarray:
+    """Feature vector for scalar state(s) x; shape (..., 1 + num_modes).
+    With ``control``, an (N, q) batch for N states, each row's features are
+    followed by its control: the target net's (N, 1 + num_modes + q) input,
+    built in one concatenation."""
+    col = np.asarray(x, dtype=float)[..., None]
+    parts = [col, np.cos(cfg.frequencies() * (col - cfg.a))]
+    if control is not None:
+        parts.append(control)
+    return np.concatenate(parts, axis=-1)
 
 
 def featurize_dx(x, cfg: Featurizer) -> np.ndarray:
@@ -164,8 +166,9 @@ def _batch_xu(field: StructuredField, x, u):
 
 
 def target_input(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray) -> np.ndarray:
-    feats = x2d if field.featurizer is None else featurize(x2d[:, 0], field.featurizer)
-    return np.concatenate([feats, u2d], axis=1)
+    if field.featurizer is None:
+        return np.concatenate([x2d, u2d], axis=1)
+    return featurize(x2d[:, 0], field.featurizer, u2d)
 
 
 def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,

@@ -5,10 +5,12 @@ Parameters for one MLP live in a single flat float64 vector. Layout, per
 layer: weight matrix (rows = output units) flattened row-major, then the
 bias vector. Everything here is a pure function of its explicit inputs,
 so forward/backward are safe to evaluate concurrently over shared params.
-The module keeps no arrays between calls: a caller that repeats wide
-cached passes may own `hidden_arrays` and hand them to the cached forward,
-which writes its hidden layers there instead of allocating them (so
-concurrent calls need arrays of their own).
+The module keeps no arrays between calls; a `Layers` keeps its biases
+broadcast to rows (`_row_biases`), which every call may read and the
+first to need more rows replaces. A caller that repeats wide cached
+passes may own `hidden_arrays` and hand them to the cached forward, which
+writes its hidden layers there instead of allocating them (so concurrent
+calls need arrays of their own).
 
 Every pass runs M nets at once on a leading model axis: nets with the
 same widths after their input layer, whose weights `stack_params` lays
@@ -18,9 +20,11 @@ stacked product, and the activations and output bounds run once on the
 stack. The `mlp_*` functions take such a stack; `forward`,
 `forward_cached`, `backward_from_cache` and `input_vjp_from_cache` are
 the same kernels on one net, M = 1, whose `split_params` keeps the views
-of its flat vector. One net's stack has no model axis: its arrays are the
-(N, width) ones of a plain pass, so a one-net call pays nothing for the
-axis. Stacking gives each net the bits of its own pass.
+of its flat vector. Their ``spec`` argument, which the kernels do not
+read, names the net for callers that inspect a call by its arguments, as
+the benchmark's layer hooks do. One net's stack has no model axis: its
+arrays are the (N, width) ones of a plain pass, so a one-net call pays
+nothing for the axis. Stacking gives each net the bits of its own pass.
 
 The passes come in two pairs, each pair sharing one routine, so a pair's
 members do the same arithmetic on what they share; every pass takes
@@ -48,7 +52,7 @@ are the module constants ADAM_* and PLATEAU_*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,7 +144,7 @@ class Layers:
     """The weights of M nets on a leading model axis, as every pass takes
     them. The nets share every layer width but the input's.
 
-    ``layers[l]`` is layer l's (W, b). For one net, whose stack has no
+    ``pairs[l]`` is layer l's (W, b). For one net, whose stack has no
     model axis, these are the (out, in) and (out,) views of its flat vector;
     for M > 1 nets, an (M, out, in) and an (M, 1, out) stack, except that
     the first layer's W is each net's own matrix, as ``first`` holds them
@@ -152,7 +156,10 @@ class Layers:
     each net's first weight matrix as (shape, byte offset), and
     ``weight_grads`` (later layers) and ``bias_grads`` (every layer) hold
     each stack as the (shape, byte offset, strides) of an (M, ...) view,
-    for one net a view of the layer's own shape."""
+    for one net a view of the layer's own shape.
+
+    ``row_biases`` holds the biases that `_row_biases` last broadcast to
+    rows."""
 
     pairs: tuple
     first: tuple
@@ -162,18 +169,13 @@ class Layers:
     first_grads: tuple
     weight_grads: tuple
     bias_grads: tuple
-
-    def __getitem__(self, l):
-        return self.pairs[l]
-
-    def __len__(self):
-        return len(self.pairs)
+    row_biases: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
 
 def stack_params(specs, params) -> Layers:
-    """The `Layers` of the nets ``specs`` with the flat parameter vectors
-    ``params``, in that order on the model axis. The nets must have the same
-    widths after the input layer. More than one net's stacks are copies, so
+    """The `Layers` of one or two nets ``specs`` with the flat parameter
+    vectors ``params``, in that order on the model axis. The nets must have
+    the same widths after the input layer. Two nets' stacks are copies, so
     build them once per parameter vector."""
     nets = [_split(spec, p) for spec, p in zip(specs, params, strict=True)]
     per_layer = list(zip(*nets, strict=True))  # per layer, each net's (W, b)
@@ -189,21 +191,18 @@ def stack_params(specs, params) -> Layers:
                       for l, layer in enumerate(per_layer))
         lo, hi = np.array([spec.output_bounds for spec in specs], dtype=float).T[:, :, None, None]
     # (w_off, b_off) of every layer of every net in the flat vector of all
-    # nets; from net to net the step is the same (checked below), so the
-    # gradient of a weight or bias stack is one strided view of it
+    # nets; the gradient of a weight or bias stack is one strided view of
+    # it, which steps from the first net's offset to the second's
     offsets, base = [], 0
     for spec in specs:
         offsets.append([(base + w, base + b) for w, b, _, _ in _layout(spec)])
         base += param_count(spec)
 
     def view(offs, shape):
-        step = offs[1] - offs[0] if len(offs) > 1 else 0
-        if any(o != offs[0] + m * step for m, o in enumerate(offs)):
-            raise ValueError("nets after the first must have the same input width")
         inner = tuple(8 * math.prod(shape[i + 1:]) for i in range(len(shape)))
         if len(offs) == 1:
             return shape, 8 * offs[0], inner
-        return (len(offs), *shape), 8 * offs[0], (8 * step, *inner)
+        return (len(offs), *shape), 8 * offs[0], (8 * (offs[1] - offs[0]), *inner)
 
     return Layers(
         pairs=pairs,
@@ -306,7 +305,7 @@ def _run_layers(layers: Layers, xs, keep: bool, out=None):
     pairs = layers.pairs
     last = len(pairs) - 1
     a, s = xs[0], None
-    for l, (w, b) in enumerate(pairs):
+    for l, ((w, _), b) in enumerate(zip(pairs, _row_biases(layers, len(a)))):
         # the operator forms where no arrays are given: a 1-row call pays
         # for every keyword a ufunc parses
         given = None if out is None or l == last else out[l]
@@ -315,9 +314,9 @@ def _run_layers(layers: Layers, xs, keep: bool, out=None):
             for x, w_net, z_net in zip(xs, layers.first, z):
                 np.matmul(x, w_net.T, z_net)
         elif given is None:
-            z = a @ w.mT
+            z = a @ w.swapaxes(-1, -2)
         else:
-            z = np.matmul(a, w.mT, out=given[1])
+            z = np.matmul(a, w.swapaxes(-1, -2), out=given[1])
         z += b
         if l == last:
             break
@@ -401,6 +400,26 @@ def _stack_shape(layers: Layers, rows: int, width: int) -> tuple[int, ...]:
     return (rows, width) if models == 1 else (models, rows, width)
 
 
+def _row_biases(layers: Layers, rows: int) -> list:
+    """Each layer's bias, as the pre-activation of ``rows`` rows adds it.
+
+    Up to ``_BLOCK_ROWS`` rows these are views of biases broadcast to rows
+    in contiguous stacks, which ``layers.row_biases`` keeps, grown to the
+    most rows asked for: the add then runs as one loop over the rows,
+    where a broadcast bias makes it step row by row, which took 2.6 times
+    as long on 50 rows of two 20-wide nets (2-core x86-64 VM, numpy 2.4).
+    Past that, the plain biases, so no wide copies are held. Both give the
+    same bits."""
+    if rows > _BLOCK_ROWS:
+        return [b for _, b in layers.pairs]
+    kept = layers.row_biases[0]
+    if kept is None or kept[0].shape[-2] < rows:
+        kept = [np.ascontiguousarray(np.broadcast_to(b, _stack_shape(layers, rows, b.shape[-1])))
+                for _, b in layers.pairs]
+        layers.row_biases[0] = kept
+    return [b[..., :rows, :] for b in kept]
+
+
 def hidden_arrays(layers: Layers, rows: int, scratch: dict):
     """One uninitialized (s, a, p) of stack arrays (`_stack_shape`) per
     hidden layer: the ``out`` that `mlp_forward` writes its hidden layers
@@ -444,7 +463,7 @@ def _reverse_layers(cache, cotangent: np.ndarray, flat=None):
     pairs, models = layers.pairs, len(layers.first)
     for l in range(len(pairs) - 1, 0, -1):
         if flat is not None:
-            np.matmul(delta.mT, acts[models + l - 1], out=w_grads[l - 1])
+            np.matmul(delta.swapaxes(-1, -2), acts[models + l - 1], out=w_grads[l - 1])
             np.add.reduce(delta, axis=-2, out=b_grads[l])
         delta = delta @ pairs[l][0]
         delta *= derivs[l - 1]

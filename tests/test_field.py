@@ -33,7 +33,7 @@ B = nnet._BLOCK_ROWS
 
 
 # The concatenating form of the features and their derivative, kept as the
-# bitwise reference for the preallocated one.
+# bitwise reference for the package's forms.
 def _reference_features(x, cfg, dx=False):
     arr = np.asarray(x, dtype=float)
     col = arr.reshape(-1, 1)
@@ -55,6 +55,12 @@ class TestFeaturize:
             got, want = fn(x, cfg), _reference_features(x, cfg, dx)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    def test_control_follows_the_features(self):
+        x = np.linspace(-2, 2, 9)
+        u = np.random.default_rng(4).normal(size=(9, 2))
+        got = featurize(x, HYST_FEAT, u)
+        assert np.array_equal(got, np.concatenate([featurize(x, HYST_FEAT), u], axis=1))
 
     def test_left_endpoint_all_ones(self):
         out = featurize(-1.5, HYST_FEAT)

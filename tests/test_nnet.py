@@ -188,13 +188,13 @@ def _reference_sigmoid(z):
 def _reference_forward(spec, params, x2d):
     layers = split_params(spec, params)
     acts, hidden, a = [x2d], [], x2d
-    for w, b in layers[:-1]:
+    for w, b in layers.pairs[:-1]:
         z = a @ w.T + b
         s = _reference_sigmoid(z)
         a = z * s
         hidden.append((z, s))
         acts.append(a)
-    w, b = layers[-1]
+    w, b = layers.pairs[-1]
     z = a @ w.T + b
     s_out = np.clip(_reference_sigmoid(z), 1e-13, 1.0 - 1e-13)
     lo, hi = spec.output_bounds
@@ -206,8 +206,8 @@ def _reference_backward(spec, cache, cotangent2d):
     lo, hi = spec.output_bounds
     delta = cotangent2d * ((hi - lo) * s_out * (1.0 - s_out))
     grads = []
-    for l in range(len(layers) - 1, -1, -1):
-        w, _ = layers[l]
+    for l in range(len(layers.pairs) - 1, -1, -1):
+        w, _ = layers.pairs[l]
         grads[:0] = [(delta.T @ acts[l]).ravel(), delta.sum(axis=0)]
         da = delta @ w
         if l > 0:
@@ -234,6 +234,21 @@ class TestKernels:
         y, _ = forward_cached(TANKS_TARGET, layers, x)
         assert np.array_equal(forward(TANKS_TARGET, layers, x), y)
         assert np.array_equal(y, _reference_forward(TANKS_TARGET, params, x)[0])
+
+    def test_row_biases_serve_fewer_rows(self):
+        """A `Layers` asked for more rows, then fewer, then more again gives
+        every call the reference bits, and keeps one set of row biases,
+        grown to the most rows asked for up to the block size."""
+        rng = np.random.default_rng(3)
+        params = init_params(TANKS_TARGET, 7) * 2.0
+        layers = split_params(TANKS_TARGET, params)
+        for n in (50, 7, 1, 300, 50, B, B + 1, 3):
+            x = rng.normal(scale=2.0, size=(n, TANKS_TARGET.in_dim))
+            want = _reference_forward(TANKS_TARGET, params, x)[0]
+            assert np.array_equal(forward(TANKS_TARGET, layers, x), want)
+            assert np.array_equal(forward_cached(TANKS_TARGET, layers, x)[0], want)
+        (kept,) = layers.row_biases
+        assert [b.shape for b in kept] == [(B, n) for n in TANKS_TARGET.layer_sizes[1:]]
 
     @pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1, 5 * B - 3])
     def test_blocks_are_near_equal(self, n, monkeypatch):

@@ -13,9 +13,10 @@ ALLOWED = {
     "integrate.rk4_solve": "the benchmark harness's layer timings call the single-trajectory "
                            "solve; it goes once they time rk4_solve_batch",
     "field.eval_target": "the field's public target g(x, u), the equilibrium map",
-    "nnet.backward_from_cache": "one net's parameter reverse beside forward_cached; the field's "
-                                "two nets take theirs from mlp_backward, and the benchmark "
-                                "harness counts this one's rows and flop by name",
+    "nnet.backward_from_cache": "one net's parameter reverse, kept as public one-net API beside "
+                                "forward_cached under the name the benchmark's layer hooks "
+                                "list; no workload calls it, and the field's two nets take "
+                                "theirs from mlp_backward",
 }
 
 
