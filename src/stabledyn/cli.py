@@ -203,7 +203,10 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset_arg(args) -> benchmarks.Dataset:
+def _load_dataset_arg(args) -> tuple[str, benchmarks.Dataset]:
+    """(system, dataset) of --data: the system is --system or, without it,
+    the manifest's. A dataset of another system than --system, or whose
+    state and control widths are not its system's, is a config error."""
     prefix = args.data
     if prefix is None:
         raise ConfigError("--data PREFIX is required (output of gen-data)")
@@ -216,10 +219,19 @@ def _load_dataset_arg(args) -> benchmarks.Dataset:
     # the wrong shape a TypeError
     except (OSError, LookupError, ValueError, TypeError) as err:
         raise ConfigError(f"cannot load dataset {prefix!r}: {type(err).__name__}: {err}")
-    if args.system is not None and dataset.system != _check_system(args.system):
+    system = _check_system(args.system or dataset.system)
+    if dataset.system != system:
         raise ConfigError(f"dataset {prefix!r} is {dataset.system!r} data, "
                           f"not {args.system!r}")
-    return dataset
+    # the content hash covers the CSV only, so a manifest may name a system
+    # whose dims the rows do not have
+    dims = benchmarks.SYSTEM_DIMS[system]
+    if dataset.trajectories:
+        first = dataset.trajectories[0]
+        if (first.dim, first.control.size) != dims:
+            raise ConfigError(f"dataset {prefix!r} has (state, control) dims "
+                              f"{(first.dim, first.control.size)}; {system} needs {dims}")
+    return system, dataset
 
 
 def _train_config(args, system) -> tuple[training.TrainConfig, int]:
@@ -239,12 +251,14 @@ def _train_config(args, system) -> tuple[training.TrainConfig, int]:
 
 def cmd_train(args) -> int:
     out = _outdir(args)
-    dataset = _load_dataset_arg(args)
-    system = _check_system(args.system or dataset.system)
+    system, dataset = _load_dataset_arg(args)
     cfg, _ = _train_config(args, system)
+    # the objective holds its own copy of the data, so the parsed table is
+    # freed before the first epoch
+    objective = training.make_objective(cfg, dataset.trajectories)
+    del dataset
     result = training.train_with_restarts(
-        lambda seed: benchmarks.make_untrained_field(system, seed), dataset.trajectories, cfg
-    )
+        lambda seed: benchmarks.make_untrained_field(system, seed), objective, cfg)
     field_mod.save_field(out / f"{system}-field.json", result.field, seed=result.seed,
                          system=system)
     _json_dump(out / f"{system}-train-report.json", result.report(cfg))
@@ -254,8 +268,7 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     out = _outdir(args)
-    dataset = _load_dataset_arg(args)
-    system = _check_system(args.system or dataset.system)
+    system, dataset = _load_dataset_arg(args)
     cfg, cv_epochs = _train_config(args, system)
 
     candidates = [
@@ -487,8 +500,7 @@ def cmd_control(args) -> int:
                           f"--record-every or raise --t-per-target")
 
     if recipe.magnitude_definition == "iqr":
-        dataset = _load_dataset_arg(args)
-        magnitude = benchmarks.system_magnitude(system, dataset.trajectories)
+        magnitude = benchmarks.system_magnitude(system, _load_dataset_arg(args)[1].trajectories)
     else:
         magnitude = benchmarks.system_magnitude(system)
 

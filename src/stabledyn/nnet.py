@@ -356,15 +356,21 @@ def mlp_values(layers: Layers, xs) -> np.ndarray:
     n = len(xs[0])
     if n <= _BLOCK_ROWS:
         return _run_layers(layers, xs, keep=False)[0]
-    n_blocks = -(-n // _BLOCK_ROWS)
     y = np.empty(_stack_shape(layers, n, layers.pairs[-1][1].shape[-1]))
-    size, extra = divmod(n, n_blocks)
-    start = 0
-    for i in range(n_blocks):
-        stop = start + size + (i < extra)
-        y[..., start:stop, :] = _run_layers(layers, [x[start:stop] for x in xs], keep=False)[0]
-        start = stop
+    for rows in row_blocks(n):
+        y[..., rows, :] = _run_layers(layers, [x[rows] for x in xs], keep=False)[0]
     return y
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The row blocks `mlp_values` runs ``n`` rows in: ceil(n / _BLOCK_ROWS)
+    near-equal slices, the longer ones first. A caller that evaluates a
+    single-output net one block at a time gets the bits of one
+    `mlp_values` call on all n rows."""
+    n_blocks = max(1, -(-n // _BLOCK_ROWS))
+    size, extra = divmod(n, n_blocks)
+    starts = [i * size + min(i, extra) for i in range(n_blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
 def mlp_forward(layers: Layers, xs, out=None):

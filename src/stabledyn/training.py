@@ -11,7 +11,16 @@ batch writes its stage caches into the same arrays; the tape grows to the
 largest block seen and smaller blocks use its first rows.
 Gradient matching skips the solver: it penalizes the gap between the model
 vector field and finite-difference derivative estimates at the observed
-states. Batches are whole trajectories in both cases.
+states. It stacks the states, controls and estimates once, in arrays it
+owns; a batch gathers its trajectories' row ranges, and the full-data loss
+streams through `nnet.row_blocks`, keeping only the per-row losses.
+Batches are whole trajectories in both cases.
+
+`make_objective` builds an objective once, over its own copy of the data:
+it keeps nothing of the trajectories it was built from, so a caller that
+drops them (`cli.cmd_train` drops the parsed dataset) holds the data once.
+`train` and `train_with_restarts` take the built objective, and every
+restart shares it and its stage tape.
 """
 
 from __future__ import annotations
@@ -62,30 +71,39 @@ class GradMatchingObjective:
     the model vector field at the observed states."""
 
     def __init__(self, trajectories: list[Trajectory]):
-        xs, us, ds = [], [], []
-        for traj in trajectories:
-            deriv = finite_diff(traj)
-            xs.append(traj.states)
-            ds.append(deriv)
-            us.append(np.broadcast_to(traj.control, (len(traj.times), len(traj.control))))
-        self._x = [np.asarray(a) for a in xs]
-        self._u = [np.asarray(a) for a in us]
-        self._d = [np.asarray(a) for a in ds]
+        # one stacked copy of the states, controls and derivative estimates,
+        # owned here: trajectory i is rows _bounds[i]:_bounds[i + 1]
+        self._bounds = np.cumsum([0] + [len(t.times) for t in trajectories])
+        d, q = (trajectories[0].dim, len(trajectories[0].control)) if trajectories else (0, 0)
+        n = int(self._bounds[-1])
+        self._x, self._u, self._d = np.empty((n, d)), np.empty((n, q)), np.empty((n, d))
+        for traj, lo, hi in zip(trajectories, self._bounds[:-1], self._bounds[1:]):
+            self._d[lo:hi] = finite_diff(traj)
+            self._x[lo:hi] = traj.states
+            self._u[lo:hi] = traj.control
         self.n_traj = len(trajectories)
         _check_usable(trajectories)
 
     def _gather(self, idxs):
+        """(x, u, d) of the chosen trajectories' rows, in the order chosen;
+        the stacked arrays themselves for all of them (``idxs`` None)."""
         if idxs is None:
-            idxs = range(self.n_traj)
-        x = np.concatenate([self._x[i] for i in idxs])
-        u = np.concatenate([self._u[i] for i in idxs])
-        d = np.concatenate([self._d[i] for i in idxs])
-        return x, u, d
+            return self._x, self._u, self._d
+        lo, n = self._bounds[:-1][idxs], np.diff(self._bounds)[idxs]
+        rows = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        # take, not fancy indexing: a fifth of the time on 2,550 rows
+        return tuple(a.take(rows, axis=0) for a in (self._x, self._u, self._d))
 
     def loss(self, field: StructuredField, idxs=None) -> float:
+        # one velocity call per row block of `nnet.mlp_values`, so the full
+        # data builds no temporaries wider than a block, and single-output
+        # nets round as one call on all rows would
         x, u, d = self._gather(idxs)
-        res = d - eval_velocity(field, x, u)
-        return float(np.mean(np.sum(res * res, axis=1)))
+        per_row = np.empty(len(x))
+        for rows in nnet.row_blocks(len(x)):
+            res = d[rows] - eval_velocity(field, x[rows], u[rows])
+            per_row[rows] = np.sum(res * res, axis=1)
+        return float(np.mean(per_row))
 
     def loss_and_grad(self, field: StructuredField, idxs=None):
         x, u, d = self._gather(idxs)
@@ -180,6 +198,9 @@ def _check_even(grid, times, ids) -> None:
 
 
 def make_objective(config: TrainConfig, trajectories: list[Trajectory]):
+    """The objective ``config`` names, over its own copy of ``trajectories``:
+    it keeps no reference to them or to the arrays they view, so a caller
+    that drops them holds the data once."""
     if config.objective == GRAD_MATCHING:
         return GradMatchingObjective(trajectories)
     return TrajMatchingObjective(trajectories)
@@ -233,23 +254,17 @@ class TrainResult:
         }
 
 
-def train(
-    field: StructuredField,
-    trajectories: list[Trajectory],
-    config: TrainConfig,
-    val_trajectories: list[Trajectory] | None = None,
-) -> TrainResult:
-    """Mini-batch Adam over shuffled whole trajectories.
+def train(field: StructuredField, objective, config: TrainConfig,
+          val_objective=None) -> TrainResult:
+    """Mini-batch Adam over shuffled whole trajectories of ``objective``,
+    built by `make_objective` for ``config``.
 
-    Tracks the best parameters by full-data loss; when a validation set is
-    given, also records the best validation loss seen at any epoch.
+    Tracks the best parameters by full-data loss; when a validation
+    objective is given, also records the best validation loss seen at any
+    epoch. The objectives keep nothing from one run to the next, so one
+    objective may serve several runs.
     """
     t_start = time.perf_counter()
-    objective = make_objective(config, trajectories)
-    val_objective = (
-        make_objective(config, val_trajectories) if val_trajectories else None
-    )
-
     params = field.params
     adam = nnet.adam_init(len(params), config.lr0)
     plateau = nnet.PlateauState(lr=config.lr0)
@@ -298,16 +313,14 @@ def train(
     )
 
 
-def train_with_restarts(
-    make_field,
-    trajectories: list[Trajectory],
-    config: TrainConfig,
-) -> TrainResult:
-    """Train `restarts` times from different seeds, keep the best final loss."""
+def train_with_restarts(make_field, objective, config: TrainConfig) -> TrainResult:
+    """Train `restarts` times from different seeds, keep the best final loss.
+    Every restart runs on the one ``objective``, its data and its stage
+    tape."""
     best: TrainResult | None = None
     for r in range(max(1, config.restarts)):
         seed = config.seed + 1000 * r
-        result = train(make_field(seed), trajectories, replace(config, seed=seed))
+        result = train(make_field(seed), objective, replace(config, seed=seed))
         if best is None or result.best_loss < best.best_loss:
             best = result
     return best
@@ -374,9 +387,9 @@ def cross_validate(
             try:
                 result = train(
                     fld,
-                    [trajectories[j] for j in train_idx],
+                    make_objective(fold_cfg, [trajectories[j] for j in train_idx]),
                     replace(fold_cfg, seed=config.seed + i),
-                    val_trajectories=[trajectories[j] for j in val_idx],
+                    val_objective=make_objective(fold_cfg, [trajectories[j] for j in val_idx]),
                 )
                 losses.append(result.best_val_loss)
             except (TrainingDiverged, nnet.NonFiniteError) as err:
@@ -386,5 +399,5 @@ def cross_validate(
 
     selected = min(reports, key=lambda r: r.mean).candidate
     builder = dict(candidates)[selected]
-    final = train_with_restarts(builder, trajectories, config)
+    final = train_with_restarts(builder, make_objective(config, trajectories), config)
     return CvReport(reports, selected, final)

@@ -28,7 +28,7 @@ from stabledyn.benchmarks import (
     system_rhs,
 )
 from stabledyn.field import eval_decay, eval_velocity, read_checkpoint, residual
-from stabledyn.training import train
+from stabledyn.training import make_objective, train
 from theory import classify_stability, contraction_bound
 from util import CHECKPOINT, assert_close, roots_at
 
@@ -97,7 +97,8 @@ def tanks_field():
     """A two-tanks field after one epoch of its recipe on 3-sample data."""
     data = gen_dataset(TWO_TANKS, default_protocol(TWO_TANKS, samples_per_traj=3))
     cfg = replace(default_train_recipe(TWO_TANKS)[0], epochs=1)
-    return train(make_untrained_field(TWO_TANKS, 0), data.trajectories, cfg).field
+    return train(make_untrained_field(TWO_TANKS, 0), make_objective(cfg, data.trajectories),
+                 cfg).field
 
 
 # the decay of a field whose velocity is the negated residual, as the

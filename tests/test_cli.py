@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
     TOGGLE_SWITCH,
+    TWO_TANKS,
     DataProtocol,
     gen_dataset,
     save_dataset,
@@ -129,9 +131,9 @@ class TestTrain:
         seeds = []
         train = training.train
 
-        def recorded(fld, trajectories, config, val_trajectories=None):
+        def recorded(fld, objective, config, val_objective=None):
             seeds.append(config.seed)
-            return train(fld, trajectories, config, val_trajectories)
+            return train(fld, objective, config, val_objective)
 
         monkeypatch.setattr(training, "train", recorded)
         runs = {}
@@ -149,6 +151,44 @@ class TestTrain:
         best = min(("first", "second"), key=lambda name: runs[name][0]["best_loss"])
         assert runs["first"][0]["best_loss"] != runs["second"][0]["best_loss"]
         assert runs["both"] == runs[best]
+
+    @pytest.mark.parametrize("system", [SYM_HYSTERESIS, TWO_TANKS])  # traj and grad matching
+    def test_parsed_dataset_is_freed_before_training(self, tmp_path, monkeypatch, system):
+        proto = benchmarks.default_protocol(system, samples_per_traj=3)
+        prefix = tmp_path / "data"
+        save_dataset(prefix, gen_dataset(system, proto))
+        tables = []
+        load, train = benchmarks.load_dataset, training.train
+
+        def loaded(prefix):
+            dataset = load(prefix)
+            table = dataset.trajectories[0].states
+            while table.base is not None:
+                table = table.base
+            tables.append(weakref.ref(table))
+            return dataset
+
+        def checked(*args, **kwargs):
+            assert [ref() for ref in tables] == [None]
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(benchmarks, "load_dataset", loaded)
+        monkeypatch.setattr(training, "train", checked)
+        assert main(["train", "--data", str(prefix), "--out", str(tmp_path), "--epochs",
+                     "1"]) == EXIT_OK
+
+    def test_restarts_share_one_objective(self, tiny_dataset, tmp_path, monkeypatch):
+        built = []
+        make_objective = training.make_objective
+
+        def counted(config, trajectories):
+            built.append(len(trajectories))
+            return make_objective(config, trajectories)
+
+        monkeypatch.setattr(training, "make_objective", counted)
+        assert main(["train", "--data", str(tiny_dataset), "--out", str(tmp_path), "--epochs",
+                     "1", "--restarts", "3"]) == EXIT_OK
+        assert built == [12]
 
 
 def _edit_state(prefix):
@@ -303,6 +343,32 @@ class TestUnusableData:
         err = self._run(capsys, out, ["train", "--data", str(prefix)])
         assert "config error: no trajectories to match" in err
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_rows_of_another_systems_dims(self, tmp_path, capsys, command):
+        # the content hash covers the CSV only, so a manifest may name a
+        # system whose dims its rows lack: here two-tanks rows
+        trajs = [Trajectory([0.0, 0.1, 0.2], np.full((3, 2), 0.5 + 0.1 * i), [0.2, 0.3],
+                            traj_id=i) for i in range(4)]
+        prefix, out = _save_trajectories(tmp_path, SYM_HYSTERESIS, trajs)
+        argv = [command, "--data", str(prefix)] + (["--folds", "2"] if command == "cv" else [])
+        err = self._run(capsys, out, argv)
+        assert (f"config error: dataset {str(prefix)!r} has (state, control) dims (2, 2); "
+                f"sym-hysteresis needs (1, 1)") in err
+
+    def test_control_reads_no_rows_of_another_systems_dims(self, tmp_path, capsys):
+        # budworm rows as toggle data once gave a summary whose nRMSE divided
+        # by a 1-d IQR broadcast over both toggle dims
+        trajs = [Trajectory([0.0, 0.5, 1.0], [[1.0 + i], [2.0 + i], [3.0 + i]], [6.0],
+                            traj_id=i) for i in range(3)]
+        prefix, out = _save_trajectories(tmp_path, TOGGLE_SWITCH, trajs)
+        rc = main(["control", "--system", TOGGLE_SWITCH, "--oracle", "--data", str(prefix),
+                   "--out", str(out), "--targets", "1", "--trials", "1",
+                   "--t-per-target", "1"])
+        assert rc == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        assert "(state, control) dims (1, 1); toggle-switch needs (2, 4)" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("rows", [0, 1, 4], ids=["no-rows", "one-row", "equal-rows"])
     def test_toggle_states_without_a_positive_iqr(self, tmp_path, capsys, rows):
         # toggle control scores by the IQR of the dataset's states, so it
@@ -356,9 +422,9 @@ class TestCv:
         seeds = []
         train = training.train
 
-        def second_wins(fld, trajectories, config, val_trajectories=None):
-            result = train(fld, trajectories, config, val_trajectories)
-            if val_trajectories is None:
+        def second_wins(fld, objective, config, val_objective=None):
+            result = train(fld, objective, config, val_objective)
+            if val_objective is None:
                 seeds.append(config.seed)
                 result.best_loss = -float(config.seed)
             return result

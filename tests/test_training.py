@@ -1,9 +1,14 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from stabledyn.benchmarks import TOGGLE_SWITCH, DataProtocol, gen_dataset
+from stabledyn import benchmarks, training
+from stabledyn.benchmarks import (BUDWORM, TOGGLE_SWITCH, TWO_TANKS, DataProtocol,
+                                  default_protocol, gen_dataset, make_untrained_field)
 from stabledyn.field import Featurizer, eval_velocity, velocity_cached
-from stabledyn.integrate import DatasetError, TimeGrid, Trajectory, rk4_solve_batch
+from stabledyn.integrate import (DatasetError, TimeGrid, Trajectory, finite_diff,
+                                 read_trajectories_csv, rk4_solve_batch, write_trajectories_csv)
 from stabledyn.training import (
     GRAD_MATCHING,
     TRAJ_MATCHING,
@@ -13,6 +18,7 @@ from stabledyn.training import (
     TrajMatchingObjective,
     cross_validate,
     kfold_split,
+    make_objective,
     train,
 )
 from util import assert_close, central_diff_grad, make_field
@@ -321,6 +327,92 @@ class TestFeaturizedReverses:
         assert grad.shape == fld.params.shape
 
 
+def _owner(arr):
+    """The array that owns ``arr``'s memory, found by walking ``.base``."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def _resting_trajectories(system, rows, seed):
+    """Trajectories of 51 samples (the last one longer) and ``rows`` rows in
+    all, each resting at a random state of the system's domain: their
+    derivative estimates are zero, so the loss is the velocity's square
+    and keeps its last bits."""
+    d, q = benchmarks.SYSTEM_DIMS[system]
+    lo, hi = np.array(benchmarks.default_model(system).domain).T
+    rng = np.random.default_rng(seed)
+    lengths = [51] * (rows // 51 - 1) + [51 + rows % 51]
+    return [Trajectory(np.linspace(0.0, 1.0, n), np.repeat(rng.uniform(lo, hi, (1, d)), n, axis=0),
+                       rng.uniform(0.1, 1.0, q), traj_id=i) for i, n in enumerate(lengths)]
+
+
+def _one_pass_loss(fld, trajs):
+    """(loss, velocity): the gradient-matching loss as one velocity call
+    on all rows, and that call's velocity."""
+    x = np.concatenate([t.states for t in trajs])
+    u = np.concatenate([np.broadcast_to(t.control, (len(t.times), len(t.control)))
+                        for t in trajs])
+    d = np.concatenate([finite_diff(t) for t in trajs])
+    v = eval_velocity(fld, x, u)
+    res = d - v
+    return float(np.mean(np.sum(res * res, axis=1))), v
+
+
+class TestOwnedData:
+    @pytest.mark.parametrize("objective", [GradMatchingObjective, TrajMatchingObjective])
+    def test_parsed_table_is_freed_once_the_objective_is_built(self, tmp_path, objective):
+        fld = make_field(dim=2, control_dim=2, seed=40)
+        path = tmp_path / "data.csv"
+        write_trajectories_csv(path, field_generated_trajectories(fld, n_traj=5, seed=41))
+        trajs = read_trajectories_csv(path)
+        table = weakref.ref(_owner(trajs[0].states))
+        assert _owner(trajs[-1].control) is table()  # every trajectory views it
+        built = objective(trajs)
+        del trajs
+        assert table() is None
+        assert built.n_traj == 5
+
+    def test_batch_is_its_trajectories_in_the_order_chosen(self):
+        # row ranges of unequal lengths, gathered out of order
+        fld = make_field(dim=2, control_dim=2, seed=42)
+        trajs = [field_generated_trajectories(fld, n_traj=1, n_samples=n, seed=43 + n)[0]
+                 for n in (3, 7, 4, 9)]
+        objective = GradMatchingObjective(trajs)
+        for batch in ([2, 0], [3, 1, 2], [1]):
+            alone = GradMatchingObjective([trajs[i] for i in batch])
+            loss, grad = objective.loss_and_grad(fld, batch)
+            assert loss == objective.loss(fld, batch) == alone.loss(fld)
+            assert np.array_equal(grad, alone.loss_and_grad(fld)[1])
+
+    @pytest.mark.parametrize("system", [BUDWORM, TWO_TANKS])
+    @pytest.mark.parametrize("rows,blocks",[(1024, [1024]), (1025, [513, 512]),
+                                             (2049, [683, 683, 683])])
+    def test_streamed_loss_has_the_one_pass_bits(self, monkeypatch, system, rows, blocks):
+        # budworm's 1-column output products round by row position, so the
+        # blocks must be those of one value pass over all rows
+        fld = make_untrained_field(system, 3)
+        trajs = _resting_trajectories(system, rows, seed=rows)
+        objective = GradMatchingObjective(trajs)
+        velocities = []
+
+        def recorded(*args):
+            velocities.append(eval_velocity(*args))
+            return velocities[-1]
+
+        monkeypatch.setattr(training, "eval_velocity", recorded)
+        loss, v = _one_pass_loss(fld, trajs)
+        assert objective.loss(fld) == loss
+        assert [len(part) for part in velocities] == blocks
+        assert np.array_equal(np.concatenate(velocities), v)
+
+    @pytest.mark.parametrize("system", [BUDWORM, TWO_TANKS])
+    def test_streamed_loss_has_the_one_pass_bits_on_desk_data(self, system):
+        trajs = gen_dataset(system, default_protocol(system)).trajectories
+        fld = make_untrained_field(system, 0)
+        assert GradMatchingObjective(trajs).loss(fld) == _one_pass_loss(fld, trajs)[0]
+
+
 class TestKfold:
     def test_singleton_folds(self):
         folds = kfold_split(10, 10, seed=0)
@@ -358,19 +450,35 @@ class TestTrainLoop:
         trajs = field_generated_trajectories(target, n_traj=12, n_samples=11, seed=21)
         start = make_field(dim=1, control_dim=1, seed=99)
         cfg = TrainConfig(GRAD_MATCHING, epochs=40, batch_size=4, lr0=0.01, seed=0)
-        res1 = train(start, trajs, cfg)
-        res2 = train(start, trajs, cfg)
+        res1 = train(start, make_objective(cfg, trajs), cfg)
+        res2 = train(start, make_objective(cfg, trajs), cfg)
         assert res1.best_loss < res1.loss_history[0] * 0.5
         assert res1.loss_history == res2.loss_history
         assert np.array_equal(res1.field.params, res2.field.params)
         assert len(res1.lr_trace) == cfg.epochs
+
+    @pytest.mark.parametrize("kind", [GRAD_MATCHING, TRAJ_MATCHING])
+    def test_one_objective_serves_two_runs(self, kind):
+        # batches of 3, 3 and 1 trajectories: the stage tape grows, then
+        # serves a smaller block, and must carry nothing into the next run
+        target = make_field(dim=1, control_dim=1, seed=26)
+        trajs = field_generated_trajectories(target, n_traj=7, n_samples=6, seed=27)
+        cfg = TrainConfig(kind, epochs=3, batch_size=3, lr0=0.01, seed=4)
+        objective = make_objective(cfg, trajs)
+        shared = [train(make_field(dim=1, control_dim=1, seed=s), objective, cfg)
+                  for s in (96, 95)]
+        fresh = [train(make_field(dim=1, control_dim=1, seed=s), make_objective(cfg, trajs), cfg)
+                 for s in (96, 95)]
+        for a, b in zip(shared, fresh):
+            assert a.loss_history == b.loss_history
+            assert np.array_equal(a.field.params, b.field.params)
 
     def test_traj_matching_training_runs(self):
         target = make_field(dim=1, control_dim=1, seed=22)
         trajs = field_generated_trajectories(target, n_traj=6, n_samples=6, seed=23)
         start = make_field(dim=1, control_dim=1, seed=98)
         cfg = TrainConfig(TRAJ_MATCHING, epochs=10, batch_size=3, lr0=0.01, seed=1)
-        res = train(start, trajs, cfg)
+        res = train(start, make_objective(cfg, trajs), cfg)
         assert res.best_loss <= min(res.loss_history)
         assert np.isfinite(res.best_loss)
 
@@ -379,7 +487,7 @@ class TestTrainLoop:
         trajs = field_generated_trajectories(target, n_traj=8, seed=25)
         start = make_field(dim=1, control_dim=1, seed=97)
         cfg = TrainConfig(GRAD_MATCHING, epochs=15, batch_size=4, lr0=0.05, seed=2)
-        res = train(start, trajs, cfg)
+        res = train(start, make_objective(cfg, trajs), cfg)
         final_loss = GradMatchingObjective(trajs).loss(res.field)
         assert final_loss == pytest.approx(res.best_loss, rel=1e-12)
 
