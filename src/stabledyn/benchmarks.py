@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .integrate import (
     DatasetError,
     TimeGrid,
     Trajectory,
+    read_chunks,
     read_trajectories_csv,
     rk4_solve_batch,
     write_trajectories_csv,
@@ -323,18 +325,23 @@ def gen_dataset(system: str, protocol: DataProtocol) -> Dataset:
     return Dataset(system, default_params(system), trajectories, protocol.meta())
 
 
-def _git_blob_sha1(data: bytes) -> str:
-    digest = hashlib.sha1(b"blob %d\0" % len(data))
-    digest.update(data)  # no joined copy of the file
+def _git_blob_sha1(fh) -> str:
+    """`git hash-object` of the open binary file ``fh``: the blob header,
+    sized by `os.fstat`, then the file's `read_chunks`."""
+    digest = hashlib.sha1(b"blob %d\0" % os.fstat(fh.fileno()).st_size)
+    for chunk in read_chunks(fh):
+        digest.update(chunk)
     return digest.hexdigest()
 
 
 def save_dataset(prefix, dataset: Dataset) -> dict:
-    """Write <prefix>.csv plus <prefix>.json manifest; returns the manifest."""
+    """Write <prefix>.csv plus <prefix>.json manifest; returns the manifest.
+    The CSV is written one trajectory at a time and hashed back from the
+    file in chunks, so neither holds it whole."""
     csv_path = f"{prefix}.csv"
     write_trajectories_csv(csv_path, dataset.trajectories)
     with open(csv_path, "rb") as fh:
-        digest = _git_blob_sha1(fh.read())
+        digest = _git_blob_sha1(fh)
     manifest = {
         "system": dataset.system,
         "params": dataset.params,
@@ -349,22 +356,22 @@ def save_dataset(prefix, dataset: Dataset) -> dict:
 
 
 def load_dataset(prefix) -> Dataset:
-    """Read a dataset written by `save_dataset`; raises ValueError when the
-    CSV bytes do not match the manifest's content_hash."""
+    """Read a dataset written by `save_dataset`: the manifest's system and
+    the CSV's trajectories. Raises ValueError when the CSV does not match
+    the manifest's content_hash, checked before any row is parsed.
+
+    The manifest's params, protocol, seed and n_trajectories are not read:
+    no command reads them, so the dataset's params and protocol_meta are
+    empty and its seed None. The CSV is hashed in chunks and parsed in one
+    pass from the open file, never held whole."""
     with open(f"{prefix}.json") as fh:
         manifest = json.load(fh)
+    system = manifest["system"]
     with open(f"{prefix}.csv", "rb") as fh:
-        data = fh.read()
-    if _git_blob_sha1(data) != manifest["content_hash"]:
-        raise ValueError(f"{prefix}.csv does not match the content_hash in {prefix}.json")
-    trajectories = read_trajectories_csv(data)
-    return Dataset(
-        manifest["system"],
-        manifest["params"],
-        trajectories,
-        manifest.get("protocol", {}),
-        manifest.get("seed"),
-    )
+        if _git_blob_sha1(fh) != manifest["content_hash"]:
+            raise ValueError(f"{prefix}.csv does not match the content_hash in {prefix}.json")
+        trajectories = read_trajectories_csv(fh)
+    return Dataset(system, {}, trajectories)
 
 
 # --- per-system model architecture and domain --------------------------------

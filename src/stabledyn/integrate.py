@@ -25,12 +25,14 @@ in `control.feedback_simulate`.
 Trajectory CSV format: one table per file, header then one row per sample,
 columns ``traj_id, t, x_0..x_{d-1}, u_0..u_{q-1}``, doubles printed with 17
 significant digits (lossless round trip). `read_trajectories_csv` takes a
-path or the file's bytes and parses the body in one `np.loadtxt` pass.
+path or an open binary file. It counts the lines in fixed-size chunks and
+parses the body in one `np.loadtxt` pass on the file itself, so the file's
+bytes are never held whole; only a rejected row reads the body again, to
+name its line.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import sys
@@ -303,13 +305,14 @@ def write_trajectories_csv(path, trajectories: list[Trajectory]) -> None:
             fh.write(row * len(traj.times) % tuple(cells))
 
 
-def _bad_row(lines: list[bytes], n_cells: int) -> str | None:
+def _bad_row(lines, n_cells: int) -> str | None:
     """Why the first malformed body line is rejected, or None if every line
-    parses; the slow path behind a failed or short `np.loadtxt`."""
+    parses; ``lines`` iterates the body lines, each ending in its newline
+    but the last. The slow path behind a failed or short `np.loadtxt`."""
     for i, line in enumerate(lines, start=2):
         if not line.strip():
             return f"line {i} is blank"
-        cells = line.decode().rstrip("\r").split(",")
+        cells = line.decode().rstrip("\r\n").split(",")
         if len(cells) != n_cells:
             return f"line {i}: expected {n_cells} cells, found {len(cells)}"
         try:
@@ -323,40 +326,77 @@ def _bad_row(lines: list[bytes], n_cells: int) -> str | None:
     return None
 
 
-def read_trajectories_csv(source) -> list[Trajectory]:
-    """Trajectories from a CSV path or from the file's bytes, in the order
-    their traj_ids first appear. The body is parsed as one table; a row
-    with the wrong cell count, a non-numeric cell, a non-integer traj_id or
-    a blank line raises ValueError naming its line, and a trajectory whose
-    control cells differ between its rows one naming the trajectory."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            source = fh.read()
-    buf = io.BytesIO(source)
-    header = buf.readline().decode().strip().split(",")
+# the bytes `read_chunks` reads at a time
+_CHUNK_BYTES = 1 << 16
+
+
+def read_chunks(fh):
+    """The bytes of the open binary file ``fh`` from its start, one
+    fixed-size chunk at a time, so a pass over the file never holds it
+    whole."""
+    fh.seek(0)
+    return iter(lambda: fh.read(_CHUNK_BYTES), b"")
+
+
+def _line_count(fh) -> int:
+    """The lines of the open binary file ``fh``, a last one without a
+    newline included."""
+    count, last = 0, b"\n"
+    for chunk in read_chunks(fh):
+        count += chunk.count(b"\n")
+        last = chunk[-1:]
+    return count + (last != b"\n")
+
+
+def _read_table(fh):
+    """The body of the open binary CSV file ``fh`` as one `np.loadtxt`
+    table of (traj_id, values) rows, and the state width d; None for a body
+    of no lines."""
+    n_lines = _line_count(fh) - 1
+    fh.seek(0)
+    first = fh.readline()
+    header = first.decode().strip().split(",")
     d = sum(1 for c in header if c.startswith("x_"))
     q = sum(1 for c in header if c.startswith("u_"))
     n_cells = 2 + d + q
-    if source and header != _header(d, q):
+    if first and header != _header(d, q):
         raise ValueError(f"malformed trajectory CSV: header {','.join(header)!r} is not "
                          f"{','.join(_header(d, q))!r}")
-    n_lines = source.count(b"\n") + (not source.endswith(b"\n")) - 1
     if n_lines <= 0:
-        return []
+        return None, d
     row = np.dtype([("traj_id", np.int64), ("values", float, (n_cells - 1,))])
     try:
         with warnings.catch_warnings():
             # a body of blank lines only; the row count below rejects it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(buf, delimiter=",", comments=None, dtype=row, ndmin=1,
+            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=row, ndmin=1,
                                encoding="utf-8")
         # loadtxt skips blank lines, so a short count means one was there
         failure = None if len(table) == n_lines else "a blank line"
     except ValueError as err:
         failure = err
     if failure is not None:
-        lines = source.split(b"\n")[1 : 1 + n_lines]
-        raise ValueError(f"malformed trajectory CSV: {_bad_row(lines, n_cells) or failure}")
+        # read the body again, line by line, to name the bad one
+        fh.seek(0)
+        fh.readline()
+        raise ValueError(f"malformed trajectory CSV: {_bad_row(fh, n_cells) or failure}")
+    return table, d
+
+
+def read_trajectories_csv(source) -> list[Trajectory]:
+    """Trajectories from a CSV path or an open binary file (read from its
+    start), in the order their traj_ids first appear. The body is parsed as
+    one table, straight from the file; a row with the wrong cell count, a
+    non-numeric cell, a non-integer traj_id or a blank line raises
+    ValueError naming its line, and a trajectory whose control cells differ
+    between its rows one naming the trajectory."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            table, d = _read_table(fh)
+    else:
+        table, d = _read_table(source)
+    if table is None:
+        return []
 
     ids, values = table["traj_id"], table["values"]
     _, first, group = np.unique(ids, return_index=True, return_inverse=True)

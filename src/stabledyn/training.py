@@ -12,8 +12,12 @@ largest block seen and smaller blocks use its first rows.
 Gradient matching skips the solver: it penalizes the gap between the model
 vector field and finite-difference derivative estimates at the observed
 states. It stacks the states, controls and estimates once, in arrays it
-owns; a batch gathers its trajectories' row ranges, and the full-data loss
-streams through `nnet.row_blocks`, keeping only the per-row losses.
+owns; a batch gathers its trajectories' row ranges. A batch and the
+full-data loss both stream through `nnet.row_blocks`, keeping only the
+per-row losses: a batch runs a cached forward and its reverse per block,
+so it holds one block's caches at a time, its loss has the bits of the
+value-only loss on the same rows, and no product is wider than a block
+(a 2,550-row one rounded differently at 1 and 2 OpenBLAS threads).
 Batches are whole trajectories in both cases.
 
 `make_objective` builds an objective once, over its own copy of the data:
@@ -106,12 +110,22 @@ class GradMatchingObjective:
         return float(np.mean(per_row))
 
     def loss_and_grad(self, field: StructuredField, idxs=None):
+        # `loss`'s row blocks, each a cached forward and its reverse, so one
+        # block's caches are alive at a time and no product has more rows
+        # than a block (a wider one can round by BLAS thread count); the loss
+        # has the bits of `loss`, and the gradients add up in block order
         x, u, d = self._gather(idxs)
-        v, cache = velocity_cached(field, x, u)
-        res = d - v
-        loss = float(np.mean(np.sum(res * res, axis=1)))
-        cot = (-2.0 / len(x)) * res
-        return loss, velocity_vjp_cached(field, cache, cot)
+        per_row, grad = np.empty(len(x)), None
+        for rows in nnet.row_blocks(len(x)):
+            v, cache = velocity_cached(field, x[rows], u[rows])
+            res = d[rows] - v
+            per_row[rows] = np.sum(res * res, axis=1)
+            part = velocity_vjp_cached(field, cache, (-2.0 / len(x)) * res)
+            if grad is None:
+                grad = part
+            else:
+                grad += part
+        return float(np.mean(per_row)), grad
 
 
 class TrajMatchingObjective:

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,54 @@ class TestTrain:
         assert built == [12]
 
 
+# a two-tanks gen-data at its default 51 samples and a 1-epoch train, then
+# one gradient-matching batch of 50 trajectories (2,550 rows), written as
+# its loss and gradient bytes
+_THREAD_RUN = """
+import sys
+import numpy as np
+from stabledyn import benchmarks, training
+from stabledyn.cli import main
+
+out = sys.argv[1]
+assert main(["gen-data", "--system", "two-tanks", "--out", out]) == 0
+data = out + "/two-tanks-data"
+assert main(["train", "--data", data, "--epochs", "1", "--out", out]) == 0
+objective = training.GradMatchingObjective(benchmarks.load_dataset(data).trajectories)
+batch = np.random.default_rng(0).permutation(objective.n_traj)[:50]
+loss, grad = objective.loss_and_grad(benchmarks.make_untrained_field("two-tanks", 0), batch)
+with open(out + "/batch.bin", "wb") as fh:
+    fh.write(np.float64(loss).tobytes() + grad.tobytes())
+"""
+
+
+class TestBlasThreadCount:
+    def test_gradient_matching_has_the_same_bits_at_one_and_two_threads(self, tmp_path):
+        # a 2,550-row batch ran as one product, which OpenBLAS rounds by its
+        # thread count; row blocks of at most 1,024 rows do not
+        src = str(Path(benchmarks.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        runs = {}
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            runs[threads] = subprocess.Popen(
+                [sys.executable, "-c", _THREAD_RUN, str(tmp_path / threads)], env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for proc in runs.values():
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+        one, two = tmp_path / "1", tmp_path / "2"
+        assert (one / "batch.bin").read_bytes() == (two / "batch.bin").read_bytes()
+        name = "two-tanks-field.json"
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+        reports = [json.loads((out / "two-tanks-train-report.json").read_text())
+                   for out in (one, two)]
+        for report in reports:
+            del report["wall_time_s"]
+        assert reports[0] == reports[1]
+
+
 def _edit_state(prefix):
     csv = prefix.with_suffix(".csv")
     lines = csv.read_text().splitlines(keepends=True)
@@ -207,10 +259,15 @@ def _edit_manifest(edit):
     return corrupt
 
 
+def _content_hash(csv):
+    with open(csv, "rb") as fh:
+        return benchmarks._git_blob_sha1(fh)
+
+
 def _rehash(prefix):
     """Record the CSV's current content hash in the manifest."""
     manifest = json.loads(prefix.with_suffix(".json").read_text())
-    manifest["content_hash"] = benchmarks._git_blob_sha1(prefix.with_suffix(".csv").read_bytes())
+    manifest["content_hash"] = _content_hash(prefix.with_suffix(".csv"))
     prefix.with_suffix(".json").write_text(json.dumps(manifest))
 
 
@@ -272,6 +329,34 @@ class TestDatasetIntegrity:
         assert not (tmp_path / "sym-hysteresis-field.json").exists()
 
 
+class TestManifestKeys:
+    @pytest.mark.parametrize("edit", ["deleted", "junk"])
+    def test_only_system_and_content_hash_are_read(self, tiny_dataset, tmp_path, edit):
+        # params, protocol, seed and n_trajectories describe the data; no
+        # command reads them, so neither their absence nor their values
+        # change a run
+        def run(name):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["train", "--data", str(tiny_dataset), "--out", str(out),
+                         "--epochs", "1"]) == EXIT_OK
+            report = json.loads((out / "sym-hysteresis-train-report.json").read_text())
+            del report["wall_time_s"]
+            return (out / "sym-hysteresis-field.json").read_bytes(), report
+
+        clean = run("clean")
+        path = tiny_dataset.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        for key, junk in (("params", "x"), ("protocol", [1]), ("seed", "y"),
+                          ("n_trajectories", -3)):
+            if edit == "deleted":
+                del manifest[key]
+            else:
+                manifest[key] = junk
+        path.write_text(json.dumps(manifest))
+        assert run(edit) == clean
+
+
 def _save_trajectories(tmp_path, system, trajectories):
     prefix = tmp_path / "custom"
     save_dataset(prefix, benchmarks.Dataset(system, benchmarks.default_params(system),
@@ -287,7 +372,7 @@ def _save_csv_text(tmp_path, system, text):
     prefix.with_suffix(".csv").write_text(text)
     prefix.with_suffix(".json").write_text(json.dumps({
         "system": system, "params": benchmarks.default_params(system),
-        "content_hash": benchmarks._git_blob_sha1(text.encode())}))
+        "content_hash": _content_hash(prefix.with_suffix(".csv"))}))
     out.mkdir()
     return prefix, out
 

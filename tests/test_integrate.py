@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -388,7 +390,7 @@ class TestTrajectoryCsv:
         reference_write_csv(ref, trajs)
         assert new.read_bytes() == ref.read_bytes()
         expected = reference_read_csv(ref)
-        for source in (new, new.read_bytes()):
+        for source in (new, io.BytesIO(new.read_bytes())):
             back = read_trajectories_csv(source)
             assert [t.traj_id for t in back] == [t.traj_id for t in expected]
             for a, b in zip(back, expected):
@@ -398,7 +400,7 @@ class TestTrajectoryCsv:
 
     def test_interleaved_ids_come_back_in_first_seen_order(self):
         body = "5,0,1,9\n2,0,10,8\n5,1,2,9\n9,0,100,7\n2,1,20,8\n5,2,3,9\n"
-        back = read_trajectories_csv((self.H + body).encode())
+        back = read_trajectories_csv(io.BytesIO((self.H + body).encode()))
         assert [t.traj_id for t in back] == [5, 2, 9]
         assert [t.states[:, 0].tolist() for t in back] == [[1, 2, 3], [10, 20], [100]]
         assert [t.times.tolist() for t in back] == [[0, 1, 2], [0, 1], [0]]
@@ -408,15 +410,16 @@ class TestTrajectoryCsv:
         path = tmp_path / "t.csv"
         path.write_text(self.H)
         assert read_trajectories_csv(path) == []
-        assert read_trajectories_csv(self.H.rstrip("\n").encode()) == []
+        assert read_trajectories_csv(io.BytesIO(self.H.rstrip("\n").encode())) == []
 
     def test_rejects_nan_time(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            read_trajectories_csv((self.H + "1,0,0,0\n1,nan,0,0\n1,2,0,0\n").encode())
+            read_trajectories_csv(
+                io.BytesIO((self.H + "1,0,0,0\n1,nan,0,0\n1,2,0,0\n").encode()))
 
     def test_rejects_header_out_of_order(self):
         with pytest.raises(ValueError, match="header 'traj_id,t,u_0,x_0' is not"):
-            read_trajectories_csv(b"traj_id,t,u_0,x_0\n1,0,1,2\n")
+            read_trajectories_csv(io.BytesIO(b"traj_id,t,u_0,x_0\n1,0,1,2\n"))
 
     @pytest.mark.parametrize("body", [
         "5,0,1,9\n2,0,10,8\n5,1,2,9\n2,1,20,7\n",
@@ -425,13 +428,13 @@ class TestTrajectoryCsv:
     ], ids=["number", "nan-then-number", "inf-then-minus-inf"])
     def test_rejects_control_changing_within_a_trajectory(self, body):
         with pytest.raises(ValueError, match="trajectory 2 changes its control between rows"):
-            read_trajectories_csv((self.H + body).encode())
+            read_trajectories_csv(io.BytesIO((self.H + body).encode()))
 
     def test_equal_non_finite_controls_are_one_control(self):
         # nan on every row of a trajectory is one (non-finite) control, which
         # the training data check refuses by name
-        back = read_trajectories_csv((self.H + "1,0,0,nan\n1,1,0,nan\n"
-                                      "2,0,0,inf\n2,1,0,inf\n").encode())
+        back = read_trajectories_csv(io.BytesIO((self.H + "1,0,0,nan\n1,1,0,nan\n"
+                                                 "2,0,0,inf\n2,1,0,inf\n").encode()))
         assert np.isnan(back[0].control).all() and back[1].control.tolist() == [np.inf]
 
     @pytest.mark.parametrize("bad,reason", [
@@ -446,7 +449,7 @@ class TestTrajectoryCsv:
     def test_rejects_malformed_rows(self, bad, reason):
         for text in (self.H + "1,0,0,0\n" + bad + "1,2,0,0\n", self.H + "1,0,0,0\n" + bad):
             with pytest.raises(ValueError, match=reason):
-                read_trajectories_csv(text.encode())
+                read_trajectories_csv(io.BytesIO(text.encode()))
 
 
 class TestForwardInvariance:

@@ -6,7 +6,7 @@ import pytest
 from stabledyn import benchmarks, training
 from stabledyn.benchmarks import (BUDWORM, TOGGLE_SWITCH, TWO_TANKS, DataProtocol,
                                   default_protocol, gen_dataset, make_untrained_field)
-from stabledyn.field import Featurizer, eval_velocity, velocity_cached
+from stabledyn.field import Featurizer, eval_velocity, velocity_cached, velocity_vjp_cached
 from stabledyn.integrate import (DatasetError, TimeGrid, Trajectory, finite_diff,
                                  read_trajectories_csv, rk4_solve_batch, write_trajectories_csv)
 from stabledyn.training import (
@@ -54,6 +54,12 @@ class TestGradMatchingLoss:
         assert len(fld.layers.first) == 2
         assert loss == objective.loss(fld)
         assert grad.shape == fld.params.shape
+        # past 1,024 rows, one cached pass per row block
+        stacks.clear()
+        wide = GradMatchingObjective(field_generated_trajectories(fld, n_traj=21, n_samples=51))
+        wide.loss_and_grad(fld)
+        assert len(nnet.row_blocks(21 * 51)) == 2
+        assert [id(layers) for layers in stacks] == [id(fld.layers)] * 2
 
     def test_exactly_zero_at_equilibrium_data(self):
         # constant data at an equilibrium: D is exact (zero) and the oracle
@@ -411,6 +417,23 @@ class TestOwnedData:
         trajs = gen_dataset(system, default_protocol(system)).trajectories
         fld = make_untrained_field(system, 0)
         assert GradMatchingObjective(trajs).loss(fld) == _one_pass_loss(fld, trajs)[0]
+
+
+    @pytest.mark.parametrize("system", [BUDWORM, TWO_TANKS])
+    def test_batch_loss_has_the_bits_of_the_streamed_loss(self, system):
+        # a 2,550-row batch runs in `loss`'s row blocks; its gradient scales
+        # every block by the whole batch's row count
+        objective = GradMatchingObjective(gen_dataset(system, default_protocol(system))
+                                          .trajectories)
+        fld = make_untrained_field(system, 0)
+        batch = np.random.default_rng(5).permutation(objective.n_traj)[:50]
+        loss, grad = objective.loss_and_grad(fld, batch)
+        assert loss == objective.loss(fld, batch)
+        x, u, d = objective._gather(batch)
+        assert len(x) == 2550
+        v, cache = velocity_cached(fld, x, u)
+        assert_close(grad, velocity_vjp_cached(fld, cache, (-2.0 / len(x)) * (d - v)),
+                     rtol=1e-9, floor=1e-12)
 
 
 class TestKfold:
