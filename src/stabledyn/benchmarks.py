@@ -4,9 +4,13 @@ and the data-generation protocols used for training.
 Four systems: a pump-and-valve pair of mixing tanks, the symmetric
 bistable scalar ODE dx/dt = u + x - x^3, the spruce budworm outbreak model
 with carrying capacity as control, and the two-gene toggle switch with
-four control parameters. Whole (ic, control) grids integrate in one
-solver call. Each system's `DataProtocol` fixes its RK4 step, and is the
-one place that turns it into a grid and a sample stride for any horizon.
+four control parameters. `SYSTEM_DIMS` gives each system's (state,
+control) widths and `SYSTEM_BOX` the state box its equilibria are sought
+in. Whole (ic, control) grids integrate in one solver call. Each system's
+`DataProtocol` fixes its RK4 step, and is the one place that turns it
+into a grid and a sample stride for any horizon. A `Dataset` holds the
+system and its trajectories; `save_dataset` records the protocol and seed
+that made them in the manifest, which `load_dataset` does not read back.
 `default_control_recipe` gives each system's `control.ControlRecipe`,
 `settle_grid` is the one RK4 grid its sampled targets settle on, and
 `evaluate_trace` scores every trial of a control trace at once.
@@ -19,7 +23,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +53,15 @@ SYSTEM_DIMS = {
     SYM_HYSTERESIS: (1, 1),
     BUDWORM: (1, 1),
     TOGGLE_SWITCH: (2, 4),
+}
+
+# the state box, a (lo, hi) per state dimension, that `equilibria` and
+# `bifurcate` search for roots, learned field or oracle alike
+SYSTEM_BOX = {
+    TWO_TANKS: ((0.0, 1.0), (0.0, 1.0)),
+    SYM_HYSTERESIS: ((-2.0, 2.0),),
+    BUDWORM: ((0.1, 10.0),),
+    TOGGLE_SWITCH: ((0.0, 6.0), (0.0, 6.0)),
 }
 
 
@@ -271,13 +284,7 @@ def default_protocol(system: str, paper_scale: bool = False, samples_per_traj: i
 @dataclass
 class Dataset:
     system: str
-    params: dict
     trajectories: list[Trajectory]
-    protocol_meta: dict = dc_field(default_factory=dict)
-    seed: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.trajectories)
 
 
 def transient_time(traj: Trajectory):
@@ -322,7 +329,7 @@ def gen_dataset(system: str, protocol: DataProtocol) -> Dataset:
             sub_times = regrid.times()[::stride]
             for j, i in enumerate(idxs):
                 trajectories[i] = Trajectory(sub_times, st[j], pairs_u[i], traj_id=i)
-    return Dataset(system, default_params(system), trajectories, protocol.meta())
+    return Dataset(system, trajectories)
 
 
 def _git_blob_sha1(fh) -> str:
@@ -334,21 +341,23 @@ def _git_blob_sha1(fh) -> str:
     return digest.hexdigest()
 
 
-def save_dataset(prefix, dataset: Dataset) -> dict:
-    """Write <prefix>.csv plus <prefix>.json manifest; returns the manifest.
-    The CSV is written one trajectory at a time and hashed back from the
-    file in chunks, so neither holds it whole."""
+def save_dataset(prefix, dataset: Dataset, protocol: DataProtocol, seed: int | None) -> dict:
+    """Write <prefix>.csv plus <prefix>.json manifest; returns the manifest,
+    which records the system's `default_params`, the ``protocol`` that
+    generated the data and the ``seed`` of the run. The CSV is written one
+    trajectory at a time and hashed back from the file in chunks, so
+    neither holds it whole."""
     csv_path = f"{prefix}.csv"
     write_trajectories_csv(csv_path, dataset.trajectories)
     with open(csv_path, "rb") as fh:
         digest = _git_blob_sha1(fh)
     manifest = {
         "system": dataset.system,
-        "params": dataset.params,
-        "protocol": dataset.protocol_meta,
-        "seed": dataset.seed,
+        "params": default_params(dataset.system),
+        "protocol": protocol.meta(),
+        "seed": seed,
         "content_hash": digest,
-        "n_trajectories": len(dataset),
+        "n_trajectories": len(dataset.trajectories),
     }
     with open(f"{prefix}.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
@@ -361,8 +370,7 @@ def load_dataset(prefix) -> Dataset:
     the manifest's content_hash, checked before any row is parsed.
 
     The manifest's params, protocol, seed and n_trajectories are not read:
-    no command reads them, so the dataset's params and protocol_meta are
-    empty and its seed None. The CSV is hashed in chunks and parsed in one
+    no command reads them. The CSV is hashed in chunks and parsed in one
     pass from the open file, never held whole."""
     with open(f"{prefix}.json") as fh:
         manifest = json.load(fh)
@@ -371,17 +379,16 @@ def load_dataset(prefix) -> Dataset:
         if _git_blob_sha1(fh) != manifest["content_hash"]:
             raise ValueError(f"{prefix}.csv does not match the content_hash in {prefix}.json")
         trajectories = read_trajectories_csv(fh)
-    return Dataset(system, {}, trajectories)
+    return Dataset(system, trajectories)
 
 
-# --- per-system model architecture and domain --------------------------------
+# --- per-system model architecture -------------------------------------------
 
 @dataclass(frozen=True)
 class ModelRecipe:
     decay_spec: MlpSpec
     target_spec: MlpSpec
     featurizer: Featurizer | None
-    domain: tuple
 
 
 def default_model(system: str) -> ModelRecipe:
@@ -390,14 +397,12 @@ def default_model(system: str) -> ModelRecipe:
             MlpSpec((2, 20, 20, 20, 2), output_bounds=(-1.0, 0.0)),
             MlpSpec((4, 20, 20, 20, 2), output_bounds=(0.0, 1.0)),
             None,
-            ((0.0, 1.0), (0.0, 1.0)),
         )
     if system == SYM_HYSTERESIS:
         return ModelRecipe(
             MlpSpec((1, 20, 20, 1), output_bounds=(-4.0, -0.1)),
             MlpSpec((6, 20, 20, 1), output_bounds=(-2.0, 2.0)),
             Featurizer(a=-1.5, b=1.5, num_modes=4),
-            ((-2.0, 2.0),),
         )
     if system == BUDWORM:
         # target bounds widened past the stated (-5, 2): the upper equilibrium
@@ -406,14 +411,12 @@ def default_model(system: str) -> ModelRecipe:
             MlpSpec((1, 20, 20, 1), output_bounds=(-4.0, -0.1)),
             MlpSpec((6, 20, 20, 1), output_bounds=(-5.0, 12.0)),
             Featurizer(a=-1.0, b=1.5, num_modes=4),
-            ((0.1, 10.0),),
         )
     if system == TOGGLE_SWITCH:
         return ModelRecipe(
             MlpSpec((2, 20, 20, 20, 2), output_bounds=(-4.0, -0.01)),
             MlpSpec((6, 20, 20, 20, 2), output_bounds=(0.0, 6.0)),
             None,
-            ((0.0, 6.0), (0.0, 6.0)),
         )
     raise ValueError(f"unknown system {system!r}")
 
@@ -433,7 +436,6 @@ def make_untrained_field(system: str, seed: int,
         target_spec=recipe.target_spec,
         target_params=init_params(recipe.target_spec, seed + 1),
         featurizer=recipe.featurizer,
-        domain=np.asarray(recipe.domain),
     )
 
 
@@ -448,15 +450,10 @@ def candidate_models(system: str) -> list[tuple[str, ModelRecipe]]:
     )
     wider_f = MlpSpec((d, 32, 32, d), output_bounds=base.decay_spec.output_bounds)
     wider_g = MlpSpec((feat_len + q, 32, 32, d), output_bounds=base.target_spec.output_bounds)
-    names = {
-        "default": ModelRecipe(base.decay_spec, base.target_spec, base.featurizer, base.domain),
-        "deeper": ModelRecipe(deeper_f, deeper_g, base.featurizer, base.domain),
-        "wider": ModelRecipe(wider_f, wider_g, base.featurizer, base.domain),
-    }
     # drop duplicates of the default topology (tanks/toggle default is deep)
-    out = [("default", names["default"])]
-    for key in ("deeper", "wider"):
-        alt = names[key]
+    out = [("default", base)]
+    for key, alt in (("deeper", ModelRecipe(deeper_f, deeper_g, base.featurizer)),
+                     ("wider", ModelRecipe(wider_f, wider_g, base.featurizer))):
         if alt.decay_spec != base.decay_spec or alt.target_spec != base.target_spec:
             out.append((key, alt))
     return out

@@ -196,9 +196,8 @@ def cmd_gen_data(args) -> int:
     proto = _protocol(args)
     _check_step_work(proto, proto.pairs()[0], proto.horizon, f"--samples {args.samples}",
                      "lower it")
-    dataset = benchmarks.gen_dataset(system, proto)
-    dataset.seed = args.seed
-    manifest = benchmarks.save_dataset(out / f"{system}-data", dataset)
+    manifest = benchmarks.save_dataset(out / f"{system}-data",
+                                       benchmarks.gen_dataset(system, proto), proto, args.seed)
     print(f"wrote {manifest['n_trajectories']} trajectories to {out}/{system}-data.csv")
     return EXIT_OK
 
@@ -386,7 +385,7 @@ def cmd_equilibria(args) -> int:
         if u is None or u.shape != (q,) or not np.isfinite(u).all():
             raise ConfigError(f"--control needs {q} comma-separated finite numbers, "
                               f"got {args.control!r}")
-    box = benchmarks.default_model(system).domain
+    box = benchmarks.SYSTEM_BOX[system]
 
     if d == 1:
         # every scalar-state system has one control, so u is a one-point sweep
@@ -431,7 +430,7 @@ def cmd_bifurcate(args) -> int:
     proto = benchmarks.default_protocol(system)
     lo_u, hi_u = float(proto.control_grid.min()), float(proto.control_grid.max())
     grid = np.linspace(lo_u, hi_u, args.points)
-    interval = benchmarks.default_model(system).domain[0]
+    interval = benchmarks.SYSTEM_BOX[system][0]
 
     diagram = analysis.bifurcation_sweep(_sweep_form(_split(system, fld)[0]), grid,
                                          interval, n_scan=args.scan)

@@ -30,8 +30,10 @@ each net once:
   just that, from the same reverse, without the featurizer derivative
   x_grad needs.
 
-Checkpoints are read by `read_checkpoint`, which returns the field and the
-system it was trained for.
+A checkpoint holds the two nets, the featurizer and the system the field
+was trained for; `read_checkpoint` returns the field and that system. The
+box that analysis scans belongs to the system (`benchmarks.SYSTEM_BOX`),
+not to the field, so the ``domain`` key of older checkpoints is ignored.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def featurize_dx(x, cfg: Featurizer) -> np.ndarray:
 @dataclass
 class StructuredField:
     """A trained or fresh model: two MLPs of the same hidden widths plus
-    featurization and a domain box."""
+    an optional featurization of the target net's state input."""
 
     dim: int
     control_dim: int
@@ -106,7 +108,6 @@ class StructuredField:
     target_spec: MlpSpec
     target_params: np.ndarray
     featurizer: Featurizer | None = None  # None: the target net reads x itself
-    domain: np.ndarray | None = None  # (dim, 2) lo/hi
 
     def __post_init__(self):
         if self.decay_spec.in_dim != self.dim or self.decay_spec.out_dim != self.dim:
@@ -124,8 +125,6 @@ class StructuredField:
             )
         if self.target_spec.out_dim != self.dim:
             raise ValueError("target net must output the state dim")
-        if self.domain is not None:
-            self.domain = np.asarray(self.domain, dtype=float).reshape(self.dim, 2)
         hidden = (self.decay_spec.layer_sizes[1:-1], self.target_spec.layer_sizes[1:-1])
         if hidden[0] != hidden[1]:
             raise ValueError(f"decay and target nets must have the same hidden widths, got "
@@ -177,14 +176,14 @@ def _target_forward(field: StructuredField, x2d: np.ndarray, u2d: np.ndarray,
     (target(x,u), cache)."""
     x_in = target_input(field, x2d, u2d)
     if not cached:
-        return nnet.forward(field.target_spec, field.target_layers, x_in)
+        return nnet.mlp_values(field.target_layers, (x_in,))
     return nnet.forward_cached(field.target_spec, field.target_layers, x_in)
 
 
 def eval_decay(field: StructuredField, x) -> np.ndarray:
     """decay(x); strictly negative elementwise."""
     x2d, single = nnet._as_batch(x, field.dim, "state")
-    y = nnet.forward(field.decay_spec, field.decay_layers, x2d)
+    y = nnet.mlp_values(field.decay_layers, (x2d,))
     return y[0] if single else y
 
 
@@ -239,7 +238,7 @@ def target_vjp(field: StructuredField, cache, cotangent, state_grad: bool = True
     """
     x2d, single, g_cache = cache
     c2d = np.asarray(cotangent, dtype=float).reshape(x2d.shape[0], field.dim)
-    gin_grad = nnet.input_vjp_from_cache(field.target_spec, g_cache, c2d)
+    gin_grad = nnet.mlp_input_vjp(g_cache, c2d)[0]
     if not state_grad:
         gu = gin_grad[:, field.feature_dim:]
         return gu[0] if single else gu
@@ -314,7 +313,6 @@ def field_to_dict(field: StructuredField, seed: int | None = None,
         "decay": nnet.checkpoint_to_dict(field.decay_spec, field.decay_params, seed),
         "target": nnet.checkpoint_to_dict(field.target_spec, field.target_params, seed),
         "featurizer": feat,
-        "domain": None if field.domain is None else field.domain.tolist(),
     }
     if system is not None:
         doc["system"] = system
@@ -322,13 +320,10 @@ def field_to_dict(field: StructuredField, seed: int | None = None,
 
 
 def field_from_dict(doc: dict) -> StructuredField:
-    f_spec, f_params, _ = nnet.checkpoint_from_dict(doc["decay"])
-    g_spec, g_params, _ = nnet.checkpoint_from_dict(doc["target"])
-    domain = doc.get("domain")
-    if domain is not None:
-        domain = nnet.json_array(domain, "each domain bound")
-        if not np.isfinite(domain).all():
-            raise ValueError("field domain must be finite")
+    """The field of a checkpoint document. A ``domain`` key, which older
+    checkpoints hold, is ignored: no command reads it."""
+    f_spec, f_params = nnet.checkpoint_from_dict(doc["decay"])
+    g_spec, g_params = nnet.checkpoint_from_dict(doc["target"])
     feat = None
     fd = doc.get("featurizer")
     if fd is not None:
@@ -348,7 +343,6 @@ def field_from_dict(doc: dict) -> StructuredField:
         target_spec=g_spec,
         target_params=g_params,
         featurizer=feat,
-        domain=domain,
     )
 
 

@@ -93,6 +93,10 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
         if not np.all(np.diff(self.times) > 0):  # a nan time fails here too
             raise ValueError("times must be strictly increasing")
+        # an infinite first or last time passes the increase check, but
+        # gives trajectory matching an infinite step
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
 
     @property
     def dim(self) -> int:

@@ -17,14 +17,12 @@ same widths after their input layer, whose weights `stack_params` lays
 out as `Layers`. The first layer multiplies each net's own (N, in_m)
 input into its slice of one (M, N, width) stack; every later layer is one
 stacked product, and the activations and output bounds run once on the
-stack. The `mlp_*` functions take such a stack; `forward`,
-`forward_cached`, `backward_from_cache` and `input_vjp_from_cache` are
-the same kernels on one net, M = 1, whose `split_params` keeps the views
-of its flat vector. Their ``spec`` argument, which the kernels do not
-read, names the net for callers that inspect a call by its arguments, as
-the benchmark's layer hooks do. One net's stack has no model axis: its
-arrays are the (N, width) ones of a plain pass, so a one-net call pays
-nothing for the axis. Stacking gives each net the bits of its own pass.
+stack. One net is the stack M = 1 (`split_params`, the views of its flat
+vector), whose arrays are the (N, width) ones of a plain pass, so a
+one-net call pays nothing for the axis. Stacking gives each net the bits
+of its own pass. `forward_cached` is `mlp_forward` of one net under its
+``spec``, which the kernels do not read: it names the net for callers
+that inspect a call by its arguments, as the benchmark's layer hooks do.
 
 The passes come in two pairs, each pair sharing one routine, so a pair's
 members do the same arithmetic on what they share; every pass takes
@@ -33,17 +31,16 @@ arithmetic is the same bits only for the same rows in one call: BLAS may
 round a row of a product differently by its position in the batch, which
 a single-output net's 1-column last product does (see ``_BLOCK_ROWS``).
 
-- forward (`_run_layers`): `mlp_values` and `forward` keep no cache,
-  `mlp_forward` and `forward_cached` keep what the reverse pass reads, in
-  fresh or caller-given hidden arrays: each net's input, each hidden
+- forward (`_run_layers`): `mlp_values` keeps no cache, `mlp_forward`
+  and `forward_cached` keep what the reverse pass reads (`mlp_forward` in
+  fresh or caller-given hidden arrays): each net's input, each hidden
   layer's SiLU output and derivative and the output sigmoid. The
   derivative is built once there (`_silu_grad`), so a cache replayed
   several times does not rebuild it.
 - reverse (`_reverse_layers`, replaying a cached forward's cache), each
-  building only the gradient it returns: `mlp_backward` and
-  `backward_from_cache` the batch-summed parameter gradient, one net's
-  after another, `mlp_input_vjp` and `input_vjp_from_cache` each net's
-  per-row input gradient.
+  building only the gradient it returns: `mlp_backward` the batch-summed
+  parameter gradient, one net's after another, `mlp_input_vjp` each
+  net's per-row input gradient.
 
 `AdamState` and `PlateauState` hold only optimizer state; their settings
 are the module constants ADAM_* and PLATEAU_*.
@@ -387,16 +384,15 @@ def mlp_forward(layers: Layers, xs, out=None):
     return _run_layers(layers, xs, keep=True, out=out)
 
 
-def forward(spec: MlpSpec, layers: Layers, x2d: np.ndarray) -> np.ndarray:
-    """`mlp_values` of one net: ``layers`` is its `split_params`, and
-    (N, in_dim) -> (N, out_dim)."""
-    return mlp_values(layers, (x2d,))
-
-
-def forward_cached(spec: MlpSpec, layers: Layers, x2d: np.ndarray, out=None):
+def forward_cached(spec: MlpSpec, layers: Layers, x2d: np.ndarray):
     """`mlp_forward` of one net: ``layers`` is its `split_params`,
-    ``x2d`` is (N, in_dim) and the outputs are (N, out_dim)."""
-    return _run_layers(layers, (x2d,), keep=True, out=out)
+    ``x2d`` is (N, in_dim) and the outputs are (N, out_dim).
+
+    The field's target-only cached pass runs here, not through
+    `mlp_forward`, because the benchmark's layer hooks wrap this name and
+    read ``spec`` and ``x2d`` by position; the benchmark's harness tests
+    check, through a control run, that it counts rows."""
+    return _run_layers(layers, (x2d,), keep=True)
 
 
 def _stack_shape(layers: Layers, rows: int, width: int) -> tuple[int, ...]:
@@ -493,18 +489,6 @@ def mlp_input_vjp(cache, cotangent: np.ndarray) -> list[np.ndarray]:
     """Each net's per-row input gradient of <cotangent, outputs> over a
     `mlp_forward` cache; no parameter gradient is built."""
     return _reverse_layers(cache, cotangent)
-
-
-def backward_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
-    """`mlp_backward` of one net's `forward_cached` cache and (N, out_dim)
-    cotangent."""
-    return mlp_backward(cache, cotangent2d)
-
-
-def input_vjp_from_cache(spec: MlpSpec, cache, cotangent2d: np.ndarray) -> np.ndarray:
-    """`mlp_input_vjp` of one net's `forward_cached` cache and (N, out_dim)
-    cotangent: its (N, in_dim) input gradient."""
-    return _reverse_layers(cache, cotangent2d)[0]
 
 
 # --- Adam ------------------------------------------------------------------
@@ -622,7 +606,9 @@ def json_array(value, name: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
+def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray]:
+    """(spec, params) of a net section. Its seed is read by nothing, but
+    must be a JSON integer or null."""
     json_value(doc, "object", "each net section")
     activation = doc.get("activation", "silu")
     if activation != "silu":
@@ -642,4 +628,4 @@ def checkpoint_from_dict(doc: dict) -> tuple[MlpSpec, np.ndarray, int | None]:
     seed = doc.get("seed")
     if seed is not None:
         json_value(seed, "integer", "each net seed")
-    return spec, params, seed
+    return spec, params

@@ -53,11 +53,11 @@ class TestCriterion1Gradients:
             x = rng.normal(size=(1, spec.in_dim))
             cot = rng.normal(size=(1, spec.out_dim))
             _, cache = nnet.forward_cached(spec, nnet.split_params(spec, params), x)
-            pg = nnet.backward_from_cache(spec, cache, cot)
-            xg = nnet.input_vjp_from_cache(spec, cache, cot)
+            pg = nnet.mlp_backward(cache, cot)
+            xg = nnet.mlp_input_vjp(cache, cot)[0]
 
             def value(p, xx):
-                return float(np.sum(cot * nnet.forward(spec, nnet.split_params(spec, p), xx)))
+                return float(np.sum(cot * nnet.mlp_values(nnet.split_params(spec, p), (xx,))))
 
             fd_p = central_diff_grad(lambda p: value(p, x), params)
             fd_x = central_diff_grad(lambda xx: value(params, xx), x)
@@ -337,8 +337,7 @@ class TestCriterion10Determinism:
             horizon=0.25, samples_per_traj=6)
         ds = benchmarks.gen_dataset(SYM_HYSTERESIS, proto)
         data_prefix = tmp_path / "tiny"
-        ds.seed = 1
-        benchmarks.save_dataset(data_prefix, ds)
+        benchmarks.save_dataset(data_prefix, ds, proto, 1)
 
         commands = {
             "gen-data": ["gen-data", "--system", "budworm", "--samples", "4", "--seed", "3"],

@@ -19,6 +19,7 @@ from stabledyn.analysis import (
 from stabledyn.benchmarks import (
     BUDWORM,
     SYM_HYSTERESIS,
+    SYSTEM_BOX,
     TWO_TANKS,
     analytic_split,
     default_protocol,
@@ -182,7 +183,8 @@ class TestFindEquilibriaNd:
         fld = tanks_field
         u = np.array(control)
         roots, labels, _, _ = find_equilibria_nd(lambda x: residual(fld, x, u),
-                                                 lambda x: eval_decay(fld, x), fld.domain)
+                                                 lambda x: eval_decay(fld, x),
+                                                 SYSTEM_BOX[TWO_TANKS])
         assert len(roots) >= 1
         assert labels.tolist() == [
             classify_stability(lambda x: eval_velocity(fld, x, u), r) for r in roots]

@@ -203,7 +203,7 @@ class TestGenDataset:
     def test_hysteresis_counts_and_order(self):
         proto = default_protocol(SYM_HYSTERESIS, samples_per_traj=5)
         ds = gen_dataset(SYM_HYSTERESIS, proto)
-        assert len(ds) == 2601
+        assert len(ds.trajectories) == 2601
         # ic-major lexicographic: first 51 share the first initial condition
         assert all(t.states[0, 0] == -2.0 for t in ds.trajectories[:51])
         assert ds.trajectories[0].control[0] == -1.0
@@ -242,7 +242,7 @@ class TestGenDataset:
             transient_truncate=True,
         )
         ds = gen_dataset(TOGGLE_SWITCH, proto)
-        assert len(ds) == 4
+        assert len(ds.trajectories) == 4
         for traj in ds.trajectories:
             assert traj.times[-1] < 100.0  # all of these settle well before t=100
             assert len(traj.times) == 21
@@ -273,14 +273,13 @@ class TestDatasetIO:
         proto = DataProtocol(np.linspace(-2, 2, 3)[:, None], [[0.1], [0.3]],
                              horizon=0.25, samples_per_traj=6)
         ds = gen_dataset(SYM_HYSTERESIS, proto)
-        ds.seed = 5
-        manifest = save_dataset(tmp_path / "demo", ds)
+        manifest = save_dataset(tmp_path / "demo", ds, proto, 5)
         assert manifest["n_trajectories"] == 6
         assert manifest["seed"] == 5
         assert len(manifest["content_hash"]) == 40
         back = load_dataset(tmp_path / "demo")
         assert back.system == SYM_HYSTERESIS
-        assert len(back) == 6
+        assert len(back.trajectories) == 6
         for a, b in zip(ds.trajectories, back.trajectories):
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.control, b.control)
@@ -290,10 +289,11 @@ class TestDatasetIO:
     def test_neither_save_nor_load_holds_the_whole_csv(self, tmp_path, system):
         # the CSV is hashed in chunks and parsed from the open file; holding
         # its bytes beside the parsed table took 2.07 to 2.32 times its size
-        ds = gen_dataset(system, default_protocol(system))
+        proto = default_protocol(system)
+        ds = gen_dataset(system, proto)
         prefix = tmp_path / "data"
         peaks = []
-        for run in (lambda: save_dataset(prefix, ds), lambda: load_dataset(prefix)):
+        for run in (lambda: save_dataset(prefix, ds, proto, None), lambda: load_dataset(prefix)):
             tracemalloc.start()
             try:
                 run()

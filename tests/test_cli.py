@@ -35,8 +35,7 @@ def tiny_dataset(tmp_path):
     )
     ds = gen_dataset(SYM_HYSTERESIS, proto)
     prefix = tmp_path / "tiny"
-    ds.seed = 1
-    save_dataset(prefix, ds)
+    save_dataset(prefix, ds, proto, 1)
     return prefix
 
 
@@ -64,7 +63,7 @@ class TestGenData:
         states = np.concatenate([t.states for t in
                                  benchmarks.load_dataset(tmp_path / f"{system}-data")
                                  .trajectories])
-        box = np.array(benchmarks.default_model(system).domain)
+        box = np.array(benchmarks.SYSTEM_BOX[system])
         assert np.all(states >= box[:, 0]) and np.all(states <= box[:, 1])
 
     def test_missing_output_dir(self, tmp_path):
@@ -160,7 +159,7 @@ class TestTrain:
     def test_parsed_dataset_is_freed_before_training(self, tmp_path, monkeypatch, system):
         proto = benchmarks.default_protocol(system, samples_per_traj=3)
         prefix = tmp_path / "data"
-        save_dataset(prefix, gen_dataset(system, proto))
+        save_dataset(prefix, gen_dataset(system, proto), proto, None)
         tables = []
         load, train = benchmarks.load_dataset, training.train
 
@@ -359,8 +358,8 @@ class TestManifestKeys:
 
 def _save_trajectories(tmp_path, system, trajectories):
     prefix = tmp_path / "custom"
-    save_dataset(prefix, benchmarks.Dataset(system, benchmarks.default_params(system),
-                                            trajectories))
+    save_dataset(prefix, benchmarks.Dataset(system, trajectories),
+                 benchmarks.default_protocol(system), None)
     out = tmp_path / "out"
     out.mkdir()
     return prefix, out
@@ -498,7 +497,6 @@ class TestCv:
                 assert np.array_equal(built.target_params,
                                       init_params(recipe.target_spec, seed + 1))
                 assert built.featurizer == ref.featurizer
-                assert np.array_equal(built.domain, ref.domain)
 
     def test_checkpoint_records_the_kept_restart_seed(self, tiny_dataset, tmp_path,
                                                       monkeypatch):
@@ -553,7 +551,7 @@ class TestSimulate:
         assert [len(t.times) for t in trajs] == [51] * int(limit)
         assert trajs[0].times[-1] == float(horizon)
         states = np.concatenate([t.states for t in trajs])
-        box = np.array(benchmarks.default_model(system).domain)
+        box = np.array(benchmarks.SYSTEM_BOX[system])
         assert np.all(states >= box[:, 0]) and np.all(states <= box[:, 1])
 
     @pytest.mark.parametrize("system,horizon,limit,count", [
@@ -609,10 +607,6 @@ def _nan_weight(doc):
     doc["target"]["values"][0] = float("nan")
 
 
-def _inf_domain(doc):
-    doc["domain"][0][1] = float("inf")
-
-
 def _inf_featurizer(doc):
     # every cosine feature would be a constant
     doc["featurizer"]["a"] = -float("inf")
@@ -629,7 +623,7 @@ def _float_layer_sizes(doc):
 
 def _set(path, value):
     """An edit that sets the item at the key path, such as ("decay",
-    "bounds") or ("domain", 0, 0), to value."""
+    "bounds") or ("decay", "bounds", 0), to value."""
     def edit(doc):
         *head, last = path
         for key in head:
@@ -658,7 +652,6 @@ WRONG_SHAPES = [
     # each once loaded with exit 0: true read as 1.0, "0.25" parsed as 0.25
     pytest.param(_edited_checkpoint(_set(("target", "values", 0), True)), id="boolean-value"),
     pytest.param(_edited_checkpoint(_set(("decay", "values", 0), "0.25")), id="string-value"),
-    pytest.param(_edited_checkpoint(_set(("domain", 0, 0), False)), id="boolean-domain"),
 ]
 
 
@@ -667,8 +660,6 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("content", ['{"dim": 1}', "[1, 2]", "{not json", *WRONG_SHAPES,
                                          pytest.param(_edited_checkpoint(_tanh), id="tanh"),
                                          pytest.param(_edited_checkpoint(_nan_weight), id="nan"),
-                                         pytest.param(_edited_checkpoint(_inf_domain),
-                                                      id="inf-domain"),
                                          pytest.param(_edited_checkpoint(_inf_featurizer),
                                                       id="inf-featurizer"),
                                          pytest.param(_edited_checkpoint(_inf_bound),
@@ -682,6 +673,40 @@ class TestMalformedCheckpoint:
                    "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "cannot load field checkpoint" in capsys.readouterr().err
+
+
+# older checkpoints hold a domain box; no command reads it, so none of these
+# may change a run (inf and boolean domains were once refused with exit 2)
+DOMAIN_EDITS = {
+    "reversed": _set(("domain",), [[1e308, 2.0]]),
+    "null": _set(("domain",), None),
+    "missing": lambda doc: doc.pop("domain"),
+    "inf": _set(("domain", 0, 1), float("inf")),
+    "boolean": _set(("domain", 0, 0), False),
+}
+
+
+class TestCheckpointDomainIgnored:
+    @pytest.mark.parametrize("command,sizes", [
+        ("bifurcate", ["--points", "21", "--scan", "40"]),
+        ("control", ["--targets", "2", "--trials", "2", "--t-per-target", "1"]),
+    ], ids=["bifurcate", "control"])
+    @pytest.mark.parametrize("edit", sorted(DOMAIN_EDITS))
+    def test_outputs_match_the_clean_checkpoint(self, tmp_path, capsys, command, sizes, edit):
+        runs = []
+        for name, text in (("clean", CHECKPOINT.read_text()),
+                           (edit, _edited_checkpoint(DOMAIN_EDITS[edit]))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            out = tmp_path / name
+            out.mkdir()
+            rc = main([command, "--system", "sym-hysteresis", "--field", str(path),
+                       "--out", str(out), *sizes])
+            printed = capsys.readouterr()
+            runs.append((rc, printed.out, printed.err,
+                         {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert runs[0][0] == EXIT_OK and runs[0][3]
+        assert runs[1] == runs[0]
 
 
 class TestCheckpointNets:

@@ -276,7 +276,7 @@ def _two_pass_grad(fld, x, u, x_ref, k):
         x2d, u2d, single = _batch_xu(fld, levels[j - 1], u)
         c2d = np.asarray(cot, dtype=float).reshape(x2d.shape[0], fld.dim)
         _, cache = _target_forward(fld, x2d, u2d, cached=True)
-        gin_grad = nnet.input_vjp_from_cache(fld.target_spec, cache, c2d)
+        gin_grad = nnet.mlp_input_vjp(cache, c2d)[0]
         gx, gu = _target_input_vjp(fld, x2d, gin_grad)
         ugrad += gu[0]
         cot = gx[0]
@@ -308,23 +308,34 @@ class TestOnePassPerLevel:
         calls = []
         feature_grads = []
 
-        def counting(name, fn):
-            def run(spec, *args, **kwargs):
-                calls.append((name, spec))
-                return fn(spec, *args, **kwargs)
+        def counting(name, fn, net):
+            def run(*args, **kwargs):
+                calls.append((name, net(*args)))
+                return fn(*args, **kwargs)
             return run
 
-        for name in ("forward", "forward_cached", "backward_from_cache",
-                     "input_vjp_from_cache"):
-            monkeypatch.setattr(nnet, name, counting(name, getattr(nnet, name)))
+        # each pass with the weights it runs: a cache's are its first item
+        nets = {"mlp_values": lambda layers, xs: layers,
+                "mlp_forward": lambda layers, xs, out=None: layers,
+                "forward_cached": lambda spec, layers, x2d: (spec, layers),
+                "mlp_backward": lambda cache, cot: cache[0],
+                "mlp_input_vjp": lambda cache, cot: cache[0]}
+        for name, net in nets.items():
+            monkeypatch.setattr(nnet, name, counting(name, getattr(nnet, name), net))
         featurize_dx = field.featurize_dx
         monkeypatch.setattr(field, "featurize_dx",
                             lambda *a: feature_grads.append(a) or featurize_dx(*a))
         x, u, x_ref = CASES[system]
         control_objective_grad(fld, x, u, x_ref, k)
-        # k cached forwards, then k input-only reverses; no parameter gradient
-        assert calls == ([("forward_cached", fld.target_spec)] * k
-                         + [("input_vjp_from_cache", fld.target_spec)] * k)
+        # k cached forwards of the target net, then k input-only reverses of
+        # it; no parameter gradient and no decay net
+        target = fld.target_layers
+        assert [name for name, _ in calls] == ["forward_cached"] * k + ["mlp_input_vjp"] * k
+        for name, net in calls:
+            if name == "forward_cached":
+                spec, net = net
+                assert spec == fld.target_spec
+            assert net is target
         # only inner levels pass a state gradient on, through the featurizer
         assert len(feature_grads) == (k - 1 if fld.featurizer is not None else 0)
 

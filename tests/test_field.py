@@ -221,7 +221,7 @@ class TestGradients:
             _, cache = target_cached(fld, x, u)
             xgrad, ugrad = target_vjp(fld, cache, w)
             # the target net's parameter gradient, from the same cached forward
-            pgrad = nnet.backward_from_cache(fld.target_spec, cache[2], w[None, :])
+            pgrad = nnet.mlp_backward(cache[2], w[None, :])
             assert_close(
                 pgrad,
                 central_diff_grad(
@@ -362,7 +362,7 @@ class TestModelAxis:
         fld = benchmarks.make_untrained_field(system, 4, recipe)
         rng = np.random.default_rng(n)
         fld = fld.with_params(fld.params + rng.normal(scale=0.1, size=fld.params.shape))
-        lo, hi = np.array(recipe.domain).T
+        lo, hi = np.array(benchmarks.SYSTEM_BOX[system]).T
         x = rng.uniform(lo, hi, size=(n, fld.dim))
         t_in = target_input(fld, x, rng.uniform(-1.0, 2.0, size=(n, fld.control_dim)))
         nets = ((fld.decay_spec, fld.decay_layers, x), (fld.target_spec, fld.target_layers, t_in))
@@ -370,7 +370,7 @@ class TestModelAxis:
 
         values = nnet.mlp_values(fld.layers, (x, t_in))
         for (spec, layers, inp), y in zip(nets, values):
-            assert np.array_equal(y, nnet.forward(spec, layers, inp))
+            assert np.array_equal(y, nnet.mlp_values(layers, (inp,)))
         for out in (None, nnet.hidden_arrays(fld.layers, n, {})):
             outputs, cache = nnet.mlp_forward(fld.layers, (x, t_in), out)
             param_grad = nnet.mlp_backward(cache, cots)
@@ -379,10 +379,9 @@ class TestModelAxis:
             for (y, net_cache), y_stacked in zip(alone, outputs):
                 assert np.array_equal(y_stacked, y)
             assert np.array_equal(param_grad, np.concatenate(
-                [nnet.backward_from_cache(spec, net_cache, cot)
-                 for (spec, _, _), (_, net_cache), cot in zip(nets, alone, cots)]))
-            for (spec, _, _), (_, net_cache), cot, grad in zip(nets, alone, cots, input_grads):
-                assert np.array_equal(grad, nnet.input_vjp_from_cache(spec, net_cache, cot))
+                [nnet.mlp_backward(net_cache, cot) for (_, net_cache), cot in zip(alone, cots)]))
+            for (_, net_cache), cot, grad in zip(alone, cots, input_grads):
+                assert np.array_equal(grad, nnet.mlp_input_vjp(net_cache, cot)[0])
 
     @pytest.mark.parametrize("n", [1, 50, B, B + 1, 2 * B + 1])
     def test_one_kernel_call_per_row_block(self, n, monkeypatch):
@@ -428,22 +427,29 @@ class TestValueOnlyMemory:
 
 class TestCheckpoint:
     def test_round_trip(self):
-        fld = make_field(dim=1, control_dim=1, featurizer=HYST_FEAT, seed=19,
-                         domain=[[-2.0, 2.0]])
+        fld = make_field(dim=1, control_dim=1, featurizer=HYST_FEAT, seed=19)
         doc = json.loads(json.dumps(field_to_dict(fld, seed=19)))
         fld2 = field_from_dict(doc)
         assert np.array_equal(fld.decay_params, fld2.decay_params)
         assert np.array_equal(fld.target_params, fld2.target_params)
         assert fld2.featurizer == fld.featurizer
-        assert np.array_equal(fld.domain, fld2.domain)
         x, u = np.array([0.3]), np.array([0.7])
         assert np.array_equal(eval_velocity(fld, x, u), eval_velocity(fld2, x, u))
 
     def test_saving_a_loaded_checkpoint_reproduces_its_bytes(self, tmp_path):
+        # every byte but the domain, which no command reads and so no
+        # checkpoint records any more
         fld = read_checkpoint(CHECKPOINT)[0]
         doc = json.loads(CHECKPOINT.read_text())
+        del doc["domain"]
         save_field(tmp_path / "field.json", fld, seed=doc["decay"]["seed"])
-        assert (tmp_path / "field.json").read_bytes() == CHECKPOINT.read_bytes()
+        assert (tmp_path / "field.json").read_bytes() == json.dumps(doc).encode()
+
+    def test_new_checkpoints_hold_no_domain(self):
+        for system in benchmarks.SYSTEMS:
+            doc = field_to_dict(benchmarks.make_untrained_field(system, 0), 0, system)
+            assert sorted(doc) == ["control_dim", "decay", "dim", "featurizer", "system",
+                                   "target"]
 
     def test_recorded_system_reads_back(self, tmp_path):
         fld, recorded = read_checkpoint(CHECKPOINT)

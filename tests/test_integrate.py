@@ -417,6 +417,13 @@ class TestTrajectoryCsv:
             read_trajectories_csv(
                 io.BytesIO((self.H + "1,0,0,0\n1,nan,0,0\n1,2,0,0\n").encode()))
 
+    @pytest.mark.parametrize("rows", ["1,-inf,0,0\n1,0,0,0\n", "1,0,0,0\n1,1e400,0,0\n"],
+                             ids=["first", "last"])
+    def test_rejects_infinite_time(self, rows):
+        # an infinite time increases, so it once loaded
+        with pytest.raises(ValueError, match="times must be finite"):
+            read_trajectories_csv(io.BytesIO((self.H + rows).encode()))
+
     def test_rejects_header_out_of_order(self):
         with pytest.raises(ValueError, match="header 'traj_id,t,u_0,x_0' is not"):
             read_trajectories_csv(io.BytesIO(b"traj_id,t,u_0,x_0\n1,0,1,2\n"))

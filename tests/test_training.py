@@ -346,7 +346,7 @@ def _resting_trajectories(system, rows, seed):
     derivative estimates are zero, so the loss is the velocity's square
     and keeps its last bits."""
     d, q = benchmarks.SYSTEM_DIMS[system]
-    lo, hi = np.array(benchmarks.default_model(system).domain).T
+    lo, hi = np.array(benchmarks.SYSTEM_BOX[system]).T
     rng = np.random.default_rng(seed)
     lengths = [51] * (rows // 51 - 1) + [51 + rows % 51]
     return [Trajectory(np.linspace(0.0, 1.0, n), np.repeat(rng.uniform(lo, hi, (1, d)), n, axis=0),

@@ -26,7 +26,6 @@ def make_field(
     featurizer=None,
     seed=0,
     weight_scale=1.0,
-    domain=None,
 ):
     """Small random structured field for tests."""
     feat_len = featurizer.out_dim if featurizer is not None else dim
@@ -45,7 +44,6 @@ def make_field(
         target_params=tp,
         target_spec=target_spec,
         featurizer=featurizer,
-        domain=domain,
     )
 
 
