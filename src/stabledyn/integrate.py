@@ -3,23 +3,27 @@
 Deterministic integration uses classical fixed-step RK4. Gradients of
 trajectory functionals differentiate the computed RK4 recursion
 (discretize-then-differentiate): `rk4_solve_unrolled_grad` takes the
-states of one value forward, re-linearizes the four stages of every step
-in four wide calls, and runs the reverse over steps on the stage
+states of one value forward and reverses them one step block at a time,
+last block first, each of whole steps and at most `nnet._BLOCK_ROWS` rows
+(one row per trajectory and step). A block re-linearizes the four stages
+of its steps in four calls, runs the reverse over its steps on the stage
 Jacobians, which it builds from the input-only
-`field.velocity_input_vjp_cached`, and takes the parameter gradient from
-the parameter-only `field.velocity_vjp_cached`. The wide calls recompute
-each stage from the solved states. For a field with single-output nets
-(sym-hysteresis, budworm) they can see stage values a few ulps off those
-of the narrower solve, because BLAS rounds a 1-column product by row
-position (`nnet._BLOCK_ROWS`). So the gradient is that of the recursion
-through the solved states, not always bit for bit that of the stages the
-solver took. The wide stage caches, each hidden layer's SiLU output and
-derivative, go into a `StageTape` that the caller owns and passes to
-every call (`training.TrajMatchingObjective` keeps one), so repeated
-gradients reuse the same memory; the four stages share one scratch array
-per width for the sigmoids. `rk4_solve_batch`
-records every node, or only every k-th one for callers that keep a sample
-stride. The stochastic (Euler-Maruyama) loop of closed-loop control lives
+`field.velocity_input_vjp_cached`, and adds the parameter gradient of the
+parameter-only `field.velocity_vjp_cached`; the state cotangent carries
+from each block to the one before. The calls recompute each stage from
+the solved states. For a field with single-output nets (sym-hysteresis,
+budworm) they can see stage values a few ulps off those of the solve,
+because BLAS rounds a 1-column product by row position (`nnet._BLOCK_ROWS`).
+So the gradient is that of the recursion through the solved states, not
+always bit for bit that of the stages the solver took. No product is
+wider than a block, which OpenBLAS runs on one thread, so the gradient has
+the same bits at 1 and 2 OpenBLAS threads. A block's stage caches, each
+hidden layer's SiLU output and derivative, go into a `StageTape` that the
+caller owns and passes to every call (`training.TrajMatchingObjective`
+keeps one), so every block of every gradient reuses the same memory; the
+four stages share one scratch array per width for the sigmoids.
+`rk4_solve_batch` records every node, or only every k-th one for callers
+that keep a sample stride. The stochastic (Euler-Maruyama) loop of closed-loop control lives
 in `control.feedback_simulate`.
 
 Trajectory CSV format: one table per file, header then one row per sample,
@@ -43,7 +47,7 @@ import numpy as np
 
 from .field import (StructuredField, velocity_cached, velocity_input_vjp_cached,
                     velocity_vjp_cached)
-from .nnet import NonFiniteError, hidden_arrays
+from .nnet import _BLOCK_ROWS, NonFiniteError, hidden_arrays, row_blocks
 
 
 class DatasetError(ValueError):
@@ -147,20 +151,23 @@ def rk4_solve(rhs, x0, u, grid: TimeGrid, traj_id: int = 0) -> Trajectory:
 
 
 class StageTape:
-    """The hidden-layer arrays of the four wide stage linearizations in
-    `rk4_solve_unrolled_grad`, kept from one call to the next.
+    """The hidden-layer arrays of the four stage linearizations of one step
+    block of `rk4_solve_unrolled_grad`, kept from one block and one call to
+    the next.
 
     Each stage keeps the (a, p) pair of `nnet.hidden_arrays` per hidden
     layer, each holding both nets on the model axis: the SiLU output and
     derivative its reverses read. The sigmoid is scratch, one array per
     width that the four stage calls overwrite in turn. A training loop that
-    passes one tape to every call writes each batch's stage caches into the
+    passes one tape to every call writes each block's stage caches into the
     same memory, so the allocator neither hands those megabytes back to the
-    OS after a batch nor faults them in again for the next. The capacity
-    only grows, to the largest row count asked for; a smaller call writes
-    into arrays on the first bytes of each. Arrays are made anew only when a
-    call needs more rows or nets of other widths. A tape serves one call at
-    a time: each call overwrites the caches of the one before.
+    OS after a block nor faults them in again for the next. The tape holds
+    at most one block, of at most `nnet._BLOCK_ROWS` rows: it grows to the
+    largest block asked for, dropping its arrays before it makes the larger
+    ones, and a smaller block writes into arrays on the first bytes of each.
+    Arrays are made anew only when a block needs more rows or nets of other
+    widths. A tape serves one block at a time: each block overwrites the
+    caches of the one before.
     """
 
     def __init__(self):
@@ -169,9 +176,10 @@ class StageTape:
     def stages(self, field: StructuredField, rows: int):
         """Four `nnet.hidden_arrays` of ``field.layers``, one per RK4 stage,
         each of ``rows`` rows and all sharing one scratch; the arrays of the
-        previous call are overwritten."""
+        previous block are overwritten."""
         widths = field.decay_spec.layer_sizes[1:-1]
         if widths != self._widths or rows > self._rows:
+            self._arrays = None  # freed first, so the tape never holds two blocks
             self._widths, self._rows, scratch = widths, rows, {}
             self._arrays = [hidden_arrays(field.layers, rows, scratch) for _ in range(4)]
         return [[tuple(_first_rows(a, rows) for a in layer) for layer in stage]
@@ -201,11 +209,17 @@ def rk4_solve_unrolled_grad(
     ``tape``, a `StageTape` the caller keeps across calls.
 
     Given the states, no step's stage inputs depend on another step, so the
-    four RK4 stages of all steps are re-linearized in four wide calls on
-    (n_steps*B)-row step-major stacks. The reverse over steps then runs on
-    each row's stage Jacobians dv/dx (d unit-cotangent input-only VJPs per
-    stage) and calls no net; the parameter gradient is one wide
-    parameter-only VJP per stage.
+    four RK4 stages of a block of steps are re-linearized in four calls on
+    step-major stacks of (steps in the block * B) rows. A batch of more than
+    `nnet._BLOCK_ROWS` trajectories is first split into `nnet.row_blocks`
+    chunks, each reversed on its own, and a chunk's steps into near-equal
+    `nnet.row_blocks` of whole steps, so no product has more than
+    ``_BLOCK_ROWS`` rows. The blocks run last first: each re-linearizes its
+    steps, runs the reverse over them on each row's stage Jacobians dv/dx
+    (d unit-cotangent input-only VJPs per stage, no net call) and adds one
+    parameter-only VJP per stage to the gradient, then hands the state
+    cotangent at its first node to the block before it. The gradient sums
+    the blocks in that fixed order, chunk by chunk.
     """
     states = np.asarray(states, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -215,10 +229,28 @@ def rk4_solve_unrolled_grad(
         raise ValueError("states must be (batch, n_steps+1, dim)")
     if cotangents.shape != states.shape:
         raise ValueError("cotangent array must be (batch, n_steps+1, dim)")
-    n_steps, h = grid.n_steps, grid.h
 
-    # row n*B + b is trajectory b at the start of step n
-    x = states[:, :-1].transpose(1, 0, 2).reshape(n_steps * B, d)
+    pgrad = np.zeros(field.params.shape)
+    for trajs in row_blocks(B):
+        lam = cotangents[trajs, grid.n_steps]
+        # whole steps of at most _BLOCK_ROWS rows, a row being one
+        # trajectory at one step (an empty batch is one empty block)
+        block_steps = _BLOCK_ROWS // max(1, trajs.stop - trajs.start)
+        for steps in reversed(row_blocks(grid.n_steps, block_steps)):
+            lam = _reverse_block(field, states[trajs], u[trajs], cotangents[trajs], steps,
+                                 grid.h, lam, tape, pgrad)
+    return pgrad
+
+
+def _reverse_block(field, states, u, cotangents, steps: slice, h: float, lam, tape, pgrad):
+    """The reverse of `rk4_solve_unrolled_grad` over the steps ``steps`` of
+    its (B, n_steps+1, d) ``states``, given ``lam``, the state cotangent at
+    the block's last node: adds the block's parameter gradient into
+    ``pgrad`` and returns the state cotangent at its first node."""
+    B, _, d = states.shape
+    n_steps = steps.stop - steps.start
+    # row n*B + b is trajectory b at the start of the block's step n
+    x = states[:, steps].transpose(1, 0, 2).reshape(n_steps * B, d)
     uu = np.tile(u, (n_steps, 1))
     out = tape.stages(field, n_steps * B)
     k1, c1 = velocity_cached(field, x, uu, out[0])
@@ -237,10 +269,9 @@ def rk4_solve_unrolled_grad(
             jac[s, :, :, i] = row_i.reshape(n_steps, B, d)
         unit[:, i] = 0.0
 
-    # dk[s, n] is the cotangent on stage s + 1 of step n
+    # dk[s, n] is the cotangent on stage s + 1 of the block's step n
     dk = np.empty((4, n_steps, B, d))
     j1, j2, j3, j4 = jac
-    lam = cotangents[:, n_steps]
     for n in range(n_steps - 1, -1, -1):
         dk[3, n] = (h / 6.0) * lam
         dy4 = np.matmul(dk[3, n, :, None, :], j4[n])[:, 0]
@@ -250,12 +281,11 @@ def rk4_solve_unrolled_grad(
         dy2 = np.matmul(dk[1, n, :, None, :], j2[n])[:, 0]
         dk[0, n] = (h / 6.0) * lam + (0.5 * h) * dy2
         dy1 = np.matmul(dk[0, n, :, None, :], j1[n])[:, 0]
-        lam = lam + dy4 + dy3 + dy2 + dy1 + cotangents[:, n]
+        lam = lam + dy4 + dy3 + dy2 + dy1 + cotangents[:, steps.start + n]
 
-    pgrad = np.zeros(field.params.shape)
     for s, cache in enumerate(caches):
         pgrad += velocity_vjp_cached(field, cache, dk[s].reshape(n_steps * B, d))
-    return pgrad
+    return lam
 
 
 def finite_diff(traj: Trajectory) -> np.ndarray:

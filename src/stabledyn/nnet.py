@@ -359,12 +359,13 @@ def mlp_values(layers: Layers, xs) -> np.ndarray:
     return y
 
 
-def row_blocks(n: int) -> list[slice]:
-    """The row blocks `mlp_values` runs ``n`` rows in: ceil(n / _BLOCK_ROWS)
+def row_blocks(n: int, limit: int = _BLOCK_ROWS) -> list[slice]:
+    """The row blocks `mlp_values` runs ``n`` rows in: ceil(n / limit)
     near-equal slices, the longer ones first. A caller that evaluates a
     single-output net one block at a time gets the bits of one
-    `mlp_values` call on all n rows."""
-    n_blocks = max(1, -(-n // _BLOCK_ROWS))
+    `mlp_values` call on all n rows. Another ``limit`` splits other units
+    the same way (`integrate.rk4_solve_unrolled_grad` splits steps)."""
+    n_blocks = max(1, -(-n // limit))
     size, extra = divmod(n, n_blocks)
     starts = [i * size + min(i, extra) for i in range(n_blocks + 1)]
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]

@@ -5,10 +5,12 @@ from each trajectory's initial state, one RK4 step per sample interval,
 and penalizes the mean squared gap to the observed samples. Trajectories
 that share a time grid are stacked into one block; its gradient takes one
 value forward per block, then a reverse that re-linearizes every RK4 stage
-about the solved states in wide calls (`integrate.rk4_solve_unrolled_grad`).
+about the solved states (`integrate.rk4_solve_unrolled_grad`), one step
+block of at most `nnet._BLOCK_ROWS` rows at a time, so no product is wider
+than a block and a batch has the same bits at 1 and 2 OpenBLAS threads.
 The objective owns one `integrate.StageTape` for those calls, so every
-batch writes its stage caches into the same arrays; the tape grows to the
-largest block seen and smaller blocks use its first rows.
+step block writes its stage caches into the same arrays; the tape holds
+one block, grows to the largest seen and smaller ones use its first rows.
 Gradient matching skips the solver: it penalizes the gap between the model
 vector field and finite-difference derivative estimates at the observed
 states. It stacks the states, controls and estimates once, in arrays it

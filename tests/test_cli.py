@@ -194,22 +194,23 @@ class TestTrain:
         assert built == [12]
 
 
-# a two-tanks gen-data at its default 51 samples and a 1-epoch train, then
-# one gradient-matching batch of 50 trajectories (2,550 rows), written as
-# its loss and gradient bytes
+# argv: out, system, objective class, batch size, then extra train
+# arguments. A gen-data of the system at its default 51 samples and a
+# 1-epoch train, then one batch of the objective on the untrained field,
+# written as its loss and gradient bytes
 _THREAD_RUN = """
 import sys
 import numpy as np
 from stabledyn import benchmarks, training
 from stabledyn.cli import main
 
-out = sys.argv[1]
-assert main(["gen-data", "--system", "two-tanks", "--out", out]) == 0
-data = out + "/two-tanks-data"
-assert main(["train", "--data", data, "--epochs", "1", "--out", out]) == 0
-objective = training.GradMatchingObjective(benchmarks.load_dataset(data).trajectories)
-batch = np.random.default_rng(0).permutation(objective.n_traj)[:50]
-loss, grad = objective.loss_and_grad(benchmarks.make_untrained_field("two-tanks", 0), batch)
+out, system, objective, batch = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+assert main(["gen-data", "--system", system, "--out", out]) == 0
+data = f"{out}/{system}-data"
+assert main(["train", "--data", data, "--epochs", "1", "--out", out, *sys.argv[5:]]) == 0
+objective = getattr(training, objective)(benchmarks.load_dataset(data).trajectories)
+batch = np.random.default_rng(0).permutation(objective.n_traj)[:batch]
+loss, grad = objective.loss_and_grad(benchmarks.make_untrained_field(system, 0), batch)
 with open(out + "/batch.bin", "wb") as fh:
     fh.write(np.float64(loss).tobytes() + grad.tobytes())
 """
@@ -219,27 +220,44 @@ class TestBlasThreadCount:
     def test_gradient_matching_has_the_same_bits_at_one_and_two_threads(self, tmp_path):
         # a 2,550-row batch ran as one product, which OpenBLAS rounds by its
         # thread count; row blocks of at most 1,024 rows do not
-        src = str(Path(benchmarks.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        runs = {}
-        for threads in ("1", "2"):
-            (tmp_path / threads).mkdir()
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-            runs[threads] = subprocess.Popen(
-                [sys.executable, "-c", _THREAD_RUN, str(tmp_path / threads)], env=env,
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        for proc in runs.values():
-            _, err = proc.communicate(timeout=300)
-            assert proc.returncode == 0, err
-        one, two = tmp_path / "1", tmp_path / "2"
-        assert (one / "batch.bin").read_bytes() == (two / "batch.bin").read_bytes()
-        name = "two-tanks-field.json"
-        assert (one / name).read_bytes() == (two / name).read_bytes()
-        reports = [json.loads((out / "two-tanks-train-report.json").read_text())
-                   for out in (one, two)]
-        for report in reports:
-            del report["wall_time_s"]
-        assert reports[0] == reports[1]
+        _assert_same_bits_at_one_and_two_threads(tmp_path, "two-tanks",
+                                                 "GradMatchingObjective", 50)
+
+    def test_trajectory_matching_has_the_same_bits_at_one_and_two_threads(self, tmp_path):
+        # a 100-trajectory batch of 50 steps re-linearized its RK4 stages in
+        # 5,000-row products; step blocks of at most 1,024 rows do not. At
+        # this size the whole-batch products wrote different checkpoints at
+        # 1 and 2 threads; 11 samples at batches of 200 did not
+        _assert_same_bits_at_one_and_two_threads(tmp_path, "sym-hysteresis",
+                                                 "TrajMatchingObjective", 100,
+                                                 "--batch-size", "100")
+
+
+def _assert_same_bits_at_one_and_two_threads(tmp_path, system, objective, batch, *train_args):
+    """Run `_THREAD_RUN` in child processes at OPENBLAS_NUM_THREADS=1 and 2
+    and compare the batch bytes, the checkpoints and the train reports."""
+    src = str(Path(benchmarks.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-c", _THREAD_RUN, str(tmp_path / threads), system, objective,
+             str(batch), *train_args], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for proc in runs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert (one / "batch.bin").read_bytes() == (two / "batch.bin").read_bytes()
+    name = f"{system}-field.json"
+    assert (one / name).read_bytes() == (two / name).read_bytes()
+    reports = [json.loads((out / f"{system}-train-report.json").read_text())
+               for out in (one, two)]
+    for report in reports:
+        del report["wall_time_s"]
+    assert reports[0] == reports[1]
 
 
 def _edit_state(prefix):

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from stabledyn import benchmarks
+from stabledyn import benchmarks, integrate
 from stabledyn.control import ControlRecipe, feedback_simulate
 from stabledyn.field import (eval_target, eval_velocity, velocity_cached,
                              velocity_input_vjp_cached, velocity_vjp_cached)
@@ -122,6 +122,20 @@ def reference_unrolled_grad(fld, x0, u, grid, cotangents):
     return pgrad
 
 
+@pytest.fixture
+def stage_rows(monkeypatch):
+    """The row count of every stage linearization `rk4_solve_unrolled_grad`
+    runs, in order."""
+    rows = []
+
+    def counted(field, x, uu, out=None):
+        rows.append(len(x))
+        return velocity_cached(field, x, uu, out)
+
+    monkeypatch.setattr(integrate, "velocity_cached", counted)
+    return rows
+
+
 class TestUnrolledGrad:
     @staticmethod
     def solve(fld, x0, u, grid):
@@ -148,6 +162,9 @@ class TestUnrolledGrad:
         grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid,
                                        np.zeros((2, 6, 1)), StageTape())
         assert not grad.any()
+        empty = np.zeros((0, 6, 1))
+        grad = rk4_solve_unrolled_grad(fld, empty, np.zeros((0, 1)), grid, empty, StageTape())
+        assert grad.shape == fld.params.shape and not grad.any()
 
     def test_shape_mismatch_rejected(self):
         fld = make_field(dim=1, control_dim=1, seed=0)
@@ -193,8 +210,34 @@ class TestUnrolledGrad:
 
         assert_close(grad, central_diff_grad(objective, fld.params), rtol=1e-3, floor=1e-5)
 
-    def test_tape_holds_two_arrays_per_layer_and_stage_plus_shared_scratch(self):
-        # a training batch of sym-hysteresis: 50 trajectories of 50 steps
+    # B = 30 over 41 steps: two step blocks of 21 and 20 steps (630 and 600
+    # rows, reversed last first); 1,100 trajectories: two chunks of 550,
+    # each two 1-step blocks
+    @pytest.mark.parametrize("n_steps, batch, block_rows", [
+        (41, 30, [600, 630]), (2, 1100, [550] * 4),
+    ], ids=["unequal-step-blocks", "trajectory-chunks"])
+    def test_blocks_equal_step_by_step_reverse_and_finite_differences(
+            self, stage_rows, n_steps, batch, block_rows):
+        fld = make_field(dim=1, control_dim=1, seed=1, hidden=(4,))
+        grid = TimeGrid(0.0, 0.25 * n_steps / 7, n_steps)
+        rng = np.random.default_rng(2)
+        x0 = rng.uniform(-1, 1, size=(batch, 1))
+        u = rng.uniform(-1, 1, size=(batch, 1))
+        cots = rng.normal(size=(batch, n_steps + 1, 1))
+        grad = rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid, cots,
+                                       StageTape())
+        assert stage_rows == [rows for rows in block_rows for _ in range(4)]
+        want = reference_unrolled_grad(fld, x0, u, grid, cots)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+        def objective(p):
+            return float(np.sum(cots * self.solve(fld.with_params(p), x0, u, grid)))
+
+        assert_close(grad, central_diff_grad(objective, fld.params), rtol=1e-3, floor=1e-5)
+
+    def test_tape_holds_two_arrays_per_layer_and_stage_plus_shared_scratch(self, stage_rows):
+        # a training batch of sym-hysteresis: 50 trajectories of 50 steps,
+        # reversed in step blocks of 16, 17 and 17 steps (last block first)
         fld = benchmarks.make_untrained_field("sym-hysteresis", 0)
         grid = TimeGrid(0.0, 1.0, 50)
         rng = np.random.default_rng(3)
@@ -203,7 +246,8 @@ class TestUnrolledGrad:
         tape = StageTape()
         rk4_solve_unrolled_grad(fld, self.solve(fld, x0, u, grid), u, grid,
                                 rng.normal(size=(50, 51, 1)), tape)
-        rows = 50 * 50
+        assert stage_rows == [800] * 4 + [850] * 8
+        rows = 17 * 50
         held = {id(view.base): view.base for stage in tape.stages(fld, rows)
                 for layer in stage for view in layer}
         widths = [*fld.decay_spec.layer_sizes[1:-1], *fld.target_spec.layer_sizes[1:-1]]
@@ -211,6 +255,8 @@ class TestUnrolledGrad:
         scratch = sum(2 * rows * width for width in set(widths))
         assert len(held) == 17
         assert sum(arr.nbytes for arr in held.values()) == 8 * (kept + scratch)
+        # no tape array holds more than one block of at most 1,024 rows
+        assert all(arr.shape[-2] <= 1024 for arr in held.values())
 
 
 def still_plant(x, u):
